@@ -1,15 +1,25 @@
 """Counting triangles in Lotus (Algorithm 3, Section 4.4).
 
 Three phases, each with a bespoke data structure for its random accesses
-(Table 2):
+(Table 2).  The sequential count runs every phase as one batched kernel
+over arcs:
 
-1. **HHH & HHN** — stream each vertex's hub-neighbour list from HE and
-   test all pairs against the H2H bit array (random accesses confined to
-   <= 256 MB of bits);
-2. **HNN** — for each non-hub vertex ``v`` and non-hub neighbour ``u``,
-   intersect the (16-bit) HE rows of ``u`` and ``v``;
-3. **NNN** — Forward-style merge intersections inside NHE only, never
-   touching hub edges (the Section 3.3 pruning).
+1. **HHH & HHN** — the paper keeps the hub sub-graph as bits (H2H); here
+   every HE row becomes a packed hub-neighbour bitset, built per count
+   call, so ``Σ_{HE arcs (v, h)} popcount(bits[v] & bits[h])`` counts
+   each pair of hub neighbours of ``v`` that H2H would find adjacent.
+   Cutting the arc list at ``v < hub_count`` splits HHH from HHN;
+2. **HNN** — the same popcount over NHE arcs ``(v, u)``: the common
+   *hub* neighbours of two non-hubs;
+3. **NNN** — every wedge ``(b > c)`` of an NHE row is one int64 key
+   ``b * n + c``, looked up with one ``searchsorted`` in the sorted NHE
+   arc keys; hub edges are never touched (the Section 3.3 pruning).
+
+The bitsets cost ``⌈H/64⌉`` words per row with hub neighbours.  Above
+:data:`_BITSET_BUDGET` bytes (checked before allocating) phase 1 falls
+back to the literal H2H probes of Algorithm 3 lines 3-5 and HNN to the
+binary-search kernel; ``fused=False`` selects the literal paths
+directly (the references the tests and ``memsim`` replays rely on).
 
 Each phase is exposed separately so the benchmarks can time the Figure 6
 breakdown; :func:`count_triangles_lotus` is the end-to-end entry point
@@ -25,13 +35,22 @@ import numpy as np
 from repro.core.structure import LotusConfig, LotusGraph, build_lotus_graph
 from repro.graph.csr import CSRGraph
 from repro.obs import root_span, timed_phase
-from repro.tc.intersect import batch_intersect_counts, batch_pairwise_counts
+from repro.tc.intersect import (
+    batch_intersect_counts,
+    batch_pairwise_counts,
+    bitset_nbytes,
+    match_keys,
+    pack_row_bitsets,
+    popcount_pairs,
+    wedge_chunks,
+)
 from repro.tc.result import TCResult
 from repro.util.arrays import concat_ranges
 from repro.util.timer import PhaseTimer
 
 __all__ = [
     "LotusCounts",
+    "hub_bitsets",
     "count_hhh_hhn",
     "count_hnn",
     "count_nnn",
@@ -39,8 +58,12 @@ __all__ = [
     "count_triangles_lotus",
 ]
 
-# pair-generation chunk bound: caps peak memory of the phase-1 pair blocks
-_PAIR_CHUNK = 1 << 22
+# bitset byte budget: the paper's 256 MB ceiling for H2H at 64 K hubs
+_BITSET_BUDGET = 256 << 20
+# words gathered per side per popcount pass: 2^14 rows at 2048 hubs
+_ARC_CHUNK_WORDS = 1 << 19
+# wedges per enumeration chunk (phase-1 probes and NNN keys)
+_WEDGE_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -65,119 +88,128 @@ class LotusCounts:
         return self.hub / self.total if self.total else 0.0
 
 
-def _batched_pair_count(lotus: LotusGraph, rows: np.ndarray) -> int:
-    """All-pairs H2H probes for many short neighbour lists at once.
+Bitsets = tuple[np.ndarray, np.ndarray]
 
-    Pairs across all ``rows`` are enumerated in one flat ordinal space and
-    decoded with the closed-form triangular inverse
-    ``i = floor((1 + sqrt(1 + 8p)) / 2)``, ``j = p - i(i-1)/2`` — no
-    Python loop over vertices.  ``rows`` must each have
-    ``<= _PAIR_CHUNK`` pairs; bigger rows go through
-    :func:`_count_pairs_against_h2h`.
+
+def hub_bitsets(lotus: LotusGraph) -> Bitsets | None:
+    """Every non-empty HE row as a packed hub-neighbour bitset.
+
+    Returns ``(bits, slot)`` as :func:`repro.tc.intersect.pack_row_bitsets`
+    does, or ``None`` — before allocating anything — when the bitsets
+    would exceed :data:`_BITSET_BUDGET` bytes.
     """
     he = lotus.he
-    deg = (he.indptr[rows + 1] - he.indptr[rows]).astype(np.int64)
-    pair_counts = deg * (deg - 1) // 2
-    total = 0
-    # group rows into chunks of ~_PAIR_CHUNK total pairs
-    cum = np.cumsum(pair_counts)
-    start = 0
-    while start < rows.size:
-        base = cum[start] - pair_counts[start]
-        stop = int(np.searchsorted(cum, base + _PAIR_CHUNK, side="left")) + 1
-        stop = min(max(stop, start + 1), rows.size)
-        sel = slice(start, stop)
-        counts = pair_counts[sel]
-        p = concat_ranges(np.zeros(stop - start, dtype=np.int64), counts)
-        i = ((1.0 + np.sqrt(1.0 + 8.0 * p)) / 2.0).astype(np.int64)
-        # guard against float rounding at triangular boundaries
-        tri = i * (i - 1) // 2
-        over = tri > p
-        i[over] -= 1
-        tri[over] = i[over] * (i[over] - 1) // 2
-        j = p - tri
-        under = j >= i
-        i[under] += 1
-        tri[under] = i[under] * (i[under] - 1) // 2
-        j[under] = p[under] - tri[under]
-        row_start = np.repeat(he.indptr[rows[sel]], counts)
-        h1 = he.indices[row_start + i].astype(np.int64, copy=False)
-        h2 = he.indices[row_start + j].astype(np.int64, copy=False)
-        total += int(np.count_nonzero(lotus.h2h.test_pairs(h1, h2)))
-        start = stop
-    return total
+    if bitset_nbytes(he.indptr, lotus.hub_count) > _BITSET_BUDGET:
+        return None
+    return pack_row_bitsets(he.indptr, he.indices, lotus.hub_count)
 
 
-def _count_pairs_against_h2h(lotus: LotusGraph, v: int) -> int:
-    """All-pairs H2H probes for one vertex's hub-neighbour list
-    (Algorithm 3 lines 3-5), chunked to bound memory."""
-    hs = lotus.he.neighbors(v).astype(np.int64, copy=False)
-    length = hs.size
-    if length < 2:
-        return 0
-    total = 0
-    # pairs (h1 = hs[i], h2 = hs[j<i]); generate in blocks of rows i
-    i = 1
-    while i < length:
-        # choose a row block [i, j) with ~_PAIR_CHUNK pairs
-        j = i
-        pairs = 0
-        while j < length and pairs + j < _PAIR_CHUNK:
-            pairs += j
-            j += 1
-        rows = np.arange(i, j, dtype=np.int64)
-        h1 = np.repeat(hs[rows], rows)
-        h2 = hs[concat_ranges(np.zeros(rows.size, dtype=np.int64), rows)]
-        total += int(np.count_nonzero(lotus.h2h.test_pairs(h1, h2)))
-        i = j
-    return total
+def _popcount_arcs(bitsets: Bitsets, arcs, split: int) -> tuple[int, int, int]:
+    """``Σ popcount(bits[v] & bits[u])`` over the arcs ``(v, u)`` of the
+    CSR ``arcs``, summed separately before and after arc offset ``split``.
+
+    Returns ``(before, after, arcs_popcounted)``.  An arc with an
+    endpoint that has no hub neighbour has an empty intersection and is
+    skipped.
+    """
+    bits, slot = bitsets
+    left = np.repeat(slot, arcs.degrees())
+    right = slot[arcs.indices]
+    live = (left >= 0) & (right >= 0)
+    before, after = (
+        popcount_pairs(
+            bits, left[part][live[part]], right[part][live[part]], _ARC_CHUNK_WORDS
+        )
+        for part in (slice(0, split), slice(split, None))
+    )
+    return before, after, int(np.count_nonzero(live))
 
 
-def count_hhh_hhn(lotus: LotusGraph) -> tuple[int, int]:
+def _h2h_probes(
+    lotus: LotusGraph, indptr: np.ndarray, indices: np.ndarray, apex_ids: np.ndarray
+) -> tuple[int, int]:
+    """H2H probes of every hub-neighbour pair of the HE rows ``apex_ids``
+    (Algorithm 3 lines 3-5), split into hits at hub / non-hub apexes.
+
+    ``indptr``/``indices`` form a compact CSR aligned with ``apex_ids``.
+    """
+    at_hub = at_non_hub = 0
+    for apex, h1, h2 in wedge_chunks(indptr, indices, apex_ids, _WEDGE_CHUNK):
+        hit = lotus.h2h.test_pairs(h1, h2)
+        hub_hits = int(np.count_nonzero(hit & (apex < lotus.hub_count)))
+        at_hub += hub_hits
+        at_non_hub += int(np.count_nonzero(hit)) - hub_hits
+    return at_hub, at_non_hub
+
+
+def _batched_pair_count(lotus: LotusGraph, rows: np.ndarray) -> int:
+    """H2H hits over all hub-neighbour pairs of the HE rows ``rows``."""
+    he = lotus.he
+    starts = he.indptr[rows]
+    deg = he.indptr[rows + 1] - starts
+    indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    indices = he.indices[concat_ranges(starts, deg)]
+    return sum(_h2h_probes(lotus, indptr, indices, rows))
+
+
+def _phase1(lotus: LotusGraph, bitsets: Bitsets | None) -> tuple[int, int, int]:
+    """``(hhh, hhn, arcs_popcounted)``: the bitset kernel, or the H2H
+    probes (0 arcs popcounted) when ``bitsets`` is ``None``."""
+    he = lotus.he
+    n = lotus.num_vertices
+    if bitsets is None:
+        return (*_h2h_probes(lotus, he.indptr, he.indices, np.arange(n)), 0)
+    return _popcount_arcs(bitsets, he, int(he.indptr[min(lotus.hub_count, n)]))
+
+
+def _hnn(lotus: LotusGraph, bitsets: Bitsets | None) -> tuple[int, int]:
+    """``(hnn, arcs_popcounted)``: the bitset kernel, or the binary-search
+    kernel (0 arcs popcounted) when ``bitsets`` is ``None``."""
+    if bitsets is None:
+        he, nhe = lotus.he, lotus.nhe
+        src = np.repeat(np.arange(lotus.num_vertices, dtype=np.int64), nhe.degrees())
+        dst = nhe.indices.astype(np.int64, copy=False)
+        return (
+            batch_pairwise_counts(he.indptr, he.indices, he.indptr, he.indices, src, dst),
+            0,
+        )
+    _, hnn, arcs = _popcount_arcs(bitsets, lotus.nhe, 0)
+    return hnn, arcs
+
+
+def count_hhh_hhn(lotus: LotusGraph, fused: bool = True) -> tuple[int, int]:
     """Phase 1: triangles with >= 2 hubs.  Returns ``(hhh, hhn)``.
 
     A pair (h1, h2) of hub neighbours of ``v`` forms a triangle iff
     ``H2H.isSet(h1, h2)``; it is HHH when ``v`` itself is a hub, HHN
-    otherwise.  The split falls out of cutting the vertex loop at
-    ``hub_count``.
+    otherwise.  The fused kernel counts those pairs per HE arc
+    ``(v, h2)`` as ``popcount(bits[v] & bits[h2])`` over the
+    :func:`hub_bitsets`; ``fused=False`` or an over-budget bitset runs
+    the literal H2H probes instead.
     """
-    deg = lotus.he.degrees()
-    pair_counts = deg * (deg - 1) // 2
-    work = pair_counts > 0
-    big = work & (pair_counts > _PAIR_CHUNK)
-    small = work & ~big
-    results = []
-    for is_hub_range in (True, False):
-        vertex_sel = (
-            np.arange(lotus.num_vertices) < lotus.hub_count
-            if is_hub_range
-            else np.arange(lotus.num_vertices) >= lotus.hub_count
-        )
-        c = _batched_pair_count(lotus, np.flatnonzero(small & vertex_sel))
-        for v in np.flatnonzero(big & vertex_sel):
-            c += _count_pairs_against_h2h(lotus, int(v))
-        results.append(c)
-    return results[0], results[1]
+    if not fused:
+        he = lotus.he
+        return _h2h_probes(lotus, he.indptr, he.indices, np.arange(lotus.num_vertices))
+    hhh, hhn, _ = _phase1(lotus, hub_bitsets(lotus))
+    return hhh, hhn
 
 
 def count_hnn(lotus: LotusGraph, fused: bool = True) -> int:
     """Phase 2: triangles with exactly one hub (Algorithm 3 lines 7-9).
 
     For each vertex ``v`` and non-hub neighbour ``u`` (from NHE), count
-    common *hub* neighbours via the 16-bit HE rows.
+    common *hub* neighbours: ``popcount(bits[v] & bits[u])`` over the
+    :func:`hub_bitsets`, or the binary-search kernel over the 16-bit HE
+    rows when the bitsets are over budget.  ``fused=False`` runs the
+    literal per-vertex loop.
     """
+    if fused:
+        return _hnn(lotus, hub_bitsets(lotus))[0]
     he_indptr = lotus.he.indptr
     he_indices = lotus.he.indices
     nhe_indptr = lotus.nhe.indptr
     nhe_indices = lotus.nhe.indices
-    if fused:
-        src = np.repeat(
-            np.arange(lotus.num_vertices, dtype=np.int64), np.diff(nhe_indptr)
-        )
-        dst = nhe_indices.astype(np.int64, copy=False)
-        return batch_pairwise_counts(
-            he_indptr, he_indices, he_indptr, he_indices, src, dst
-        )
     total = 0
     nhe_deg = np.diff(nhe_indptr)
     he_deg = np.diff(he_indptr)
@@ -194,17 +226,22 @@ def count_hnn(lotus: LotusGraph, fused: bool = True) -> int:
 def count_nnn(lotus: LotusGraph, fused: bool = True) -> int:
     """Phase 3: triangles between three non-hubs (Algorithm 3 lines 10-12).
 
-    Forward-style counting restricted to the NHE sub-graph; hub edges are
-    never loaded (the fruitless-search pruning of Section 3.3).
+    Counting is restricted to the NHE sub-graph; hub edges are never
+    loaded (the fruitless-search pruning of Section 3.3).  The fused
+    kernel tests every wedge ``(b > c)`` of each NHE row as the key
+    ``b * n + c`` against the sorted NHE arc keys; ``fused=False`` runs
+    the literal Forward-style per-vertex intersections.
     """
     indptr = lotus.nhe.indptr
     indices = lotus.nhe.indices
     if fused:
-        src = np.repeat(
-            np.arange(lotus.num_vertices, dtype=np.int64), np.diff(indptr)
-        )
-        dst = indices.astype(np.int64, copy=False)
-        return batch_pairwise_counts(indptr, indices, indptr, indices, src, dst)
+        n = lotus.num_vertices
+        rows = np.arange(n, dtype=np.int64)
+        keys = np.repeat(rows * n, np.diff(indptr)) + indices
+        total = 0
+        for _, b, c in wedge_chunks(indptr, indices, rows, _WEDGE_CHUNK):
+            total += int(np.count_nonzero(match_keys(keys, b * n + c)))
+        return total
     total = 0
     for v in np.flatnonzero(np.diff(indptr) >= 2):
         row = indices[indptr[v] : indptr[v + 1]]
@@ -233,37 +270,62 @@ def lotus_count_from_structure(
     """
     timer = timer or PhaseTimer()
     with timed_phase(timer, "hhh+hhn") as span:
-        if backend is None or backend == "sequential":
-            hhh, hhn = count_hhh_hhn(lotus)
-        else:
+        # built here for HNN too, whichever backend runs phase 1
+        bitsets = hub_bitsets(lotus)
+        if backend not in (None, "sequential"):
             # local import: repro.parallel.executor imports this module
-            from repro.parallel.backend import run_phase1
+            from repro.parallel.backend import resolve_backend, run_phase1
 
+            # resolved here so "auto" picking sequential runs (and
+            # reports) the bitset kernel below
+            backend = resolve_backend(
+                backend, workers or 4, hub_edges=lotus.hub_edges
+            ).backend
+        if backend in (None, "sequential"):
+            hhh, hhn, arcs = _phase1(lotus, bitsets)
+            p1_bitsets = bitsets
+        else:
             hhh, hhn = run_phase1(
                 lotus,
                 backend=backend,
                 workers=workers or 4,
                 graph_manifest=graph_manifest,
             )
+            arcs, p1_bitsets = 0, None
         if span.enabled:
             deg = lotus.he.degrees()
             span.set("pairs_tested", int((deg * (deg - 1) // 2).sum()))
-            span.set("bytes_touched", int(lotus.h2h.nbytes + lotus.he.indices.nbytes))
+            _set_kernel_attrs(span, p1_bitsets, arcs, lotus.he, lotus.h2h.nbytes)
             span.set("hhh", hhh)
             span.set("hhn", hhn)
     with timed_phase(timer, "hnn") as span:
-        hnn = count_hnn(lotus)
+        hnn, arcs = _hnn(lotus, bitsets)
         if span.enabled:
-            span.set("wedges_probed", int(lotus.nhe.num_edges))
-            span.set("bytes_touched", int(lotus.he.indices.nbytes + lotus.nhe.indices.nbytes))
+            _set_kernel_attrs(span, bitsets, arcs, lotus.nhe, lotus.he.indices.nbytes)
             span.set("hnn", hnn)
+    del bitsets, p1_bitsets  # freed before NNN allocates its arc keys
     with timed_phase(timer, "nnn") as span:
         nnn = count_nnn(lotus)
         if span.enabled:
-            span.set("wedges_probed", int(lotus.nhe.num_edges))
-            span.set("bytes_touched", int(lotus.nhe.indices.nbytes))
+            deg = lotus.nhe.degrees()
+            span.set("wedges_probed", int((deg * (deg - 1) // 2).sum()))
+            # NHE IDs plus one int64 key per arc
+            span.set("bytes_touched", int(lotus.nhe.indices.nbytes + 8 * lotus.nhe.num_edges))
             span.set("nnn", nnn)
     return LotusCounts(hhh=hhh, hhn=hhn, hnn=hnn, nnn=nnn)
+
+
+def _set_kernel_attrs(
+    span, bitsets: Bitsets | None, arcs_popcounted: int, arcs, probe_bytes: int
+) -> None:
+    """Record which kernel a phase ran over the CSR ``arcs`` and its
+    work: popcounted arcs and bitset bytes, or the probed structure's
+    bytes (``probe_bytes``) on the fallback path."""
+    table_bytes = probe_bytes if bitsets is None else bitsets[0].nbytes
+    span.set("kernel", "probe" if bitsets is None else "bitset")
+    span.set("arcs_popcounted", arcs_popcounted)
+    span.set("bitset_bytes", 0 if bitsets is None else int(table_bytes))
+    span.set("bytes_touched", int(table_bytes + arcs.indices.nbytes))
 
 
 def count_triangles_lotus(

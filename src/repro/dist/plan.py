@@ -10,8 +10,10 @@ answerable by whichever shard owns ``b``, which is what makes the scheme
 distributable: a shard holding only its own rows resolves local checks
 immediately and ships the rest as 8-byte arc keys to ``owner[b]``.
 
-Because the simulator and the runtime share this module's wedge
-enumeration and routing rule, the simulator's communication prediction
+Because the simulator and the runtime share this module's routing rule
+and the wedge enumeration it re-exports from :mod:`repro.tc.intersect`
+(the sequential LOTUS count enumerates its wedges with the same
+kernel), the simulator's communication prediction
 (``remote_wedge_checks`` / ``bytes_exchanged``) is a model of the
 runtime *by construction* — the regression test comparing the two is a
 differential test of the protocol, not of two unrelated formulas.
@@ -25,11 +27,12 @@ membership reduces to one vectorised ``searchsorted``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+# the wedge enumeration and membership kernels, re-exported for the protocol
+from repro.tc.intersect import match_keys, wedge_chunks
 
 __all__ = [
     "QUERY_BYTES",
@@ -48,9 +51,6 @@ __all__ = [
 QUERY_BYTES = 8
 # ... and one membership bool back
 ANSWER_BYTES = 1
-
-# pair-enumeration chunk bound, mirroring repro.core.count._PAIR_CHUNK
-_WEDGE_CHUNK = 1 << 22
 
 
 def degree_rank(graph: CSRGraph) -> np.ndarray:
@@ -208,55 +208,6 @@ def build_plan(
         hub_count=hub_count,
         boundary_edges=boundary,
     )
-
-
-def wedge_chunks(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    apex_ids: np.ndarray,
-    chunk_pairs: int = _WEDGE_CHUNK,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Enumerate the oriented wedges of ``apex_ids`` in bounded chunks.
-
-    ``indptr`` is a *compact* CSR aligned with ``apex_ids`` (row ``k``
-    of ``indices`` belongs to ``apex_ids[k]``), rows ascending.  Yields
-    ``(apex, b, c)`` int64 blocks of at most ``chunk_pairs`` wedges with
-    ``b > c`` per element, using the closed-form triangular decode of
-    :func:`repro.core.count._batched_pair_count` — no Python loop over
-    vertices, and rows larger than a chunk split cleanly across chunks.
-    """
-    deg = (indptr[1:] - indptr[:-1]).astype(np.int64)
-    pairs = deg * (deg - 1) // 2
-    cum = np.cumsum(pairs)
-    total = int(cum[-1]) if cum.size else 0
-    row_base = cum - pairs
-    indices = indices.astype(np.int64, copy=False)
-    for lo in range(0, total, chunk_pairs):
-        p = np.arange(lo, min(lo + chunk_pairs, total), dtype=np.int64)
-        r = np.searchsorted(cum, p, side="right")
-        lp = p - row_base[r]
-        i = ((1.0 + np.sqrt(1.0 + 8.0 * lp)) / 2.0).astype(np.int64)
-        # guard against float rounding at triangular boundaries
-        tri = i * (i - 1) // 2
-        over = tri > lp
-        i[over] -= 1
-        tri[over] = i[over] * (i[over] - 1) // 2
-        j = lp - tri
-        under = j >= i
-        i[under] += 1
-        tri[under] = i[under] * (i[under] - 1) // 2
-        j[under] = lp[under] - tri[under]
-        base = indptr[r]
-        yield apex_ids[r], indices[base + i], indices[base + j]
-
-
-def match_keys(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:
-    """Vectorised membership: is each query key present in ``sorted_keys``?"""
-    if sorted_keys.size == 0 or query_keys.size == 0:
-        return np.zeros(query_keys.size, dtype=bool)
-    pos = np.searchsorted(sorted_keys, query_keys)
-    pos = np.minimum(pos, sorted_keys.size - 1)
-    return sorted_keys[pos] == query_keys
 
 
 def count_hubs(

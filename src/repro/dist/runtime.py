@@ -56,13 +56,12 @@ from repro.dist.plan import (
     build_plan,
     count_hubs,
     lotus_rank,
-    match_keys,
-    wedge_chunks,
 )
 from repro.graph.csr import CSRGraph
 from repro.obs import get_registry
 from repro.obs.telemetry import TraceContext, stitch_worker_payloads
 from repro.parallel.procpool import FAULT_EXIT_CODE, _preferred_context
+from repro.tc.intersect import match_keys, wedge_chunks
 
 __all__ = [
     "ShardFailedError",

@@ -26,10 +26,9 @@ from repro.dist.plan import (
     build_plan,
     degree_rank,
     identity_rank,
-    match_keys,
-    wedge_chunks,
 )
 from repro.graph.csr import CSRGraph
+from repro.tc.intersect import match_keys, wedge_chunks
 
 __all__ = ["DistributedTCReport", "simulate_distributed_tc"]
 

@@ -200,14 +200,40 @@ def fuzz_counters() -> dict[str, Callable[[CSRGraph], int]]:
         )
     # a quarter of the vertices as hubs gives the fuzz-sized graphs real
     # phase-1 work (the default hub heuristic rounds them down to 1 hub)
-    from repro.core import LotusConfig
+    from repro.core import (
+        LotusConfig,
+        build_lotus_graph,
+        count_hhh_hhn,
+        count_hnn,
+        count_nnn,
+        lotus_count_from_structure,
+    )
+
+    def _quarter_hubs(g: CSRGraph) -> LotusConfig:
+        return LotusConfig(hub_count=max(1, g.num_vertices // 4))
 
     def _lotus_backend(g: CSRGraph, backend: str) -> int:
-        config = LotusConfig(hub_count=max(1, g.num_vertices // 4))
         return _triangles(
-            count_triangles_lotus(g, config, backend=backend, workers=2)
+            count_triangles_lotus(g, _quarter_hubs(g), backend=backend, workers=2)
         )
 
+    def _lotus_phases(g: CSRGraph) -> int:
+        # a misattribution between phases can still sum to the right
+        # total, so the per-phase split must match the literal paths too
+        lotus = build_lotus_graph(g, _quarter_hubs(g))
+        c = lotus_count_from_structure(lotus)
+        literal = (
+            *count_hhh_hhn(lotus, fused=False),
+            count_hnn(lotus, fused=False),
+            count_nnn(lotus, fused=False),
+        )
+        if (c.hhh, c.hhn, c.hnn, c.nnn) != literal:
+            raise AssertionError(
+                f"hhh/hhn/hnn/nnn {(c.hhh, c.hhn, c.hnn, c.nnn)} != literal {literal}"
+            )
+        return c.total
+
+    counters["lotus-phases"] = _lotus_phases
     # "distributed" spawns real shard processes per case (edge-free
     # graphs are answered inline), exactly like "processes" spawns a pool
     for backend in ("threads", "processes", "distributed"):

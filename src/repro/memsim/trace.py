@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.bitarray import triangular_index
 from repro.core.structure import LotusGraph
 from repro.graph.csr import OrientedGraph
 from repro.memsim.layout import MemoryLayout, Region
@@ -34,6 +35,7 @@ from repro.memsim.regions import (
     REGION_INDICES,
     REGION_NHE,
 )
+from repro.tc.intersect import wedge_chunks
 from repro.util.arrays import concat_ranges, rows_searchsorted
 
 __all__ = [
@@ -189,25 +191,13 @@ def _phase1_pairs(lotus: LotusGraph) -> tuple[np.ndarray, np.ndarray]:
     pair_counts = deg * (deg - 1) // 2
     pair_indptr = np.zeros(he.num_vertices + 1, dtype=np.int64)
     np.cumsum(pair_counts, out=pair_indptr[1:])
-    total = int(pair_indptr[-1])
-    if total == 0:
-        return pair_indptr, np.empty(0, dtype=np.int64)
-    # decode pair ordinals into (i, j) offsets per row (see count.py)
-    p = concat_ranges(np.zeros(he.num_vertices, dtype=np.int64), pair_counts)
-    i = ((1.0 + np.sqrt(1.0 + 8.0 * p)) / 2.0).astype(np.int64)
-    tri = i * (i - 1) // 2
-    over = tri > p
-    i[over] -= 1
-    tri[over] = i[over] * (i[over] - 1) // 2
-    j = p - tri
-    under = j >= i
-    i[under] += 1
-    tri[under] = i[under] * (i[under] - 1) // 2
-    j[under] = p[under] - tri[under]
-    row_start = np.repeat(he.indptr[:-1], pair_counts)
-    h1 = he.indices[row_start + i].astype(np.int64, copy=False)
-    h2 = he.indices[row_start + j].astype(np.int64, copy=False)
-    bit_idx = h1 * (h1 - 1) // 2 + h2
+    bit_idx = [
+        triangular_index(h1, h2)
+        for _, h1, h2 in wedge_chunks(
+            he.indptr, he.indices, np.arange(he.num_vertices, dtype=np.int64)
+        )
+    ]
+    bit_idx = np.concatenate(bit_idx) if bit_idx else np.empty(0, dtype=np.int64)
     return pair_indptr, bit_idx
 
 

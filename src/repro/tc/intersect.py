@@ -7,12 +7,24 @@ all four are implemented here with identical semantics so they can be
 swapped in the ablation benches.
 
 Scalar kernels (``intersect_count_*``) operate on one pair of sorted
-arrays; :func:`batch_intersect_counts` is the vectorised work-horse used
-by the Forward and LOTUS implementations — it intersects one query row
-against many CSR rows in a single NumPy pass.
+arrays; :func:`batch_intersect_counts` intersects one query row against
+many CSR rows in a single NumPy pass.
+
+The batched kernels that carry the LOTUS phases and the distributed
+wedge protocol live here too:
+
+* :func:`pack_row_bitsets` + :func:`popcount_pairs` — bitmap
+  intersection batched over arcs: CSR rows packed into ``uint64`` words,
+  ``|row(l) ∩ row(r)| = popcount(bits[l] & bits[r])``;
+* :func:`wedge_chunks` + :func:`match_keys` — every in-row pair of many
+  CSR rows, enumerated in bounded chunks by the one closed-form
+  triangular decoder, then tested as int64 arc keys with one
+  ``searchsorted``.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -29,8 +41,16 @@ __all__ = [
     "merge_join_touched",
     "batch_intersect_counts",
     "batch_pairwise_counts",
+    "bitset_nbytes",
+    "pack_row_bitsets",
+    "popcount_pairs",
+    "wedge_chunks",
+    "match_keys",
     "INTERSECT_KERNELS",
 ]
+
+# default pair-enumeration chunk of wedge_chunks (the distributed runtime's)
+_WEDGE_CHUNK = 1 << 22
 
 
 def intersect_count_merge(a: np.ndarray, b: np.ndarray) -> int:
@@ -210,9 +230,9 @@ def batch_intersect_counts(
     all ``rows`` in one shot and resolves membership with a single
     ``searchsorted`` — the Python interpreter never loops over edges.
 
-    This is the library's hot kernel: Forward (Algorithm 1 line 5), the
-    LOTUS HNN phase (Algorithm 3 line 9) and NNN phase (line 12) all
-    reduce to calls of this function.
+    Forward (Algorithm 1 line 5) and the literal (``fused=False``)
+    LOTUS HNN and NNN loops (Algorithm 3 lines 9 and 12) reduce to calls
+    of this function.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
@@ -290,3 +310,111 @@ def batch_pairwise_counts(
             )
             total += int(np.count_nonzero(found))
     return total
+
+
+def bitset_nbytes(indptr: np.ndarray, universe: int) -> int:
+    """Bytes :func:`pack_row_bitsets` would allocate for this CSR.
+
+    Only non-empty rows get storage, ``⌈universe / 64⌉`` uint64 words
+    each — callers check this against a budget *before* packing.
+    """
+    rows = int(np.count_nonzero(np.diff(indptr)))
+    return rows * 8 * ((int(universe) + 63) // 64)
+
+
+def pack_row_bitsets(
+    indptr: np.ndarray, indices: np.ndarray, universe: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pack every non-empty CSR row into a ``⌈universe / 64⌉``-word bitset.
+
+    Returns ``(bits, slot)``: ``bits[slot[v]]`` is row ``v`` (bit
+    ``x & 63`` of word ``x >> 6`` is set iff ``x`` is in the row), and
+    ``slot[v] == -1`` marks an empty row, which gets no storage.  Every
+    element of ``indices`` must be ``< universe``.
+    """
+    deg = np.diff(indptr)
+    rows = np.flatnonzero(deg)
+    words = (int(universe) + 63) // 64
+    slot = np.full(deg.size, -1, dtype=np.int64)
+    slot[rows] = np.arange(rows.size, dtype=np.int64)
+    bits = np.zeros(rows.size * words, dtype=np.uint64)
+    col = indices.astype(np.int64, copy=False)
+    owner = np.repeat(np.arange(rows.size, dtype=np.int64), deg[rows])
+    np.bitwise_or.at(
+        bits,
+        owner * words + (col >> 6),
+        np.left_shift(np.uint64(1), (col & 63).astype(np.uint64)),
+    )
+    return bits.reshape(rows.size, words), slot
+
+
+def popcount_pairs(
+    bits: np.ndarray, left: np.ndarray, right: np.ndarray, chunk_words: int
+) -> int:
+    """``Σ_k popcount(bits[left[k]] & bits[right[k]])`` — the size of every
+    paired row intersection, summed (Latapy-style bitmap intersection,
+    batched over arcs).
+
+    ``left`` / ``right`` index rows of ``bits``; each pass gathers at
+    most ``chunk_words`` words per side (and always at least one pair).
+    """
+    step = max(1, int(chunk_words) // max(bits.shape[1], 1))
+    total = 0
+    for lo in range(0, left.size, step):
+        both = bits[left[lo : lo + step]]
+        both &= bits[right[lo : lo + step]]
+        total += int(np.bitwise_count(both).sum())
+    return total
+
+
+def wedge_chunks(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    apex_ids: np.ndarray,
+    chunk_pairs: int = _WEDGE_CHUNK,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Enumerate the in-row pairs (wedges) of ``apex_ids`` in bounded chunks.
+
+    ``indptr`` is a *compact* CSR aligned with ``apex_ids`` (row ``k``
+    of ``indices`` belongs to ``apex_ids[k]``), rows ascending.  Yields
+    ``(apex, b, c)`` int64 blocks of at most ``chunk_pairs`` wedges with
+    ``b > c`` per element, row-major and ``b``-major inside a row.
+
+    All pairs share one flat ordinal space ``p``; row ``r`` owns
+    ordinals ``[cum[r-1], cum[r])`` and local ordinal ``q`` decodes in
+    closed form to ``i = floor((1 + sqrt(1 + 8q)) / 2)``,
+    ``j = q - i(i-1)/2`` (with float-rounding guards) — no Python loop
+    over vertices, and rows larger than a chunk split across chunks.
+    """
+    deg = (indptr[1:] - indptr[:-1]).astype(np.int64)
+    pairs = deg * (deg - 1) // 2
+    cum = np.cumsum(pairs)
+    total = int(cum[-1]) if cum.size else 0
+    row_base = cum - pairs
+    indices = indices.astype(np.int64, copy=False)
+    for lo in range(0, total, chunk_pairs):
+        p = np.arange(lo, min(lo + chunk_pairs, total), dtype=np.int64)
+        r = np.searchsorted(cum, p, side="right")
+        lp = p - row_base[r]
+        i = ((1.0 + np.sqrt(1.0 + 8.0 * lp)) / 2.0).astype(np.int64)
+        # guard against float rounding at triangular boundaries
+        tri = i * (i - 1) // 2
+        over = tri > lp
+        i[over] -= 1
+        tri[over] = i[over] * (i[over] - 1) // 2
+        j = lp - tri
+        under = j >= i
+        i[under] += 1
+        tri[under] = i[under] * (i[under] - 1) // 2
+        j[under] = lp[under] - tri[under]
+        base = indptr[r]
+        yield apex_ids[r], indices[base + i], indices[base + j]
+
+
+def match_keys(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:
+    """Vectorised membership: is each query key present in ``sorted_keys``?"""
+    if sorted_keys.size == 0 or query_keys.size == 0:
+        return np.zeros(query_keys.size, dtype=bool)
+    pos = np.searchsorted(sorted_keys, query_keys)
+    pos = np.minimum(pos, sorted_keys.size - 1)
+    return sorted_keys[pos] == query_keys

@@ -14,13 +14,18 @@ from repro.core import (
     count_triangles_lotus,
     lotus_count_from_structure,
 )
+from repro.core import count as count_mod
+from repro.core.count import hub_bitsets
+from repro.eval.fuzz import CASE_KINDS, dense_oracle, random_case
 from repro.graph import (
     complete_graph,
+    empty_graph,
     erdos_renyi,
     from_edges,
     powerlaw_chung_lu,
 )
 from repro.graph.degree import hub_mask_top_k
+from repro.obs import use_registry
 from repro.tc import count_triangles_matrix
 
 
@@ -94,6 +99,145 @@ class TestPhaseDecomposition:
         lotus = build_lotus_graph(powerlaw_small)
         assert count_hnn(lotus, fused=True) == count_hnn(lotus, fused=False)
         assert count_nnn(lotus, fused=True) == count_nnn(lotus, fused=False)
+
+
+def literal_phases(lotus):
+    """Per-phase counts of the literal paths: H2H probes (Algorithm 3
+    lines 3-5) and the per-vertex HNN / NNN loops."""
+    return (
+        *count_hhh_hhn(lotus, fused=False),
+        count_hnn(lotus, fused=False),
+        count_nnn(lotus, fused=False),
+    )
+
+
+def kernel_phases(lotus):
+    c = lotus_count_from_structure(lotus)
+    return (c.hhh, c.hhn, c.hnn, c.nnn)
+
+
+def fuzz_graphs(kind, per_kind=3):
+    """The first ``per_kind`` fuzz-corpus graphs of one family."""
+    graphs = []
+    for seed in range(2000):
+        case = random_case(seed)
+        if case.kind == kind:
+            graphs.append(case.graph())
+            if len(graphs) == per_kind:
+                break
+    return graphs
+
+
+def many_hub_graph(seed=5):
+    """More than 2^16 hubs (uint32 HE) on a sparse graph, with planted
+    triangles among the heavy vertices, the light ones and across them."""
+    rng = np.random.default_rng(seed)
+    n = (1 << 16) + 300
+    heavy = rng.choice(n, size=40, replace=False)
+    edges = [rng.integers(0, n, size=(2500, 2))]
+    edges.append(np.column_stack([np.repeat(heavy, 20), rng.integers(0, n, 800)]))
+    for _ in range(60):
+        a, b, c = rng.choice(n, size=3, replace=False)
+        edges.append(np.array([[a, b], [b, c], [a, c]]))
+    return from_edges(np.concatenate(edges), num_vertices=n)
+
+
+class TestBitsetKernels:
+    """The bitset-popcount phases 1-2 and keyed-wedge NNN are exact per
+    phase against the literal paths, and their bounds hold."""
+
+    @pytest.mark.parametrize("kind", CASE_KINDS)
+    def test_fuzz_families_quarter_hubs(self, kind):
+        for g in fuzz_graphs(kind):
+            lotus = build_lotus_graph(g, LotusConfig(hub_count=max(1, g.num_vertices // 4)))
+            got = kernel_phases(lotus)
+            assert got == literal_phases(lotus)
+            assert sum(got) == dense_oracle(g)
+
+    @pytest.mark.parametrize("hub_count", [1, 63, 65, 100, 129])
+    def test_hub_count_not_a_word_multiple(self, hub_count):
+        g = powerlaw_chung_lu(400, 12.0, exponent=2.1, seed=hub_count)
+        lotus = build_lotus_graph(g, LotusConfig(hub_count=hub_count))
+        got = kernel_phases(lotus)
+        assert got == literal_phases(lotus)
+        assert sum(got) == count_triangles_matrix(g)
+
+    def test_more_than_2_16_hubs(self):
+        g = many_hub_graph()
+        lotus = build_lotus_graph(g, LotusConfig(hub_count=(1 << 16) + 100))
+        assert lotus.he.indices.dtype == np.uint32
+        got = kernel_phases(lotus)
+        assert got == literal_phases(lotus)
+        assert sum(got) == count_triangles_matrix(g)
+        assert got[0] + got[1] + got[2] > 0
+
+    @pytest.mark.parametrize("n", [0, 1, 10])
+    def test_edgeless_graphs_have_no_bitset_rows(self, n):
+        lotus = build_lotus_graph(empty_graph(n))
+        bits, slot = hub_bitsets(lotus)
+        assert bits.shape[0] == 0 and (slot == -1).all()
+        assert kernel_phases(lotus) == literal_phases(lotus) == (0, 0, 0, 0)
+
+    def test_over_budget_falls_back_without_allocating(self, powerlaw_small, monkeypatch):
+        lotus = build_lotus_graph(powerlaw_small, LotusConfig(hub_count=64))
+        expected = kernel_phases(lotus)
+
+        def no_alloc(*args):
+            raise AssertionError("bitsets allocated above the budget")
+
+        monkeypatch.setattr(count_mod, "_BITSET_BUDGET", 0)
+        monkeypatch.setattr(count_mod, "pack_row_bitsets", no_alloc)
+        assert hub_bitsets(lotus) is None
+        with use_registry() as reg:
+            assert kernel_phases(lotus) == expected == literal_phases(lotus)
+        for phase in ("hhh+hhn", "hnn"):
+            span = reg.find_span(phase)
+            assert span.attrs["kernel"] == "probe"
+            assert span.attrs["arcs_popcounted"] == span.attrs["bitset_bytes"] == 0
+        assert count_hhh_hhn(lotus) == expected[:2]
+        assert count_hnn(lotus) == expected[2]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_chunk_boundaries(self, chunk, monkeypatch):
+        g = powerlaw_chung_lu(300, 10.0, exponent=2.1, seed=chunk)
+        lotus = build_lotus_graph(g, LotusConfig(hub_count=75))
+        expected = literal_phases(lotus)
+        monkeypatch.setattr(count_mod, "_ARC_CHUNK_WORDS", chunk)
+        monkeypatch.setattr(count_mod, "_WEDGE_CHUNK", chunk)
+        assert kernel_phases(lotus) == expected
+        # the H2H-probe path enumerates its wedges with the same chunk
+        assert count_hhh_hhn(lotus, fused=False) == expected[:2]
+
+    def test_spans_report_kernel_work(self, powerlaw_small):
+        lotus = build_lotus_graph(powerlaw_small, LotusConfig(hub_count=40))
+        with use_registry() as reg:
+            lotus_count_from_structure(lotus)
+        bits, slot = hub_bitsets(lotus)
+        has_row = slot >= 0
+
+        def live_arcs(csr):
+            src = np.repeat(np.arange(csr.num_vertices), csr.degrees())
+            return int(np.count_nonzero(has_row[src] & has_row[csr.indices]))
+
+        for phase, csr in (("hhh+hhn", lotus.he), ("hnn", lotus.nhe)):
+            span = reg.find_span(phase)
+            assert span.attrs["kernel"] == "bitset"
+            assert span.attrs["bitset_bytes"] == bits.nbytes > 0
+            assert span.attrs["arcs_popcounted"] == live_arcs(csr) > 0
+        d = lotus.nhe.degrees()
+        assert reg.find_span("nnn").attrs["wedges_probed"] == int((d * (d - 1) // 2).sum())
+
+    def test_parallel_backend_reports_probe_kernel(self, powerlaw_small):
+        lotus = build_lotus_graph(powerlaw_small, LotusConfig(hub_count=40))
+        with use_registry() as reg:
+            c = lotus_count_from_structure(lotus, backend="threads", workers=2)
+        assert (c.hhh, c.hhn, c.hnn, c.nnn) == literal_phases(lotus)
+        assert reg.find_span("hhh+hhn").attrs["kernel"] == "probe"
+        assert reg.find_span("hnn").attrs["kernel"] == "bitset"
+        # "auto" resolving to sequential runs the bitset kernel
+        with use_registry() as reg:
+            lotus_count_from_structure(lotus, backend="auto", workers=1)
+        assert reg.find_span("hhh+hhn").attrs["kernel"] == "bitset"
 
 
 class TestEndToEnd:

@@ -69,7 +69,9 @@ def test_oracle_on_known_graphs():
 
 def test_counter_matrix_covers_kernels_and_backends():
     names = set(fuzz_counters())
-    assert {"lotus", "forward", "matrix", "lotus-threads", "lotus-processes"} <= names
+    assert {
+        "lotus", "lotus-phases", "forward", "matrix", "lotus-threads", "lotus-processes"
+    } <= names
     from repro.tc.intersect import INTERSECT_KERNELS
 
     assert {f"forward-kernel:{k}" for k in INTERSECT_KERNELS} <= names
@@ -115,6 +117,26 @@ def test_broken_backend_is_caught(monkeypatch):
     counters = {"lotus-threads": fuzz_counters()["lotus-threads"]}
     report = run_fuzz(cases=60, seed=3, counters=counters)
     assert report["failure"] is not None
+
+
+def test_phase_misattribution_is_caught(monkeypatch):
+    """Swapping HHH and HHN keeps the total right; only the per-phase
+    ``lotus-phases`` column sees it."""
+    import repro.core.count as count
+
+    real = count._phase1
+
+    def swapped(lotus, bitsets):
+        hhh, hhn, arcs = real(lotus, bitsets)
+        return hhn, hhh, arcs
+
+    monkeypatch.setattr(count, "_phase1", swapped)
+    names = ("lotus", "lotus-phases")
+    counters = {name: fuzz_counters()[name] for name in names}
+    report = run_fuzz(cases=60, seed=3, counters=counters)
+    failure = report["failure"]
+    assert failure is not None
+    assert all(m.startswith("lotus-phases:") for m in failure["mismatches"])
 
 
 # --------------------------------------------------------------------------

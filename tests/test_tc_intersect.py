@@ -10,12 +10,17 @@ from repro.tc.intersect import (
     INTERSECT_KERNELS,
     batch_intersect_counts,
     batch_pairwise_counts,
+    bitset_nbytes,
     intersect_count_binary,
     intersect_count_bitmap,
     intersect_count_hash,
     intersect_count_merge,
+    match_keys,
     merge_join_cost,
     merge_join_touched,
+    pack_row_bitsets,
+    popcount_pairs,
+    wedge_chunks,
 )
 
 sorted_arrays = st.lists(st.integers(0, 60), max_size=40).map(
@@ -210,3 +215,60 @@ class TestBatchKernels:
         ix_b = np.array([5, 9], dtype=np.uint32)
         got = batch_pairwise_counts(ip_a, ix_a, ip_b, ix_b, np.array([0]), np.array([0]))
         assert got == 2
+
+
+class TestBitsetKernels:
+    def test_popcount_matches_pairwise(self, er_medium):
+        g = er_medium
+        edges = g.edges()
+        bits, slot = pack_row_bitsets(g.indptr, g.indices, g.num_vertices)
+        assert bits.nbytes == bitset_nbytes(g.indptr, g.num_vertices)
+        left, right = slot[edges[:, 0]], slot[edges[:, 1]]
+        expected = batch_pairwise_counts(
+            g.indptr, g.indices, g.indptr, g.indices, edges[:, 0], edges[:, 1]
+        )
+        for chunk_words in (1, 7, 1 << 20):
+            assert popcount_pairs(bits, left, right, chunk_words) == expected
+
+    def test_empty_rows_get_no_storage(self):
+        indptr = np.array([0, 0, 2, 2, 3], dtype=np.int64)
+        indices = np.array([0, 64, 1], dtype=np.uint16)
+        bits, slot = pack_row_bitsets(indptr, indices, 65)
+        np.testing.assert_array_equal(slot, [-1, 0, -1, 1])
+        assert bits.shape == (2, 2)
+        np.testing.assert_array_equal(bits[:, 0], [1, 2])
+        np.testing.assert_array_equal(bits[:, 1], [1, 0])
+        assert bitset_nbytes(indptr, 65) == bits.nbytes
+
+
+class TestWedgeKernels:
+    @given(
+        st.lists(st.lists(st.integers(0, 30), max_size=9), max_size=6),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_wedges_are_every_in_row_pair(self, rows, chunk):
+        rows = [sorted(set(r)) for r in rows]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(r) for r in rows], out=indptr[1:])
+        indices = np.array([x for r in rows for x in r], dtype=np.uint32)
+        apex_ids = np.arange(len(rows), dtype=np.int64) * 10
+        got = [
+            (int(a), int(b), int(c))
+            for blocks in wedge_chunks(indptr, indices, apex_ids, chunk)
+            for a, b, c in zip(*blocks)
+        ]
+        expected = [
+            (10 * k, r[i], r[j]) for k, r in enumerate(rows)
+            for i in range(len(r)) for j in range(i)
+        ]
+        assert got == expected
+        assert all(b.size <= chunk for _, b, _ in wedge_chunks(indptr, indices, apex_ids, chunk))
+
+    def test_match_keys(self):
+        keys = np.array([3, 8, 20], dtype=np.int64)
+        np.testing.assert_array_equal(
+            match_keys(keys, np.array([0, 3, 9, 20, 21])), [False, True, False, True, False]
+        )
+        assert match_keys(keys[:0], np.array([1])).tolist() == [False]
+        assert match_keys(keys, keys[:0]).size == 0
