@@ -16,10 +16,14 @@ over arcs:
    arc keys; hub edges are never touched (the Section 3.3 pruning).
 
 The bitsets cost ``⌈H/64⌉`` words per row with hub neighbours.  Above
-:data:`_BITSET_BUDGET` bytes (checked before allocating) phase 1 falls
-back to the literal H2H probes of Algorithm 3 lines 3-5 and HNN to the
-binary-search kernel; ``fused=False`` selects the literal paths
-directly (the references the tests and ``memsim`` replays rely on).
+:data:`_BITSET_BUDGET` bytes (checked before allocating) phases 1 and 2
+fall back to the binary-search kernel over the same arcs, which needs
+only HE; ``fused=False`` selects the literal paths directly (the H2H
+probes of Algorithm 3 lines 3-5 and the per-vertex loops, the
+references the tests and ``memsim`` replays rely on).
+:func:`common_hub_counts` is the one entry point of the phase 1-2
+kernel: the distributed shards (:mod:`repro.dist`) run it over the arcs
+of the apexes they own.
 
 Each phase is exposed separately so the benchmarks can time the Figure 6
 breakdown; :func:`count_triangles_lotus` is the end-to-end entry point
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.structure import LotusConfig, LotusGraph, build_lotus_graph
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, OrientedGraph
 from repro.obs import root_span, timed_phase
 from repro.tc.intersect import (
     batch_intersect_counts,
@@ -45,12 +49,13 @@ from repro.tc.intersect import (
     wedge_chunks,
 )
 from repro.tc.result import TCResult
-from repro.util.arrays import concat_ranges
+from repro.util.arrays import compact_rows
 from repro.util.timer import PhaseTimer
 
 __all__ = [
     "LotusCounts",
     "hub_bitsets",
+    "common_hub_counts",
     "count_hhh_hhn",
     "count_hnn",
     "count_nnn",
@@ -62,8 +67,6 @@ __all__ = [
 _BITSET_BUDGET = 256 << 20
 # words gathered per side per popcount pass: 2^14 rows at 2048 hubs
 _ARC_CHUNK_WORDS = 1 << 19
-# wedges per enumeration chunk (phase-1 probes and NNN keys)
-_WEDGE_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -91,36 +94,59 @@ class LotusCounts:
 Bitsets = tuple[np.ndarray, np.ndarray]
 
 
-def hub_bitsets(lotus: LotusGraph) -> Bitsets | None:
+def hub_bitsets(he: OrientedGraph, hub_count: int) -> Bitsets | None:
     """Every non-empty HE row as a packed hub-neighbour bitset.
 
     Returns ``(bits, slot)`` as :func:`repro.tc.intersect.pack_row_bitsets`
     does, or ``None`` — before allocating anything — when the bitsets
     would exceed :data:`_BITSET_BUDGET` bytes.
     """
-    he = lotus.he
-    if bitset_nbytes(he.indptr, lotus.hub_count) > _BITSET_BUDGET:
+    if bitset_nbytes(he.indptr, hub_count) > _BITSET_BUDGET:
         return None
-    return pack_row_bitsets(he.indptr, he.indices, lotus.hub_count)
+    return pack_row_bitsets(he.indptr, he.indices, hub_count)
 
 
-def _popcount_arcs(bitsets: Bitsets, arcs, split: int) -> tuple[int, int, int]:
-    """``Σ popcount(bits[v] & bits[u])`` over the arcs ``(v, u)`` of the
-    CSR ``arcs``, summed separately before and after arc offset ``split``.
+def common_hub_counts(
+    he: OrientedGraph,
+    bitsets: Bitsets | None,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    apex_ids: np.ndarray,
+    split: int,
+) -> tuple[int, int, int]:
+    """``Σ |HE(v) ∩ HE(u)|`` over the arcs ``(v, u)`` of a compact CSR,
+    summed separately before and after arc offset ``split``.
 
-    Returns ``(before, after, arcs_popcounted)``.  An arc with an
-    endpoint that has no hub neighbour has an empty intersection and is
-    skipped.
+    ``indptr``/``indices`` are aligned with ``apex_ids`` as in
+    :func:`~repro.tc.intersect.wedge_chunks` (row ``k`` holds the arcs of
+    ``apex_ids[k]``).  Each arc costs ``popcount(bits[v] & bits[u])``
+    over the :func:`hub_bitsets`, or — when ``bitsets`` is ``None`` —
+    one binary-search intersection of the two HE rows
+    (:func:`~repro.tc.intersect.batch_pairwise_counts`).  Returns
+    ``(before, after, arcs_popcounted)``; an arc with an endpoint that
+    has no hub neighbour has an empty intersection and is skipped.
     """
+    deg = np.diff(indptr)
+    parts = (slice(0, split), slice(split, None))
+    if bitsets is None:
+        src = np.repeat(np.asarray(apex_ids, dtype=np.int64), deg)
+        dst = indices.astype(np.int64, copy=False)
+        before, after = (
+            batch_pairwise_counts(
+                he.indptr, he.indices, he.indptr, he.indices, src[part], dst[part]
+            )
+            for part in parts
+        )
+        return before, after, 0
     bits, slot = bitsets
-    left = np.repeat(slot, arcs.degrees())
-    right = slot[arcs.indices]
+    left = np.repeat(slot[apex_ids], deg)
+    right = slot[indices]
     live = (left >= 0) & (right >= 0)
     before, after = (
         popcount_pairs(
             bits, left[part][live[part]], right[part][live[part]], _ARC_CHUNK_WORDS
         )
-        for part in (slice(0, split), slice(split, None))
+        for part in parts
     )
     return before, after, int(np.count_nonzero(live))
 
@@ -134,7 +160,7 @@ def _h2h_probes(
     ``indptr``/``indices`` form a compact CSR aligned with ``apex_ids``.
     """
     at_hub = at_non_hub = 0
-    for apex, h1, h2 in wedge_chunks(indptr, indices, apex_ids, _WEDGE_CHUNK):
+    for apex, h1, h2 in wedge_chunks(indptr, indices, apex_ids):
         hit = lotus.h2h.test_pairs(h1, h2)
         hub_hits = int(np.count_nonzero(hit & (apex < lotus.hub_count)))
         at_hub += hub_hits
@@ -144,37 +170,24 @@ def _h2h_probes(
 
 def _batched_pair_count(lotus: LotusGraph, rows: np.ndarray) -> int:
     """H2H hits over all hub-neighbour pairs of the HE rows ``rows``."""
-    he = lotus.he
-    starts = he.indptr[rows]
-    deg = he.indptr[rows + 1] - starts
-    indptr = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = he.indices[concat_ranges(starts, deg)]
-    return sum(_h2h_probes(lotus, indptr, indices, rows))
+    indptr, take = compact_rows(lotus.he.indptr, rows)
+    return sum(_h2h_probes(lotus, indptr, lotus.he.indices[take], rows))
 
 
 def _phase1(lotus: LotusGraph, bitsets: Bitsets | None) -> tuple[int, int, int]:
-    """``(hhh, hhn, arcs_popcounted)``: the bitset kernel, or the H2H
-    probes (0 arcs popcounted) when ``bitsets`` is ``None``."""
+    """``(hhh, hhn, arcs_popcounted)`` over every HE arc."""
     he = lotus.he
     n = lotus.num_vertices
-    if bitsets is None:
-        return (*_h2h_probes(lotus, he.indptr, he.indices, np.arange(n)), 0)
-    return _popcount_arcs(bitsets, he, int(he.indptr[min(lotus.hub_count, n)]))
+    split = int(he.indptr[min(lotus.hub_count, n)])
+    return common_hub_counts(he, bitsets, he.indptr, he.indices, np.arange(n), split)
 
 
 def _hnn(lotus: LotusGraph, bitsets: Bitsets | None) -> tuple[int, int]:
-    """``(hnn, arcs_popcounted)``: the bitset kernel, or the binary-search
-    kernel (0 arcs popcounted) when ``bitsets`` is ``None``."""
-    if bitsets is None:
-        he, nhe = lotus.he, lotus.nhe
-        src = np.repeat(np.arange(lotus.num_vertices, dtype=np.int64), nhe.degrees())
-        dst = nhe.indices.astype(np.int64, copy=False)
-        return (
-            batch_pairwise_counts(he.indptr, he.indices, he.indptr, he.indices, src, dst),
-            0,
-        )
-    _, hnn, arcs = _popcount_arcs(bitsets, lotus.nhe, 0)
+    """``(hnn, arcs_popcounted)`` over every NHE arc."""
+    nhe = lotus.nhe
+    _, hnn, arcs = common_hub_counts(
+        lotus.he, bitsets, nhe.indptr, nhe.indices, np.arange(lotus.num_vertices), 0
+    )
     return hnn, arcs
 
 
@@ -185,13 +198,14 @@ def count_hhh_hhn(lotus: LotusGraph, fused: bool = True) -> tuple[int, int]:
     ``H2H.isSet(h1, h2)``; it is HHH when ``v`` itself is a hub, HHN
     otherwise.  The fused kernel counts those pairs per HE arc
     ``(v, h2)`` as ``popcount(bits[v] & bits[h2])`` over the
-    :func:`hub_bitsets`; ``fused=False`` or an over-budget bitset runs
-    the literal H2H probes instead.
+    :func:`hub_bitsets` (or intersects the two HE rows by binary search
+    when the bitsets are over budget); ``fused=False`` runs the literal
+    H2H probes instead.
     """
+    he = lotus.he
     if not fused:
-        he = lotus.he
         return _h2h_probes(lotus, he.indptr, he.indices, np.arange(lotus.num_vertices))
-    hhh, hhn, _ = _phase1(lotus, hub_bitsets(lotus))
+    hhh, hhn, _ = _phase1(lotus, hub_bitsets(he, lotus.hub_count))
     return hhh, hhn
 
 
@@ -205,7 +219,7 @@ def count_hnn(lotus: LotusGraph, fused: bool = True) -> int:
     literal per-vertex loop.
     """
     if fused:
-        return _hnn(lotus, hub_bitsets(lotus))[0]
+        return _hnn(lotus, hub_bitsets(lotus.he, lotus.hub_count))[0]
     he_indptr = lotus.he.indptr
     he_indices = lotus.he.indices
     nhe_indptr = lotus.nhe.indptr
@@ -239,7 +253,7 @@ def count_nnn(lotus: LotusGraph, fused: bool = True) -> int:
         rows = np.arange(n, dtype=np.int64)
         keys = np.repeat(rows * n, np.diff(indptr)) + indices
         total = 0
-        for _, b, c in wedge_chunks(indptr, indices, rows, _WEDGE_CHUNK):
+        for _, b, c in wedge_chunks(indptr, indices, rows):
             total += int(np.count_nonzero(match_keys(keys, b * n + c)))
         return total
     total = 0
@@ -271,7 +285,7 @@ def lotus_count_from_structure(
     timer = timer or PhaseTimer()
     with timed_phase(timer, "hhh+hhn") as span:
         # built here for HNN too, whichever backend runs phase 1
-        bitsets = hub_bitsets(lotus)
+        bitsets = hub_bitsets(lotus.he, lotus.hub_count)
         if backend not in (None, "sequential"):
             # local import: repro.parallel.executor imports this module
             from repro.parallel.backend import resolve_backend, run_phase1
@@ -283,7 +297,7 @@ def lotus_count_from_structure(
             ).backend
         if backend in (None, "sequential"):
             hhh, hhn, arcs = _phase1(lotus, bitsets)
-            p1_bitsets = bitsets
+            p1_bitsets, probed = bitsets, lotus.he.indices.nbytes
         else:
             hhh, hhn = run_phase1(
                 lotus,
@@ -291,11 +305,11 @@ def lotus_count_from_structure(
                 workers=workers or 4,
                 graph_manifest=graph_manifest,
             )
-            arcs, p1_bitsets = 0, None
+            arcs, p1_bitsets, probed = 0, None, lotus.h2h.nbytes
         if span.enabled:
             deg = lotus.he.degrees()
             span.set("pairs_tested", int((deg * (deg - 1) // 2).sum()))
-            _set_kernel_attrs(span, p1_bitsets, arcs, lotus.he, lotus.h2h.nbytes)
+            _set_kernel_attrs(span, p1_bitsets, arcs, lotus.he, probed)
             span.set("hhh", hhh)
             span.set("hhn", hhn)
     with timed_phase(timer, "hnn") as span:

@@ -26,9 +26,10 @@ from repro.core.bitarray import TriangularBitArray
 from repro.graph.csr import CSRGraph, OrientedGraph
 from repro.graph.reorder import lotus_relabeling_array
 from repro.obs import timed_phase
+from repro.util.arrays import sort_arcs
 from repro.util.timer import PhaseTimer
 
-__all__ = ["LotusConfig", "LotusGraph", "build_lotus_graph"]
+__all__ = ["LotusConfig", "LotusGraph", "build_lotus_graph", "split_oriented"]
 
 PAPER_HUB_COUNT = 1 << 16  # 64 K hubs (Section 4.2)
 
@@ -197,9 +198,9 @@ def build_lotus_graph(
 ) -> LotusGraph:
     """Lotus preprocessing (Algorithm 2), vectorised.
 
-    Steps: build the relabeling array; relabel all arcs; keep only arcs
-    ``u_new < v_new`` (symmetric-edge elision); split them into HE
-    (``u_new`` is a hub) and NHE; populate H2H from the hub-hub subset.
+    Steps: build the relabeling array; relabel, orient and split the
+    arcs into HE and NHE (:func:`split_oriented`); populate H2H from the
+    hub-hub subset.
     """
     config = config or LotusConfig()
     timer = timer or PhaseTimer()
@@ -208,40 +209,24 @@ def build_lotus_graph(
 
     with timed_phase(timer, "preprocess") as span:
         ra = lotus_relabeling_array(graph, config.head_fraction)
-        # relabel every stored arc and orient: keep u_new < v_new
-        old_src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
-        new_src = ra[old_src]
-        new_dst = ra[graph.indices.astype(np.int64, copy=False)]
-        keep = new_dst < new_src
-        src = new_src[keep]
-        dst = new_dst[keep]
-        # sort arcs by (src, dst) so each row comes out sorted
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        he, nhe = split_oriented(graph, ra, hub_count)
 
-        is_hub_dst = dst < hub_count
-        he_src, he_dst = src[is_hub_dst], dst[is_hub_dst]
-        nhe_src, nhe_dst = src[~is_hub_dst], dst[~is_hub_dst]
-
-        he_dtype = np.uint16 if hub_count <= (1 << 16) else np.uint32
-        he = OrientedGraph(
-            _rows_to_indptr(he_src, n), he_dst.astype(he_dtype)
-        )
-        nhe = OrientedGraph(
-            _rows_to_indptr(nhe_src, n), nhe_dst.astype(np.uint32)
-        )
-
+        # the hub-hub arcs are the HE rows of the hubs themselves
+        hub_rows = min(hub_count, n)
+        h2h_arcs = int(he.indptr[hub_rows])
         h2h = TriangularBitArray(hub_count)
-        hub_hub = he_src < hub_count
-        if hub_hub.any():
-            h2h.set_pairs(he_src[hub_hub], he_dst[hub_hub])
+        if h2h_arcs:
+            h2h.set_pairs(
+                np.repeat(np.arange(hub_rows, dtype=np.int64), he.degrees()[:hub_rows]),
+                he.indices[:h2h_arcs],
+            )
 
         if span.enabled:
-            span.set("arcs_relabeled", int(old_src.size))
+            span.set("arcs_relabeled", int(graph.indices.size))
             span.set("hub_count", hub_count)
-            span.set("he_edges", int(he_dst.size))
-            span.set("nhe_edges", int(nhe_dst.size))
-            span.set("h2h_edges", int(np.count_nonzero(hub_hub)))
+            span.set("he_edges", he.num_edges)
+            span.set("nhe_edges", nhe.num_edges)
+            span.set("h2h_edges", h2h_arcs)
             span.set(
                 "bytes_built",
                 int(
@@ -260,6 +245,35 @@ def build_lotus_graph(
         num_vertices=n,
         num_edges=graph.num_edges,
         config=config,
+    )
+
+
+def split_oriented(
+    graph: CSRGraph, ra: np.ndarray, hub_count: int
+) -> tuple[OrientedGraph, OrientedGraph]:
+    """Relabel every arc of ``graph`` through ``ra``, keep ``u_new <
+    v_new`` (symmetric-edge elision) and split at ``hub_count``.
+
+    Returns ``(HE, NHE)``: the arcs whose lower endpoint is a hub
+    (``uint16`` IDs when ``hub_count <= 2^16``) and the rest
+    (``uint32``), both oriented CSX over the relabeled IDs with sorted
+    rows.  ``hub_count=0`` puts every arc in NHE.
+    """
+    n = graph.num_vertices
+    old_src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    new_src = ra[old_src]
+    new_dst = ra[graph.indices.astype(np.int64, copy=False)]
+    keep = new_dst < new_src
+    src, dst = sort_arcs(new_src[keep], new_dst[keep], n)
+    is_hub_dst = dst < hub_count
+    he_dtype = np.uint16 if hub_count <= (1 << 16) else np.uint32
+    return (
+        OrientedGraph(
+            _rows_to_indptr(src[is_hub_dst], n), dst[is_hub_dst].astype(he_dtype)
+        ),
+        OrientedGraph(
+            _rows_to_indptr(src[~is_hub_dst], n), dst[~is_hub_dst].astype(np.uint32)
+        ),
     )
 
 

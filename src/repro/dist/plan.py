@@ -1,22 +1,31 @@
 """Shared planning layer for distributed triangle counting.
 
 Both the simulator (:mod:`repro.dist.simulate`) and the real sharded
-runtime (:mod:`repro.dist.runtime`) count the *same* wedges: orient
-every edge by a rank permutation (``row(v) = {u : rank[u] < rank[v]}``),
-enumerate ordered pairs ``(b, c)`` with ``b > c`` out of each apex row,
-and test membership ``c in row(b)``.  A triangle is counted exactly once
-— at its highest-ranked vertex (the apex).  The check ``c in row(b)`` is
-answerable by whichever shard owns ``b``, which is what makes the scheme
-distributable: a shard holding only its own rows resolves local checks
-immediately and ships the rest as 8-byte arc keys to ``owner[b]``.
+runtime (:mod:`repro.dist.runtime`) split the count at ``hub_count``,
+the same cut :func:`~repro.core.structure.build_lotus_graph` makes.
+Every edge is oriented by a rank permutation (``row(v) = {u : rank[u] <
+rank[v]}``) and a triangle is counted exactly once — at its
+highest-ranked vertex (the apex) — by the shard that owns the apex:
 
-Because the simulator and the runtime share this module's routing rule
-and the wedge enumeration it re-exports from :mod:`repro.tc.intersect`
-(the sequential LOTUS count enumerates its wedges with the same
-kernel), the simulator's communication prediction
-(``remote_wedge_checks`` / ``bytes_exchanged``) is a model of the
-runtime *by construction* — the regression test comparing the two is a
-differential test of the protocol, not of two unrelated formulas.
+* **hub side** — HE (every vertex's hub neighbours, ``uint16`` IDs) is
+  small, so it is replicated to every shard.  A shard counts HHH/HHN
+  over its owned HE arcs and HNN over its owned NHE arcs with the
+  sequential phase 1-2 kernel (:func:`shard_hub_counts`), without
+  talking to anyone;
+* **non-hub side** — each shard holds only the NHE rows of the apexes
+  it owns.  For every NHE wedge ``(b, c)`` (``b > c``) of an owned row
+  the check ``c in NHE(b)`` is answerable by whichever shard owns
+  ``b``: local checks are resolved immediately and the rest travel as
+  8-byte arc keys to ``owner[b]``.  Every remote hit is NNN.
+
+Because the simulator and the runtime share this module's plan, routing
+rule and hub stage, and enumerate their wedges with the kernel the
+sequential NNN phase uses (:mod:`repro.tc.intersect`), the simulator's
+communication prediction (``remote_wedge_checks`` / ``bytes_exchanged``
+/ ``replicated_bytes``) is a model of the runtime *by construction* —
+the regression test comparing the two is a differential test of the
+protocol, not of two unrelated formulas.  ``hub_count=None`` (no hubs)
+puts every arc in NHE, which is the all-wedge protocol.
 
 Everything here operates in *relabeled* ID space: vertex ``v`` of the
 input graph becomes ``rank[v]``, rows are sorted ascending, and an arc
@@ -30,21 +39,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.core.count import common_hub_counts
+from repro.core.structure import LotusConfig, split_oriented
+from repro.graph.csr import CSRGraph, OrientedGraph
+from repro.graph.reorder import lotus_relabeling_array
 # the wedge enumeration and membership kernels, re-exported for the protocol
 from repro.tc.intersect import match_keys, wedge_chunks
+from repro.util.arrays import compact_rows
 
 __all__ = [
     "QUERY_BYTES",
     "ANSWER_BYTES",
     "ShardPlan",
+    "arc_keys",
     "build_plan",
     "degree_rank",
     "identity_rank",
     "lotus_rank",
+    "shard_hub_counts",
     "wedge_chunks",
     "match_keys",
-    "count_hubs",
 ]
 
 # wire cost of one cross-shard wedge check: an int64 arc key out ...
@@ -81,9 +95,6 @@ def lotus_rank(graph: CSRGraph, config=None) -> tuple[np.ndarray, int]:
     ``hub_count``) are identical to the sequential
     :class:`~repro.core.count.LotusCounts` decomposition.
     """
-    from repro.core.structure import LotusConfig
-    from repro.graph.reorder import lotus_relabeling_array
-
     config = config or LotusConfig()
     hub_count = config.resolve_hub_count(graph.num_vertices)
     ra = lotus_relabeling_array(graph, config.head_fraction)
@@ -92,12 +103,13 @@ def lotus_rank(graph: CSRGraph, config=None) -> tuple[np.ndarray, int]:
 
 @dataclass
 class ShardPlan:
-    """Rank-oriented arcs plus shard ownership, in relabeled ID space.
+    """Rank-oriented HE / NHE plus shard ownership, in relabeled ID space.
 
-    ``indptr``/``indices`` are the oriented rows of *every* vertex
-    (``indices`` ascending within a row); ``owner`` maps a relabeled ID
-    to its shard.  ``boundary_edges`` counts input edges whose endpoints
-    live on different shards (the classic edge-cut).
+    ``he`` and ``nhe`` are the oriented rows of *every* vertex split at
+    ``hub_count`` (0 when the plan has no hubs, so ``he`` is empty);
+    ``owner`` maps a relabeled ID to its shard.  ``boundary_edges``
+    counts input edges whose endpoints live on different shards (the
+    classic edge-cut).
     """
 
     num_vertices: int
@@ -105,53 +117,45 @@ class ShardPlan:
     workers: int
     rank: np.ndarray
     owner: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    hub_count: int | None
+    he: OrientedGraph
+    nhe: OrientedGraph
+    hub_count: int
     boundary_edges: int
 
-    def arc_src(self) -> np.ndarray:
-        """The apex (row) ID of every stored arc."""
-        return np.repeat(
-            np.arange(self.num_vertices, dtype=np.int64), np.diff(self.indptr)
+    def shard_arc_counts(self) -> np.ndarray:
+        """Oriented arcs (HE + NHE) owned by each shard (``dist.shard_edges``)."""
+        deg = self.he.degrees() + self.nhe.degrees()
+        return np.bincount(self.owner, weights=deg, minlength=self.workers).astype(
+            np.int64
         )
 
-    def arc_keys(self) -> np.ndarray:
-        """All arcs as sorted int64 keys ``b * n + c``."""
-        return self.arc_src() * self.num_vertices + self.indices
-
-    def shard_arc_counts(self) -> np.ndarray:
-        """Oriented arcs owned by each shard (``dist.shard_edges``)."""
-        src = self.arc_src()
-        if src.size == 0:
-            return np.zeros(self.workers, dtype=np.int64)
-        return np.bincount(self.owner[src], minlength=self.workers)
+    def replicated_bytes(self) -> int:
+        """Bytes of HE (indptr + indices) copied to every shard, summed
+        over shards; nothing is replicated when the plan has no hubs."""
+        if not self.hub_count:
+            return 0
+        return self.workers * int(self.he.indptr.nbytes + self.he.indices.nbytes)
 
     def shard_payload(self, shard: int) -> dict:
-        """Everything shard ``shard`` needs to run the wedge protocol.
+        """Everything shard ``shard`` needs to run the protocol.
 
-        The sub-CSR covers only owned apexes; the O(n) ``owner`` array
-        and ``hub_count`` are replicated so the shard can route queries
-        and classify triangles without seeing any remote row.
+        HE, the O(n) ``owner`` array and ``hub_count`` are replicated so
+        the shard can count its hub triangles and route queries without
+        seeing any remote NHE row; ``nhe_indptr``/``nhe_indices`` are the
+        NHE rows of the owned ``apexes`` only (a compact CSR).
         """
         apexes = np.flatnonzero(self.owner == shard).astype(np.int64)
-        deg = np.diff(self.indptr)[apexes]
-        row_indptr = np.zeros(apexes.size + 1, dtype=np.int64)
-        np.cumsum(deg, out=row_indptr[1:])
-        starts = self.indptr[apexes]
-        take = starts.repeat(deg) + (
-            np.arange(row_indptr[-1], dtype=np.int64)
-            - row_indptr[:-1].repeat(deg)
-        )
+        nhe_indptr, take = compact_rows(self.nhe.indptr, apexes)
         return {
             "shard": int(shard),
             "workers": int(self.workers),
             "num_vertices": int(self.num_vertices),
-            "hub_count": self.hub_count,
-            "apexes": apexes,
-            "row_indptr": row_indptr,
-            "row_indices": self.indices[take],
+            "hub_count": int(self.hub_count),
+            "he": self.he,
             "owner": self.owner,
+            "apexes": apexes,
+            "nhe_indptr": nhe_indptr,
+            "nhe_indices": self.nhe.indices[take],
         }
 
 
@@ -162,11 +166,13 @@ def build_plan(
     rank: np.ndarray | None = None,
     hub_count: int | None = None,
 ) -> ShardPlan:
-    """Orient ``graph`` by ``rank`` and attach shard ownership.
+    """Orient ``graph`` by ``rank``, split it at ``hub_count`` and attach
+    shard ownership.
 
     ``owner`` is indexed by *original* vertex ID (what the partitioners
     produce); it is permuted into relabeled space here.  ``rank`` must be
     a permutation of ``[0, n)``; ``None`` selects :func:`degree_rank`.
+    ``hub_count=None`` plans without hubs.
     """
     n = graph.num_vertices
     if workers < 1:
@@ -182,20 +188,17 @@ def build_plan(
         rank = degree_rank(graph)
     else:
         rank = np.asarray(rank, dtype=np.int64)
-
-    old_src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
-    new_src = rank[old_src]
-    new_dst = rank[graph.indices.astype(np.int64, copy=False)]
-    keep = new_dst < new_src
-    src, dst = new_src[keep], new_dst[keep]
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    hub_count = int(hub_count or 0)
+    he, nhe = split_oriented(graph, rank, hub_count)
 
     owner_new = np.empty(n, dtype=np.int64)
     owner_new[rank] = owner
-    boundary = int(np.count_nonzero(owner_new[src] != owner_new[dst]))
+    boundary = sum(
+        int(np.count_nonzero(
+            np.repeat(owner_new, csr.degrees()) != owner_new[csr.indices]
+        ))
+        for csr in (he, nhe)
+    )
 
     return ShardPlan(
         num_vertices=n,
@@ -203,23 +206,39 @@ def build_plan(
         workers=workers,
         rank=rank,
         owner=owner_new,
-        indptr=indptr,
-        indices=dst,
+        he=he,
+        nhe=nhe,
         hub_count=hub_count,
         boundary_edges=boundary,
     )
 
 
-def count_hubs(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, hub_count: int
-) -> np.ndarray:
-    """Hubs among each wedge's three vertices (relabeled IDs < hub_count).
+def shard_hub_counts(payload: dict, bitsets) -> tuple[int, int, int, int]:
+    """A shard's hub stage: ``(hhh, hhn, hnn, arcs_popcounted)``.
 
-    3 -> HHH, 2 -> HHN, 1 -> HNN, 0 -> NNN — the Figure 7 decomposition,
-    computable by the requesting shard from replicated metadata alone.
+    HHH/HHN over the replicated HE rows of the owned apexes (split at
+    ``hub_count``: hub apexes come first) and HNN over the owned NHE
+    arcs, both with the sequential kernel
+    :func:`~repro.core.count.common_hub_counts`.  ``bitsets`` are
+    ``hub_bitsets(payload["he"], payload["hub_count"])``: the replicated
+    HE's hub bitsets, or ``None`` past the bitset budget.
     """
-    return (
-        (a < hub_count).astype(np.uint8)
-        + (b < hub_count).astype(np.uint8)
-        + (c < hub_count).astype(np.uint8)
+    he = payload["he"]
+    apexes = payload["apexes"]
+    he_indptr, take = compact_rows(he.indptr, apexes)
+    split = int(he_indptr[np.searchsorted(apexes, payload["hub_count"])])
+    hhh, hhn, he_arcs = common_hub_counts(
+        he, bitsets, he_indptr, he.indices[take], apexes, split
     )
+    _, hnn, nhe_arcs = common_hub_counts(
+        he, bitsets, payload["nhe_indptr"], payload["nhe_indices"], apexes, 0
+    )
+    return hhh, hhn, hnn, he_arcs + nhe_arcs
+
+
+def arc_keys(
+    apexes: np.ndarray, indptr: np.ndarray, indices: np.ndarray, n: int
+) -> np.ndarray:
+    """The arcs of a compact CSR aligned with ``apexes`` as int64 keys
+    ``apex * n + col`` (sorted when ``apexes`` ascend)."""
+    return np.repeat(apexes * n, np.diff(indptr)) + indices

@@ -1,24 +1,29 @@
 """Real sharded execution of LOTUS triangle counting.
 
 ``N`` worker processes each own one partition of the vertex set (any of
-the :data:`~repro.dist.partition.PARTITIONERS`).  A worker holds only
-its shard's sub-CSR — the rank-oriented rows of its owned apexes — plus
-replicated O(n) metadata (the shard map and ``hub_count``); remote rows
-are never copied.  The vertices a shard references but does not own are
-its ghost (halo) set: it knows their rank and hub bit, and resolves
-adjacency questions about them over the wire.
+the :data:`~repro.dist.partition.PARTITIONERS`).  The plan
+(:mod:`repro.dist.plan`) splits the graph at ``hub_count`` like the
+sequential structure: HE — every vertex's hub neighbours, ``uint16``
+IDs — is replicated to every worker, together with O(n) metadata (the
+shard map and ``hub_count``); of NHE a worker holds only the rows of
+the apexes it owns.  The non-hub vertices a shard references but does
+not own are its ghost (halo) set: it knows their shard, and resolves
+NHE adjacency questions about them over the wire.
 
-The protocol is two coordinator-routed barrier rounds over
-``multiprocessing`` pipes (deadlock-free because every shard sends every
-stage message, even when empty):
+Each shard runs three stages:
 
-1. each shard enumerates the wedges of its owned apexes, answers the
-   checks whose middle vertex it also owns, and sends one batch of
-   8-byte arc keys per remote target shard to the coordinator;
-2. the coordinator routes the batches; targets answer membership with
-   one vectorised ``searchsorted`` and the boolean vectors flow back the
-   same way.  The requesting shard classifies its hits (HHH/HHN/HNN/NNN
-   from replicated metadata alone) and reports per-phase counts.
+1. **hub** — HHH/HHN over its owned HE arcs and HNN over its owned NHE
+   arcs, with the sequential phase 1-2 kernel over the replicated HE.
+   Purely local;
+2. **enumerate** — the NHE wedges of its owned apexes: it answers the
+   checks whose middle vertex it also owns and batches the rest as
+   8-byte arc keys per remote target shard;
+3. two coordinator-routed barrier rounds over ``multiprocessing`` pipes
+   (deadlock-free because every shard sends every stage message, even
+   when empty): the coordinator routes the query batches, targets
+   answer membership with one vectorised ``searchsorted`` against their
+   own NHE arc keys, and the boolean vectors flow back the same way.
+   Every remote hit is an NNN triangle.
 
 The orientation is the exact LOTUS relabeling (``ra`` + ``hub_count``
 from :class:`~repro.core.structure.LotusConfig`), so the merged
@@ -33,10 +38,10 @@ draining surviving shards' telemetry; ``deadline_s`` propagates an
 absolute deadline into every worker, which aborts between protocol
 stages, and the coordinator raises ``TimeoutError``.  With an enabled
 registry each shard records real worker-side spans (``shard`` with
-``enumerate``/``exchange``/``tally`` children) that are stitched under
-the coordinator's ``distributed`` span, and the run emits the ``dist.*``
-metric family (shard edge counts, boundary-edge ratio, local/remote
-checks, bytes exchanged).
+``hub``/``enumerate``/``exchange``/``tally`` children) that are
+stitched under the coordinator's ``distributed`` span, and the run
+emits the ``dist.*`` metric family (shard edge counts, boundary-edge
+ratio, local/remote NNN checks, bytes exchanged, bytes replicated).
 """
 
 from __future__ import annotations
@@ -48,14 +53,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.count import LotusCounts
+from repro.core.count import LotusCounts, hub_bitsets
 from repro.core.structure import LotusConfig
 from repro.dist.partition import PARTITIONERS
 from repro.dist.plan import (
     ShardPlan,
+    arc_keys,
     build_plan,
-    count_hubs,
     lotus_rank,
+    shard_hub_counts,
 )
 from repro.graph.csr import CSRGraph
 from repro.obs import get_registry
@@ -99,7 +105,12 @@ class ShardFailedError(RuntimeError):
 
 @dataclass(frozen=True)
 class DistributedRunResult:
-    """Merged outcome of one distributed count."""
+    """Merged outcome of one distributed count.
+
+    ``local_checks`` / ``remote_checks`` count NNN wedge checks (the
+    only ones that can travel); ``bytes_exchanged`` is their wire
+    traffic and ``replicated_bytes`` the HE copies shipped to the shards.
+    """
 
     counts: LotusCounts
     shards: int
@@ -114,6 +125,7 @@ class DistributedRunResult:
     local_checks: int
     remote_checks: int
     bytes_exchanged: int
+    replicated_bytes: int
 
 
 def resolve_partitioner(name: str) -> str:
@@ -138,51 +150,48 @@ def _recv_routed(conn, deadline_abs: float | None):
             return conn.recv()
 
 
-def _enumerate_shard(payload: dict, registry, root_span):
-    """Stage 1: wedge enumeration + local membership checks.
+def _hub_stage(payload: dict, registry, root_span) -> tuple[int, int, int]:
+    """Stage 1: the shard's HHH/HHN/HNN counts, from replicated HE alone."""
+    with registry.span("hub", parent=root_span, shard=payload["shard"]) as span:
+        bitsets = hub_bitsets(payload["he"], payload["hub_count"])
+        hhh, hhn, hnn, arcs = shard_hub_counts(payload, bitsets)
+        if span.enabled:
+            span.set("kernel", "probe" if bitsets is None else "bitset")
+            span.set("arcs_popcounted", arcs)
+            span.set("bitset_bytes", 0 if bitsets is None else int(bitsets[0].nbytes))
+    return hhh, hhn, hnn
 
-    Returns ``(tally, stats, pending)`` where ``tally`` is the 4-slot
-    per-class hit vector (index = hubs among the wedge), ``stats`` the
-    check/byte counters, and ``pending`` the per-target query keys and
-    their precomputed classes awaiting remote answers.
+
+def _enumerate_shard(payload: dict, registry, root_span):
+    """Stage 2: NHE wedge enumeration + local membership checks.
+
+    Returns ``(nnn, stats, (own_keys, queries))`` where ``nnn`` counts
+    the local hits, ``stats`` the check/byte counters, and ``queries``
+    the per-target arc keys awaiting remote answers.
     """
     shard = payload["shard"]
-    workers = payload["workers"]
     n = payload["num_vertices"]
-    hub_count = payload["hub_count"]
     owner = payload["owner"]
     apexes = payload["apexes"]
-    row_indptr = payload["row_indptr"]
-    row_indices = payload["row_indices"].astype(np.int64, copy=False)
+    indptr = payload["nhe_indptr"]
+    indices = payload["nhe_indices"]
 
-    own_keys = apexes.repeat(np.diff(row_indptr)) * n + row_indices
-    tally = np.zeros(4, dtype=np.int64)
-    local_checks = 0
-    query_parts: list[list[np.ndarray]] = [[] for _ in range(workers)]
-    class_parts: list[list[np.ndarray]] = [[] for _ in range(workers)]
+    own_keys = arc_keys(apexes, indptr, indices, n)
+    nnn = local_checks = 0
+    query_parts: list[list[np.ndarray]] = [[] for _ in range(payload["workers"])]
 
     with registry.span("enumerate", parent=root_span, shard=shard) as span:
         wedges = 0
-        for a, b, c in wedge_chunks(row_indptr, row_indices, apexes):
-            wedges += a.size
+        for _, b, c in wedge_chunks(indptr, indices, apexes):
+            wedges += b.size
             target = owner[b]
-            cls = count_hubs(a, b, c, hub_count)
+            keys = b * n + c
             local = target == shard
-            if local.any():
-                qk = b[local] * n + c[local]
-                local_checks += qk.size
-                hit = match_keys(own_keys, qk)
-                if hit.any():
-                    tally += np.bincount(cls[local][hit], minlength=4)
-            if not local.all():
-                rem = ~local
-                rk = b[rem] * n + c[rem]
-                rcls = cls[rem]
-                rtgt = target[rem]
-                for t in np.unique(rtgt):
-                    sel = rtgt == t
-                    query_parts[t].append(rk[sel])
-                    class_parts[t].append(rcls[sel])
+            local_checks += int(np.count_nonzero(local))
+            nnn += int(np.count_nonzero(match_keys(own_keys, keys[local])))
+            remote = ~local
+            for t in np.unique(target[remote]):
+                query_parts[t].append(keys[remote & (target == t)])
         span.set("wedges", wedges)
         span.set("local_checks", local_checks)
 
@@ -191,25 +200,22 @@ def _enumerate_shard(payload: dict, registry, root_span):
         for t, parts in enumerate(query_parts)
         if parts
     }
-    classes = {
-        t: np.concatenate(parts)
-        for t, parts in enumerate(class_parts)
-        if parts
-    }
-    remote_checks = sum(q.size for q in queries.values())
     stats = {
         "local_checks": local_checks,
-        "remote_checks": remote_checks,
+        "remote_checks": sum(q.size for q in queries.values()),
         "bytes_exchanged": sum(q.nbytes for q in queries.values()),
     }
-    return tally, stats, (own_keys, queries, classes)
+    return nnn, stats, (own_keys, queries)
 
 
 def _run_shard(payload: dict, conn, deadline_abs, registry, root_span):
     """The full worker-side protocol; returns the shard's result dict."""
     shard = payload["shard"]
     started = time.perf_counter()
-    tally, stats, (own_keys, queries, classes) = _enumerate_shard(
+    hhh, hhn, hnn = _hub_stage(payload, registry, root_span)
+    if _deadline_hit(deadline_abs):
+        return {"shard": shard, "error": "deadline"}
+    nnn, stats, (own_keys, queries) = _enumerate_shard(
         payload, registry, root_span
     )
     if _deadline_hit(deadline_abs):
@@ -231,22 +237,25 @@ def _run_shard(payload: dict, conn, deadline_abs, registry, root_span):
         span.set("queries_answered", sum(a.size for a in answers.values()))
 
     with registry.span("tally", parent=root_span, shard=shard) as span:
-        for target, hit in mine.items():
+        for hit in mine.values():
             stats["bytes_exchanged"] += hit.nbytes
-            if hit.any():
-                tally += np.bincount(classes[target][hit], minlength=4)
-        triangles = int(tally.sum())
+            nnn += int(np.count_nonzero(hit))
+        triangles = hhh + hhn + hnn + nnn
         span.set("triangles", triangles)
 
     if root_span is not None:
         root_span.set("triangles", triangles)
-        root_span.set("arcs", int(payload["row_indices"].size))
+        root_span.set(
+            "arcs",
+            int(np.diff(payload["he"].indptr)[payload["apexes"]].sum())
+            + int(payload["nhe_indices"].size),
+        )
     return {
         "shard": shard,
-        "nnn": int(tally[0]),
-        "hnn": int(tally[1]),
-        "hhn": int(tally[2]),
-        "hhh": int(tally[3]),
+        "nnn": nnn,
+        "hnn": hnn,
+        "hhn": hhn,
+        "hhh": hhh,
         "triangles": triangles,
         "local_checks": stats["local_checks"],
         "remote_checks": stats["remote_checks"],
@@ -451,6 +460,7 @@ def _empty_result(shards: int, partitioner: str, hub_count: int,
         local_checks=0,
         remote_checks=0,
         bytes_exchanged=0,
+        replicated_bytes=0,
     )
 
 
@@ -466,9 +476,11 @@ def run_distributed_count(
     """Count triangles across ``shards`` real worker processes.
 
     Exact for any partitioner and shard count, with per-phase counts
-    identical to the sequential LOTUS decomposition.  ``fault_shard``
-    (tests only) makes that shard die with ``FAULT_EXIT_CODE`` before
-    doing any work; the call then raises :class:`ShardFailedError`.
+    identical to the sequential LOTUS decomposition.  Only NNN wedge
+    checks cross shards; hub triangles are counted shard-locally over
+    the replicated HE.  ``fault_shard`` (tests only) makes that shard
+    die with ``FAULT_EXIT_CODE`` before doing any work; the call then
+    raises :class:`ShardFailedError`.
     ``deadline_s`` bounds the whole run: the deadline propagates to every
     shard, workers abort between protocol stages, and ``TimeoutError``
     is raised.  Graphs without edges are answered inline — no processes
@@ -493,7 +505,7 @@ def run_distributed_count(
         owner = PARTITIONERS[pname](graph, shards)
         plan = build_plan(graph, owner, shards, rank=ra, hub_count=hub_count)
         per_shard_arcs = plan.shard_arc_counts()
-        hub_edges = int(np.count_nonzero(plan.indices < hub_count))
+        replicated_bytes = plan.replicated_bytes()
         boundary_ratio = plan.boundary_edges / graph.num_edges
 
         registry.gauge("dist.shards").set(shards)
@@ -584,6 +596,7 @@ def run_distributed_count(
         registry.counter("dist.local_checks").add(local_checks)
         registry.counter("dist.remote_checks").add(remote_checks)
         registry.counter("dist.bytes_exchanged").add(bytes_exchanged)
+        registry.counter("dist.replicated_bytes").add(replicated_bytes)
         wall_hist = registry.histogram("dist.shard_wall_s")
         for s in sorted(results):
             wall_hist.observe(results[s]["wall_s"])
@@ -596,8 +609,8 @@ def run_distributed_count(
             shards=shards,
             partitioner=pname,
             hub_count=hub_count,
-            hub_edges=hub_edges,
-            non_hub_edges=int(plan.indices.size - hub_edges),
+            hub_edges=plan.he.num_edges,
+            non_hub_edges=plan.nhe.num_edges,
             per_shard_triangles=per_shard_triangles,
             per_shard_arcs=per_shard_arcs,
             boundary_edges=plan.boundary_edges,
@@ -605,4 +618,5 @@ def run_distributed_count(
             local_checks=local_checks,
             remote_checks=remote_checks,
             bytes_exchanged=bytes_exchanged,
+            replicated_bytes=replicated_bytes,
         )

@@ -1,12 +1,15 @@
-"""Single-process model of the sharded wedge-exchange protocol.
+"""Single-process model of the sharded hub-stage + wedge-exchange protocol.
 
-:func:`simulate_distributed_tc` runs the exact wedge enumeration the
-real runtime (:mod:`repro.dist.runtime`) distributes — same orientation,
-same routing rule (``c in row(b)`` is answered by ``owner[b]``) — but in
-one process, so it yields exact triangle counts *and* a faithful
-prediction of what the runtime would communicate: every wedge whose
-middle vertex lives on another shard is one remote check, costing
-``QUERY_BYTES + ANSWER_BYTES`` on the wire.
+:func:`simulate_distributed_tc` runs the exact work the real runtime
+(:mod:`repro.dist.runtime`) distributes — same orientation, same split
+at ``hub_count``, same per-shard hub stage, same routing rule (``c in
+NHE(b)`` is answered by ``owner[b]``) — but in one process, so it
+yields exact triangle counts *and* a faithful prediction of what the
+runtime would communicate: every NHE wedge whose middle vertex lives on
+another shard is one remote check, costing ``QUERY_BYTES +
+ANSWER_BYTES`` on the wire, and every shard receives one copy of HE.
+Without hubs (``hub_count=None``) every wedge is an NHE wedge: the
+all-wedge protocol.
 
 That makes the report a differential baseline for the runtime's measured
 ``dist.*`` metrics (``tests/test_dist_runtime.py`` pins the two against
@@ -20,12 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.count import hub_bitsets
 from repro.dist.plan import (
     ANSWER_BYTES,
     QUERY_BYTES,
+    arc_keys,
     build_plan,
     degree_rank,
     identity_rank,
+    shard_hub_counts,
 )
 from repro.graph.csr import CSRGraph
 from repro.tc.intersect import match_keys, wedge_chunks
@@ -39,9 +45,11 @@ class DistributedTCReport:
 
     ``per_worker_triangles`` attributes each triangle to the shard that
     owns its apex (highest-ranked vertex) — the same attribution the
-    runtime uses.  ``work_imbalance`` is max/mean of per-shard wedge
-    checks; ``total_comm_edges`` is the undirected edge-cut of the
-    partition; ``bytes_exchanged`` is the predicted protocol traffic.
+    runtime uses.  Wedge checks are the NHE wedges that the exchange
+    carries: ``work_imbalance`` is max/mean of them per shard.
+    ``total_comm_edges`` is the undirected edge-cut of the partition;
+    ``bytes_exchanged`` is the predicted protocol traffic and
+    ``replicated_bytes`` the HE copies shipped to the shards.
     """
 
     workers: int
@@ -54,6 +62,7 @@ class DistributedTCReport:
     bytes_exchanged: int
     work_imbalance: float
     comm_to_local_ratio: float
+    replicated_bytes: int
 
 
 def simulate_distributed_tc(
@@ -62,6 +71,7 @@ def simulate_distributed_tc(
     workers: int,
     degree_order: bool = True,
     rank: np.ndarray | None = None,
+    hub_count: int | None = None,
 ) -> DistributedTCReport:
     """Simulate sharded triangle counting under the ``owner`` partition.
 
@@ -69,9 +79,11 @@ def simulate_distributed_tc(
     the ordering that bounds per-apex wedge fan-out; ``False`` uses the
     natural vertex order.  ``rank`` overrides both with an explicit
     permutation (e.g. the LOTUS relabeling array, for apples-to-apples
-    comparison with the real runtime).  Counts are exact for any
-    partition and any rank.  Raises ``ValueError`` when ``owner`` has
-    the wrong length or values outside ``[0, workers)``.
+    comparison with the real runtime, together with its ``hub_count``).
+    ``hub_count=None`` models no hubs: every wedge check may travel.
+    Counts are exact for any partition, rank and hub count.  Raises
+    ``ValueError`` when ``owner`` has the wrong length or values outside
+    ``[0, workers)``.
     """
     if rank is None:
         rank = (
@@ -79,16 +91,17 @@ def simulate_distributed_tc(
             if degree_order
             else identity_rank(graph.num_vertices)
         )
-    plan = build_plan(graph, owner, workers, rank=rank)
+    plan = build_plan(graph, owner, workers, rank=rank, hub_count=hub_count)
     n = plan.num_vertices
-    keys = plan.arc_keys()
+    nhe = plan.nhe
+    apex_ids = np.arange(n, dtype=np.int64)
+    keys = arc_keys(apex_ids, nhe.indptr, nhe.indices, n)
     shard_of = plan.owner
 
     per_worker_triangles = np.zeros(workers, dtype=np.int64)
     per_worker_checks = np.zeros(workers, dtype=np.int64)
     remote = 0
-    apex_ids = np.arange(n, dtype=np.int64)
-    for a, b, c in wedge_chunks(plan.indptr, plan.indices, apex_ids):
+    for a, b, c in wedge_chunks(nhe.indptr, nhe.indices, apex_ids):
         apex_shard = shard_of[a]
         per_worker_checks += np.bincount(apex_shard, minlength=workers)
         remote += int(np.count_nonzero(shard_of[b] != apex_shard))
@@ -97,6 +110,11 @@ def simulate_distributed_tc(
             per_worker_triangles += np.bincount(
                 apex_shard[hit], minlength=workers
             )
+    if plan.hub_count:
+        bitsets = hub_bitsets(plan.he, plan.hub_count)
+        for shard in range(workers):
+            hhh, hhn, hnn, _ = shard_hub_counts(plan.shard_payload(shard), bitsets)
+            per_worker_triangles[shard] += hhh + hhn + hnn
 
     total_checks = int(per_worker_checks.sum())
     local = total_checks - remote
@@ -116,4 +134,5 @@ def simulate_distributed_tc(
         bytes_exchanged=remote * (QUERY_BYTES + ANSWER_BYTES),
         work_imbalance=imbalance,
         comm_to_local_ratio=remote / max(1, local),
+        replicated_bytes=plan.replicated_bytes(),
     )

@@ -233,11 +233,27 @@ def fuzz_counters() -> dict[str, Callable[[CSRGraph], int]]:
             )
         return c.total
 
+    def _lotus_distributed(g: CSRGraph) -> int:
+        # hub classes come from the shards' local hub stage and NNN from
+        # the wedge exchange, so the split must match the sequential one
+        result = count_triangles_lotus(
+            g, _quarter_hubs(g), backend="distributed", workers=2
+        )
+        c = result.extra["counts"]
+        want = lotus_count_from_structure(build_lotus_graph(g, _quarter_hubs(g)))
+        if c != want:
+            raise AssertionError(
+                f"hhh/hhn/hnn/nnn {(c.hhh, c.hhn, c.hnn, c.nnn)} != sequential "
+                f"{(want.hhh, want.hhn, want.hnn, want.nnn)}"
+            )
+        return c.total
+
     counters["lotus-phases"] = _lotus_phases
-    # "distributed" spawns real shard processes per case (edge-free
-    # graphs are answered inline), exactly like "processes" spawns a pool
-    for backend in ("threads", "processes", "distributed"):
+    for backend in ("threads", "processes"):
         counters[f"lotus-{backend}"] = lambda g, b=backend: _lotus_backend(g, b)
+    # spawns real shard processes per case (edge-free graphs are answered
+    # inline), exactly like "processes" spawns a pool
+    counters["lotus-distributed"] = _lotus_distributed
     return counters
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.csr import CSRGraph, neighbor_dtype_for
+from repro.util.arrays import sort_arcs
 
 __all__ = ["normalize_edges", "from_edges", "from_sparse", "to_sparse"]
 
@@ -43,10 +44,7 @@ def normalize_edges(edges: np.ndarray, num_vertices: int | None = None) -> tuple
     edges = edges[edges[:, 0] != edges[:, 1]]
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
-    key = lo * np.int64(num_vertices) + hi
-    uniq = np.unique(key)
-    lo = uniq // num_vertices if num_vertices else uniq
-    hi = uniq % num_vertices if num_vertices else uniq
+    lo, hi = sort_arcs(lo, hi, num_vertices, unique=True)
     return np.column_stack([lo, hi]), num_vertices
 
 
@@ -54,10 +52,11 @@ def from_edges(edges: np.ndarray, num_vertices: int | None = None) -> CSRGraph:
     """Build a :class:`CSRGraph` from an (m, 2) array of undirected edges."""
     edges, n = normalize_edges(edges, num_vertices)
     # symmetric closure
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    src, dst = sort_arcs(
+        np.concatenate([edges[:, 0], edges[:, 1]]),
+        np.concatenate([edges[:, 1], edges[:, 0]]),
+        n,
+    )
     counts = np.bincount(src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])

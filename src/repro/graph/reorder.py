@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph, neighbor_dtype_for
+from repro.util.arrays import sort_arcs
 
 __all__ = [
     "degree_ordering_permutation",
@@ -75,10 +76,9 @@ def relabel(graph: CSRGraph, ra: np.ndarray) -> CSRGraph:
     if not check.all():
         raise ValueError("relabeling array must be a permutation of 0..n-1")
     old_src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
-    new_src = ra[old_src]
-    new_dst = ra[graph.indices.astype(np.int64, copy=False)]
-    order = np.lexsort((new_dst, new_src))
-    new_src, new_dst = new_src[order], new_dst[order]
+    new_src, new_dst = sort_arcs(
+        ra[old_src], ra[graph.indices.astype(np.int64, copy=False)], n
+    )
     counts = np.bincount(new_src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])

@@ -444,14 +444,15 @@ def build_dist_measurements(
     """One real sharded count plus the simulated shard-scaling sweep.
 
     Runs :func:`repro.dist.runtime.run_distributed_count` on ``dataset``
-    and simulates the same partitioner across ``sim_shards``.  Returns
-    ``(metrics, info)``: gated metrics are ``dist.<dataset>.triangles``
-    (exact), the measured traffic (``boundary_edges`` /
-    ``bytes_exchanged`` — deterministic functions of the partition), and
-    the per-shard-count simulated traffic trend.  Two canaries run
-    in-build: the simulator must predict the measured wire bytes
-    *exactly* (runtime and simulator share :mod:`repro.dist.plan`), and
-    the simulated triangle total must match the distributed run.
+    and simulates the same partitioner and hub count across
+    ``sim_shards``.  Returns ``(metrics, info)``: gated metrics are
+    ``dist.<dataset>.triangles`` (exact), the measured traffic
+    (``boundary_edges`` / ``bytes_exchanged`` / ``replicated_bytes`` —
+    deterministic functions of the partition), and the per-shard-count
+    simulated traffic trend.  Two canaries run in-build: the simulator
+    must predict the measured wire and replication bytes *exactly*
+    (runtime and simulator share :mod:`repro.dist.plan`), and the
+    simulated triangle total must match the distributed run.
     """
     import time
 
@@ -471,11 +472,12 @@ def build_dist_measurements(
         graph, config=config, shards=shards, partitioner=partitioner
     )
     run_s = time.perf_counter() - started
-    rank, _hub = lotus_rank(graph, config)
+    rank, hub_count = lotus_rank(graph, config)
     metrics: dict[str, float] = {
         f"dist.{dataset}.triangles": int(run.counts.total),
         f"dist.{dataset}.boundary_edges": int(run.boundary_edges),
         f"dist.{dataset}.bytes_exchanged": int(run.bytes_exchanged),
+        f"dist.{dataset}.replicated_bytes": int(run.replicated_bytes),
     }
     info: dict[str, Any] = {
         f"dist.{dataset}.shards": shards,
@@ -485,17 +487,21 @@ def build_dist_measurements(
     }
     for s in sim_shards:
         owner = PARTITIONERS[partitioner](graph, s)
-        sim = simulate_distributed_tc(graph, owner, s, rank=rank)
+        sim = simulate_distributed_tc(
+            graph, owner, s, rank=rank, hub_count=hub_count
+        )
         if sim.triangles != run.counts.total:  # pragma: no cover - canary
             raise AssertionError(
                 f"dist bench diverged on {dataset}: simulated "
                 f"{sim.triangles} != distributed {run.counts.total}"
             )
-        if s == shards and sim.bytes_exchanged != run.bytes_exchanged:
+        predicted = (sim.bytes_exchanged, sim.replicated_bytes)
+        measured = (run.bytes_exchanged, run.replicated_bytes)
+        if s == shards and predicted != measured:
             raise AssertionError(  # pragma: no cover - canary
                 f"dist bench traffic mismatch on {dataset}: simulator "
-                f"predicted {sim.bytes_exchanged} bytes, runtime "
-                f"measured {run.bytes_exchanged}"
+                f"predicted (exchanged, replicated) = {predicted} bytes, "
+                f"runtime measured {measured}"
             )
         metrics[f"dist.{dataset}.sim.shards{s}.bytes_exchanged"] = int(
             sim.bytes_exchanged

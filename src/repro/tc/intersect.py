@@ -49,8 +49,9 @@ __all__ = [
     "INTERSECT_KERNELS",
 ]
 
-# default pair-enumeration chunk of wedge_chunks (the distributed runtime's)
-_WEDGE_CHUNK = 1 << 22
+# wedges per wedge_chunks block: the one enumeration chunk of the LOTUS
+# phases, the distributed shards and the memsim replays
+_WEDGE_CHUNK = 1 << 18
 
 
 def intersect_count_merge(a: np.ndarray, b: np.ndarray) -> int:
@@ -371,14 +372,15 @@ def wedge_chunks(
     indptr: np.ndarray,
     indices: np.ndarray,
     apex_ids: np.ndarray,
-    chunk_pairs: int = _WEDGE_CHUNK,
+    chunk_pairs: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Enumerate the in-row pairs (wedges) of ``apex_ids`` in bounded chunks.
 
     ``indptr`` is a *compact* CSR aligned with ``apex_ids`` (row ``k``
     of ``indices`` belongs to ``apex_ids[k]``), rows ascending.  Yields
-    ``(apex, b, c)`` int64 blocks of at most ``chunk_pairs`` wedges with
-    ``b > c`` per element, row-major and ``b``-major inside a row.
+    ``(apex, b, c)`` int64 blocks of at most ``chunk_pairs`` wedges
+    (default :data:`_WEDGE_CHUNK`, read at call time) with ``b > c`` per
+    element, row-major and ``b``-major inside a row.
 
     All pairs share one flat ordinal space ``p``; row ``r`` owns
     ordinals ``[cum[r-1], cum[r])`` and local ordinal ``q`` decodes in
@@ -386,6 +388,7 @@ def wedge_chunks(
     ``j = q - i(i-1)/2`` (with float-rounding guards) — no Python loop
     over vertices, and rows larger than a chunk split across chunks.
     """
+    chunk_pairs = chunk_pairs or _WEDGE_CHUNK
     deg = (indptr[1:] - indptr[:-1]).astype(np.int64)
     pairs = deg * (deg - 1) // 2
     cum = np.cumsum(pairs)

@@ -9,7 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["concat_ranges", "group_ids", "segment_sums", "rows_searchsorted"]
+__all__ = [
+    "concat_ranges",
+    "compact_rows",
+    "group_ids",
+    "segment_sums",
+    "rows_searchsorted",
+    "sort_arcs",
+]
 
 
 def rows_searchsorted(
@@ -60,6 +67,38 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     group_start = np.cumsum(lengths) - lengths
     within = np.arange(total, dtype=np.int64) - np.repeat(group_start, lengths)
     return np.repeat(starts, lengths) + within
+
+
+def compact_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows ``rows`` as a compact CSR aligned with ``rows``.
+
+    Returns ``(row_indptr, take)``: row ``k`` of the result is
+    ``indices[take][row_indptr[k]:row_indptr[k + 1]]``, the entries of
+    row ``rows[k]`` of the CSR ``(indptr, indices)``.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = indptr[rows]
+    deg = indptr[rows + 1] - starts
+    row_indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(deg, out=row_indptr[1:])
+    return row_indptr, concat_ranges(starts, deg)
+
+
+def sort_arcs(
+    src: np.ndarray, dst: np.ndarray, n: int, unique: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arcs ``(src, dst)`` sorted by source, then destination.
+
+    Sorts the one int64 key ``src * n + dst`` (every ID is below ``n``,
+    and ``n * n`` must fit in an int64) and decodes it back, which is
+    an order of magnitude faster than ``np.lexsort`` on the two columns.
+    ``unique=True`` also drops repeated arcs.  Returns int64 arrays.
+    """
+    key = np.asarray(src, dtype=np.int64) * np.int64(n) + dst
+    key.sort()
+    if unique and key.size:
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    return np.divmod(key, n)
 
 
 def group_ids(lengths: np.ndarray) -> np.ndarray:

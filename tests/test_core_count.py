@@ -15,6 +15,7 @@ from repro.core import (
     lotus_count_from_structure,
 )
 from repro.core import count as count_mod
+from repro.tc import intersect as intersect_mod
 from repro.core.count import hub_bitsets
 from repro.eval.fuzz import CASE_KINDS, dense_oracle, random_case
 from repro.graph import (
@@ -174,7 +175,7 @@ class TestBitsetKernels:
     @pytest.mark.parametrize("n", [0, 1, 10])
     def test_edgeless_graphs_have_no_bitset_rows(self, n):
         lotus = build_lotus_graph(empty_graph(n))
-        bits, slot = hub_bitsets(lotus)
+        bits, slot = hub_bitsets(lotus.he, lotus.hub_count)
         assert bits.shape[0] == 0 and (slot == -1).all()
         assert kernel_phases(lotus) == literal_phases(lotus) == (0, 0, 0, 0)
 
@@ -187,7 +188,7 @@ class TestBitsetKernels:
 
         monkeypatch.setattr(count_mod, "_BITSET_BUDGET", 0)
         monkeypatch.setattr(count_mod, "pack_row_bitsets", no_alloc)
-        assert hub_bitsets(lotus) is None
+        assert hub_bitsets(lotus.he, lotus.hub_count) is None
         with use_registry() as reg:
             assert kernel_phases(lotus) == expected == literal_phases(lotus)
         for phase in ("hhh+hhn", "hnn"):
@@ -203,7 +204,7 @@ class TestBitsetKernels:
         lotus = build_lotus_graph(g, LotusConfig(hub_count=75))
         expected = literal_phases(lotus)
         monkeypatch.setattr(count_mod, "_ARC_CHUNK_WORDS", chunk)
-        monkeypatch.setattr(count_mod, "_WEDGE_CHUNK", chunk)
+        monkeypatch.setattr(intersect_mod, "_WEDGE_CHUNK", chunk)
         assert kernel_phases(lotus) == expected
         # the H2H-probe path enumerates its wedges with the same chunk
         assert count_hhh_hhn(lotus, fused=False) == expected[:2]
@@ -212,7 +213,7 @@ class TestBitsetKernels:
         lotus = build_lotus_graph(powerlaw_small, LotusConfig(hub_count=40))
         with use_registry() as reg:
             lotus_count_from_structure(lotus)
-        bits, slot = hub_bitsets(lotus)
+        bits, slot = hub_bitsets(lotus.he, lotus.hub_count)
         has_row = slot >= 0
 
         def live_arcs(csr):

@@ -1,7 +1,9 @@
 """Tests for the sharded multi-process distributed runtime.
 
 Covers exactness (per-phase parity with the sequential counter and the
-dense-matrix oracle), the simulator-vs-runtime differential contract
+dense-matrix oracle, across hub counts, partitioners and shard counts,
+and through the in-shard bitset-budget fallback), the work invariant of
+the NNN exchange, the simulator-vs-runtime differential contract
 (``simulate_distributed_tc`` predicts the measured ``dist.*`` traffic),
 failure semantics (shard crash, deadline), telemetry stitching, and the
 serve-engine integration.
@@ -10,6 +12,7 @@ serve-engine integration.
 import numpy as np
 import pytest
 
+from repro.core import count as count_mod
 from repro.core.count import count_triangles_lotus, lotus_count_from_structure
 from repro.core.structure import LotusConfig, build_lotus_graph
 from repro.dist import (
@@ -40,6 +43,18 @@ def skew_counts(skew_graph):
     return lotus_count_from_structure(lotus, backend="sequential")
 
 
+def nhe_wedges(graph, config, owner=None, shard=None):
+    """Σ C(d_nhe, 2) over the NHE rows (of the apexes ``shard`` owns)."""
+    lotus = build_lotus_graph(graph, config)
+    d = lotus.nhe.degrees().astype(np.int64)
+    pairs = d * (d - 1) // 2
+    if owner is None:
+        return int(pairs.sum())
+    owner_new = np.empty_like(owner)
+    owner_new[lotus.ra] = owner
+    return int(pairs[owner_new == shard].sum())
+
+
 class TestExactness:
     @pytest.mark.parametrize("partitioner", sorted(PARTITIONERS))
     def test_per_phase_parity(self, partitioner, skew_graph, skew_counts):
@@ -56,6 +71,53 @@ class TestExactness:
         assert run.shards == shards
         assert run.per_shard_triangles.size == shards
         assert run.per_shard_triangles.sum() == run.counts.total
+
+    @pytest.mark.parametrize("hubs", ["1", "65", "n/4"])
+    @pytest.mark.parametrize("partitioner", sorted(PARTITIONERS))
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_per_phase_parity_across_hub_counts(
+        self, hubs, partitioner, shards, skew_graph
+    ):
+        n = skew_graph.num_vertices
+        config = LotusConfig(hub_count={"1": 1, "65": 65, "n/4": n // 4}[hubs])
+        expected = lotus_count_from_structure(build_lotus_graph(skew_graph, config))
+        run = run_distributed_count(
+            skew_graph, config=config, shards=shards, partitioner=partitioner
+        )
+        assert run.counts == expected
+        # only NNN wedges are checked, each exactly once
+        assert run.local_checks + run.remote_checks == nhe_wedges(skew_graph, config)
+
+    def test_more_shards_than_vertices(self):
+        g = erdos_renyi(6, 0.9, seed=4)
+        config = LotusConfig(hub_count=2)
+        expected = lotus_count_from_structure(build_lotus_graph(g, config))
+        run = run_distributed_count(g, config=config, shards=9)
+        assert run.counts == expected
+        assert run.counts.total == count_triangles_matrix(g)
+        assert run.per_shard_triangles.size == 9
+        assert run.per_shard_triangles.sum() == expected.total
+
+    def test_in_shard_bitset_fallback(self, skew_graph, skew_counts, monkeypatch):
+        """Past the bitset budget a shard never packs bitsets (the fork
+        start method carries the patched budget into the workers) and
+        its hub stage falls back to the binary-search kernel."""
+
+        def no_alloc(*args):
+            raise AssertionError("bitsets allocated above the budget")
+
+        monkeypatch.setattr(count_mod, "_BITSET_BUDGET", 0)
+        monkeypatch.setattr(count_mod, "pack_row_bitsets", no_alloc)
+        with use_registry() as reg:
+            run = run_distributed_count(
+                skew_graph, config=CONFIG, shards=3, start_method="fork"
+            )
+        assert run.counts == skew_counts
+        hub_spans = [s for s in reg.iter_spans() if s.name == "hub"]
+        assert len(hub_spans) == 3
+        for span in hub_spans:
+            assert span.attrs["kernel"] == "probe"
+            assert span.attrs["arcs_popcounted"] == span.attrs["bitset_bytes"] == 0
 
     def test_empty_graph_inline(self):
         g = erdos_renyi(12, 0.0, seed=1)
@@ -82,9 +144,11 @@ class TestSimulatorDifferential:
 
     @pytest.mark.parametrize("partitioner", ["hash", "block"])
     def test_predicted_traffic_matches_measured(self, partitioner, skew_graph):
-        rank, _hub = lotus_rank(skew_graph, CONFIG)
+        rank, hub_count = lotus_rank(skew_graph, CONFIG)
         owner = PARTITIONERS[partitioner](skew_graph, 3)
-        sim = simulate_distributed_tc(skew_graph, owner, 3, rank=rank)
+        sim = simulate_distributed_tc(
+            skew_graph, owner, 3, rank=rank, hub_count=hub_count
+        )
         run = run_distributed_count(
             skew_graph, config=CONFIG, shards=3, partitioner=partitioner
         )
@@ -92,7 +156,11 @@ class TestSimulatorDifferential:
         assert run.remote_checks == sim.remote_wedge_checks
         assert run.local_checks == sim.local_wedge_checks
         assert run.boundary_edges == sim.total_comm_edges
+        assert run.replicated_bytes == sim.replicated_bytes > 0
         assert run.counts.total == sim.triangles
+        np.testing.assert_array_equal(
+            run.per_shard_triangles, sim.per_worker_triangles
+        )
 
     def test_single_shard_no_traffic(self, skew_graph):
         run = run_distributed_count(skew_graph, config=CONFIG, shards=1)
@@ -155,12 +223,22 @@ class TestTelemetry:
             assert dspan is not None
             shard_spans = [s for s in reg.iter_spans() if s.name == "shard"]
             assert len(shard_spans) == 3
+            owner = PARTITIONERS["hash"](skew_graph, 3)
             for span in shard_spans:
-                children = {c.name for c in span.children}
-                assert {"enumerate", "exchange", "tally"} <= children
+                children = {c.name: c for c in span.children}
+                assert {"hub", "enumerate", "exchange", "tally"} <= set(children)
+                hub = children["hub"].attrs
+                assert hub["kernel"] == "bitset"
+                assert hub["arcs_popcounted"] > 0 and hub["bitset_bytes"] > 0
+                assert children["enumerate"].attrs["wedges"] == nhe_wedges(
+                    skew_graph, CONFIG, owner, span.attrs["shard"]
+                )
             assert reg.counter("dist.bytes_exchanged").value == (
                 run.bytes_exchanged
             )
+            assert reg.counter("dist.replicated_bytes").value == (
+                run.replicated_bytes
+            ) > 0
             assert reg.counter("dist.remote_checks").value == run.remote_checks
             assert reg.counter("dist.local_checks").value == run.local_checks
             assert reg.gauge("dist.shards").value == 3

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.arrays import concat_ranges, group_ids, segment_sums
+from repro.util.arrays import (
+    compact_rows,
+    concat_ranges,
+    group_ids,
+    segment_sums,
+    sort_arcs,
+)
 
 
 class TestConcatRanges:
@@ -76,3 +82,43 @@ class TestSegmentSums:
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 10, size=int(lens.sum()))
         assert segment_sums(values, lens).sum() == values.sum()
+
+
+class TestSortArcs:
+    @given(
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40),
+        st.booleans(),
+    )
+    @settings(max_examples=60)
+    def test_matches_lexsort_and_unique(self, arcs, unique):
+        src = np.array([a for a, _ in arcs], dtype=np.int64)
+        dst = np.array([b for _, b in arcs], dtype=np.int64)
+        got_src, got_dst = sort_arcs(src, dst, 10, unique=unique)
+        want = sorted(set(arcs)) if unique else sorted(arcs)
+        assert list(zip(got_src.tolist(), got_dst.tolist())) == want
+        assert got_src.dtype == got_dst.dtype == np.int64
+
+    def test_inputs_untouched(self):
+        src, dst = np.array([2, 0, 1]), np.array([0, 1, 0])
+        sort_arcs(src, dst, 3)
+        np.testing.assert_array_equal(src, [2, 0, 1])
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_empty(self, n):
+        empty = np.zeros(0, dtype=np.int64)
+        for out in sort_arcs(empty, empty, n, unique=True):
+            assert out.size == 0 and out.dtype == np.int64
+
+
+class TestCompactRows:
+    def test_selected_rows(self):
+        indptr = np.array([0, 2, 2, 5, 6])
+        indices = np.array([7, 8, 9, 10, 11, 12])
+        row_indptr, take = compact_rows(indptr, np.array([2, 1, 0]))
+        np.testing.assert_array_equal(row_indptr, [0, 3, 3, 5])
+        np.testing.assert_array_equal(indices[take], [9, 10, 11, 7, 8])
+
+    def test_no_rows(self):
+        row_indptr, take = compact_rows(np.array([0, 3]), np.zeros(0, dtype=np.int64))
+        np.testing.assert_array_equal(row_indptr, [0])
+        assert take.size == 0
