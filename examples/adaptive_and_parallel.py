@@ -1,8 +1,9 @@
-"""Adaptive dispatch, recursive LOTUS, and parallel phase-1 execution.
+"""Adaptive dispatch, recursive LOTUS, and phase-1 load balance.
 
 Covers the Section 5.5 fallback (non-skewed graphs run Forward), the
-Section 7 recursive extension, and the Squared-Edge-Tiling thread pool
-(Section 4.6).
+Section 7 recursive extension, and Squared-Edge Tiling (Section 4.6):
+the simulated work-stealing schedule of its tiles against the global
+edge-balanced split (the Table 9 comparison).
 
 Run:  python examples/adaptive_and_parallel.py
 """
@@ -12,10 +13,10 @@ from repro.core import (
     count_hhh_hhn,
     count_triangles_adaptive,
     count_triangles_lotus_recursive,
+    tiles_for_phase1,
 )
 from repro.graph import powerlaw_chung_lu, watts_strogatz
-from repro.parallel import count_hhh_hhn_parallel
-from repro.util.timer import Timer
+from repro.parallel import edge_balanced_global_tiles, simulate_schedule
 
 
 def main() -> None:
@@ -36,16 +37,19 @@ def main() -> None:
     for level, data in enumerate(rec.extra["levels"]):
         print(f"  level {level}: {data}")
 
-    # --- parallel phase 1 with squared edge tiling (Section 4.6) --------
+    # --- phase 1 with squared edge tiling (Section 4.6) -----------------
     lotus = build_lotus_graph(skewed)
-    with Timer() as t_seq:
-        hhh, hhn = count_hhh_hhn(lotus)
-    print(f"\nphase 1 sequential: {hhh + hhn:,} triangles in {t_seq.elapsed:.2f}s")
-    for threads in (2, 4):
-        with Timer() as t_par:
-            total = count_hhh_hhn_parallel(lotus, threads=threads, degree_threshold=64)
-        assert total == hhh + hhn
-        print(f"phase 1 with {threads} threads: same count in {t_par.elapsed:.2f}s")
+    hhh, hhn = count_hhh_hhn(lotus)
+    print(f"\nphase 1: {hhh + hhn:,} triangles")
+    for threads in (2, 4, 32):
+        squared = tiles_for_phase1(
+            lotus.he, partitions=2 * threads, degree_threshold=64
+        )
+        balanced = edge_balanced_global_tiles(lotus.he, 2 * threads)
+        sq, eb = (simulate_schedule(t, threads) for t in (squared, balanced))
+        print(f"  {threads:>2} threads: squared tiling speedup {sq.speedup:5.2f} "
+              f"({sq.avg_idle_pct:4.1f}% idle), edge balanced "
+              f"{eb.speedup:5.2f} ({eb.avg_idle_pct:4.1f}% idle)")
 
 
 if __name__ == "__main__":

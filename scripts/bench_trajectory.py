@@ -59,10 +59,10 @@ def main(argv: list[str] | None = None) -> int:
                         choices=list(ALL_MACHINES), help="machine models to replay")
     parser.add_argument("--scaling", nargs="?", const=SCALING_DATASET,
                         default=None, metavar="DATASET",
-                        help="also record the multi-worker phase-1 scaling "
-                             f"run (default dataset: {SCALING_DATASET}; "
-                             "simulated speedups are gated, wall-clock is "
-                             "informational)")
+                        help="also record the phase-1 scaling run (default "
+                             f"dataset: {SCALING_DATASET}): the phase-1 hit "
+                             "count and the simulated work-stealing speedups "
+                             "of the squared-edge tiling, both gated")
     parser.add_argument("--serve", nargs="?", const=SERVE_DATASET,
                         default=None, metavar="DATASET",
                         help="also record a scripted serve session (default "

@@ -8,7 +8,9 @@ Public API highlights:
   k-truss, k-clique, streaming/approximate estimators;
 * :mod:`repro.graph` — CSX graphs, generators, the dataset registry;
 * :mod:`repro.memsim` — the memory-hierarchy simulation substrate;
-* :mod:`repro.parallel` — tiling, scheduling, threaded execution;
+* :mod:`repro.parallel` — phase-1 tiling and the Table 9 scheduling
+  simulation;
+* :mod:`repro.dist` — sharded multi-process counting;
 * :mod:`repro.eval` — one entry point per paper table/figure.
 """
 

@@ -50,6 +50,7 @@ import os
 import sys
 
 from repro.core import LotusConfig, count_triangles_lotus, hub_characteristics
+from repro.core.count import BACKENDS
 from repro.core.adaptive import count_triangles_adaptive
 from repro.graph import DATASETS, load_dataset, load_edgelist, load_npz
 from repro.obs import (
@@ -144,40 +145,41 @@ def _record_run(
     return run_id
 
 
-def cmd_count(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
-    backend = getattr(args, "backend", None)
-    workers = getattr(args, "workers", None)
-    shards = getattr(args, "shards", None)
-    partitioner = getattr(args, "partitioner", None)
-    if (backend or workers) and args.algorithm != "lotus":
+def _check_backend_args(args: argparse.Namespace) -> None:
+    """Shared ``--backend``/``--shards`` checks of ``count`` and ``profile``."""
+    if args.backend and args.algorithm != "lotus":
         _fail(
-            f"--backend/--workers select the LOTUS phase-1 backend; "
+            f"--backend selects the LOTUS execution backend; "
             f"not supported for --algorithm {args.algorithm}"
         )
-    if workers is not None and workers < 1:
-        _fail("--workers must be >= 1")
-    if (shards is not None or partitioner is not None) and backend != "distributed":
-        _fail("--shards/--partitioner require --backend distributed")
-    if backend == "distributed":
-        if shards is not None and shards < 1:
-            _fail("--shards must be >= 1")
-        workers = shards or workers or 2
+    for flag in ("shards", "partitioner"):
+        if getattr(args, flag, None) is not None and args.backend != "distributed":
+            _fail(f"--{flag} requires --backend distributed")
+    if args.shards is not None and args.shards < 1:
+        _fail("--shards must be >= 1")
 
-    def run():
-        if backend or workers:
-            config = LotusConfig(hub_count=args.hub_count) if args.hub_count else None
-            return count_triangles_lotus(
-                graph, config, backend=backend or "auto", workers=workers,
-                partitioner=partitioner or "hash",
-            )
+
+def _run_count(args: argparse.Namespace, graph):
+    """One count as the flags ask: the chosen LOTUS backend, or the
+    ``--algorithm`` registry entry when no backend is given."""
+    if not args.backend:
         return ALGORITHMS[args.algorithm](graph, args.hub_count)
+    config = LotusConfig(hub_count=args.hub_count) if args.hub_count else None
+    return count_triangles_lotus(
+        graph, config, backend=args.backend, shards=args.shards,
+        partitioner=getattr(args, "partitioner", None) or "hash",
+    )
 
+
+def cmd_count(args: argparse.Namespace) -> int:
+    _check_backend_args(args)
+    graph = _load_graph(args)
+    backend = args.backend
     if args.trace:
         with use_registry() as registry:
-            result = run()
+            result = _run_count(args, graph)
     else:
-        result = run()
+        result = _run_count(args, graph)
     print(f"graph: {graph}")
     print(f"algorithm: {result.algorithm}")
     if backend == "distributed":
@@ -187,8 +189,8 @@ def cmd_count(args: argparse.Namespace) -> int:
             f"boundary edges {result.extra.get('boundary_edge_ratio', 0.0):.1%}, "
             f"{result.extra.get('bytes_exchanged', 0):,} bytes exchanged)"
         )
-    elif backend or workers:
-        print(f"backend: {result.extra.get('backend')} (workers={workers or 4})")
+    elif backend:
+        print(f"backend: {backend}")
     print(f"triangles: {result.triangles:,}")
     print(f"total time: {result.elapsed:.3f}s")
     for phase, seconds in result.phases.items():
@@ -213,9 +215,11 @@ def cmd_count(args: argparse.Namespace) -> int:
                 "file": args.file,
                 "hub_count": args.hub_count,
                 "backend": backend,
-                "workers": workers,
                 **(
-                    {"shards": workers, "partitioner": partitioner or "hash"}
+                    {
+                        "shards": result.extra["shards"],
+                        "partitioner": result.extra["partitioner"],
+                    }
                     if backend == "distributed"
                     else {}
                 ),
@@ -635,9 +639,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     served = 0
     with use_registry() as registry:
         cache = StructureCache(
-            max_bytes=args.cache_bytes,
-            max_entries=args.cache_entries,
-            share=args.share,
+            max_bytes=args.cache_bytes, max_entries=args.cache_entries
         )
         engine = QueryEngine(
             cache,
@@ -702,7 +704,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             for exposer in exposers:
                 exposer.close()
             stats = cache.stats()
-            cache.clear()  # unlink any --share segments before exit
             if args.input:
                 stream.close()
         print(
@@ -790,25 +791,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
         _fail("--top must be >= 1")
     if args.repeat < 1:
         _fail("--repeat must be >= 1")
-    backend = args.backend
-    workers = args.workers
-    if (backend or workers) and args.algorithm != "lotus":
-        _fail(
-            f"--backend/--workers select the LOTUS phase-1 backend; "
-            f"not supported for --algorithm {args.algorithm}"
-        )
-    if workers is not None and workers < 1:
-        _fail("--workers must be >= 1")
+    _check_backend_args(args)
     graph = _load_graph(args)
     label = args.dataset or os.path.basename(args.file)
-
-    def run():
-        if backend or workers:
-            config = LotusConfig(hub_count=args.hub_count) if args.hub_count else None
-            return count_triangles_lotus(
-                graph, config, backend=backend or "auto", workers=workers
-            )
-        return ALGORITHMS[args.algorithm](graph, args.hub_count)
 
     with use_registry() as registry:
         with SamplingProfiler(
@@ -819,7 +804,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             with registry.span(
                 "count:" + label, algorithm=args.algorithm, repeat=args.repeat
             ) as root:
-                results = [run() for _ in range(args.repeat)]
+                results = [_run_count(args, graph) for _ in range(args.repeat)]
                 root.set("triangles", int(results[0].triangles))
         profile = profiler.profile
         if len({r.triangles for r in results}) != 1:
@@ -854,8 +839,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 "dataset": args.dataset,
                 "file": args.file,
                 "hub_count": args.hub_count,
-                "backend": backend,
-                "workers": workers,
+                "backend": args.backend,
+                "shards": args.shards,
                 "interval_ms": args.interval_ms,
                 "repeat": args.repeat,
                 "memory": bool(args.memory),
@@ -1012,15 +997,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p)
     p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="lotus")
     p.add_argument("--hub-count", type=int, default=None)
-    p.add_argument("--backend",
-                   choices=("auto", "sequential", "threads", "processes",
-                            "distributed"),
-                   default=None,
-                   help="LOTUS execution backend (default: sequential; all "
-                        "backends are bit-identical; 'distributed' shards the "
-                        "whole count across worker processes)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="thread/process pool size for --backend (default: 4)")
+    p.add_argument("--backend", choices=BACKENDS, default=None,
+                   help="LOTUS execution backend (default: sequential; "
+                        "'distributed' shards the whole count across worker "
+                        "processes with identical per-type counts)")
     p.add_argument("--shards", type=int, default=None,
                    help="shard count for --backend distributed (default: 2)")
     p.add_argument("--partitioner", choices=("hash", "block", "degree"),
@@ -1144,19 +1124,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="submission-queue capacity (default: 64)")
     p.add_argument("--max-batch", type=int, default=8,
                    help="micro-batch size bound (default: 8)")
-    p.add_argument("--backend",
-                   choices=("auto", "sequential", "threads", "processes",
-                            "distributed"),
-                   default=None,
+    p.add_argument("--backend", choices=BACKENDS, default=None,
                    help="default LOTUS backend for queries ('distributed' "
                         "shards each count across --workers processes)")
     p.add_argument("--workers", type=int, default=None,
-                   help="default pool/shard size for --backend")
+                   help="default shard count for --backend distributed")
     p.add_argument("--timeout", type=float, default=None,
                    help="default per-request deadline in seconds")
-    p.add_argument("--share", action="store_true",
-                   help="keep cached structures in shared memory so the "
-                        "process backend skips the per-dispatch copy")
     p.add_argument("--pipeline", action="store_true",
                    help="submit a window of requests before responding so "
                         "same-graph neighbours coalesce into micro-batches "
@@ -1215,13 +1189,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p)
     p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="lotus")
     p.add_argument("--hub-count", type=int, default=None)
-    p.add_argument("--backend", choices=("auto", "sequential", "threads", "processes"),
-                   default=None,
-                   help="LOTUS phase-1 backend; with processes, workers run "
-                        "their own samplers and their frames are stitched "
-                        "under the parent phase-1 span")
-    p.add_argument("--workers", type=int, default=None,
-                   help="thread/process pool size for --backend (default: 4)")
+    p.add_argument("--backend", choices=BACKENDS, default=None,
+                   help="LOTUS execution backend; with distributed, shards "
+                        "run their own samplers and their frames are "
+                        "stitched under the parent distributed span")
+    p.add_argument("--shards", type=int, default=None,
+                   help="shard count for --backend distributed (default: 2)")
     p.add_argument("--interval-ms", type=float, default=10.0, metavar="MS",
                    help="sampling interval in milliseconds (default: 10)")
     p.add_argument("--repeat", type=int, default=1,
@@ -1286,11 +1259,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "edge-iterator", "node-iterator", "block"),
                    default="lotus")
     p.add_argument("--hub-count", type=int, default=None)
-    p.add_argument("--backend",
-                   choices=("auto", "sequential", "threads", "processes",
-                            "distributed"),
-                   default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--backend", choices=BACKENDS, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="shard count for --backend distributed")
     p.add_argument("--timeout", type=float, default=None,
                    help="per-request deadline in seconds")
     p.add_argument("--warm", type=int, default=1,

@@ -39,26 +39,6 @@ class TriangularBitArray:
         self.num_bits = self.n * (self.n - 1) // 2
         self.data = np.zeros((self.num_bits + 7) // 8, dtype=np.uint8)
 
-    @classmethod
-    def from_data(cls, n: int, data: np.ndarray) -> "TriangularBitArray":
-        """Wrap an existing byte buffer (e.g. a shared-memory view) without
-        copying.  ``data`` must be the exact ``uint8`` backing size for
-        ``n`` items."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        obj = cls.__new__(cls)
-        obj.n = int(n)
-        obj.num_bits = obj.n * (obj.n - 1) // 2
-        expected = (obj.num_bits + 7) // 8
-        data = np.asarray(data)
-        if data.dtype != np.uint8 or data.size != expected:
-            raise ValueError(
-                f"backing buffer must be uint8[{expected}], "
-                f"got {data.dtype}[{data.size}]"
-            )
-        obj.data = data
-        return obj
-
     # -- core bit operations (vectorised) ----------------------------------
     def _indices(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
         h1 = np.asarray(h1, dtype=np.int64)

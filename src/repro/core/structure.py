@@ -101,63 +101,6 @@ class LotusGraph:
             + self.nhe.indices.dtype.itemsize * self.nhe.num_edges
         )
 
-    def to_shared(self):
-        """Copy the whole Lotus structure into one shared-memory segment.
-
-        Returns a :class:`repro.util.shm.SharedArrays` handle; its
-        picklable ``manifest`` rebuilds the structure zero-copy in worker
-        processes via :meth:`from_shared` (the process backend's
-        substrate).  The caller owns the segment.
-        """
-        from repro.util.shm import share_arrays
-
-        return share_arrays(
-            {
-                "h2h_data": self.h2h.data,
-                "he_indptr": self.he.indptr,
-                "he_indices": self.he.indices,
-                "nhe_indptr": self.nhe.indptr,
-                "nhe_indices": self.nhe.indices,
-                "ra": self.ra,
-            },
-            meta={
-                "kind": "lotus-graph",
-                "hub_count": int(self.hub_count),
-                "h2h_n": int(self.h2h.n),
-                "num_vertices": int(self.num_vertices),
-                "num_edges": int(self.num_edges),
-                "config_hub_count": self.config.hub_count,
-                "config_head_fraction": float(self.config.head_fraction),
-            },
-        )
-
-    @classmethod
-    def from_shared(cls, manifest: dict) -> "tuple[LotusGraph, object]":
-        """Attach a segment created by :meth:`to_shared`.
-
-        Returns ``(lotus, handle)`` where every array of ``lotus`` is a
-        zero-copy view into the shared segment.
-        """
-        from repro.util.shm import attach_arrays
-
-        handle = attach_arrays(manifest)
-        meta = handle.meta
-        arrays = handle.arrays
-        lotus = cls(
-            hub_count=int(meta["hub_count"]),
-            h2h=TriangularBitArray.from_data(int(meta["h2h_n"]), arrays["h2h_data"]),
-            he=OrientedGraph(arrays["he_indptr"], arrays["he_indices"]),
-            nhe=OrientedGraph(arrays["nhe_indptr"], arrays["nhe_indices"]),
-            ra=arrays["ra"],
-            num_vertices=int(meta["num_vertices"]),
-            num_edges=int(meta["num_edges"]),
-            config=LotusConfig(
-                hub_count=meta["config_hub_count"],
-                head_fraction=meta["config_head_fraction"],
-            ),
-        )
-        return lotus, handle
-
     def validate(self) -> None:
         """Structural invariants: HE rows contain only hub IDs < v, NHE rows
         only non-hub IDs < v; HE + NHE edges partition the oriented graph;

@@ -8,9 +8,9 @@ Three layers, sharing one wedge-exchange protocol definition
 * :mod:`repro.dist.simulate` — single-process model: exact counts plus
   predicted communication for any partition;
 * :mod:`repro.dist.runtime` — real sharded execution over
-  ``multiprocessing`` worker processes, wired into
-  ``count_triangles_lotus(backend="distributed")``, the CLI, and the
-  serve engine.
+  ``multiprocessing`` worker processes, the repo's one multi-process
+  path, wired into ``count_triangles_lotus(backend="distributed")``,
+  the CLI, and the serve engine.
 
 See ``docs/dist.md`` for the protocol, failure semantics, and a worked
 CLI session.

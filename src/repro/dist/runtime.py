@@ -31,17 +31,21 @@ per-phase counts are identical to the sequential
 :class:`~repro.core.count.LotusCounts` decomposition — not just the
 total.
 
-Robustness mirrors :mod:`repro.parallel.procpool`: ``fault_shard``
-injects a hard crash (``os._exit(FAULT_EXIT_CODE)``), which the
-coordinator surfaces as a structured :class:`ShardFailedError` after
-draining surviving shards' telemetry; ``deadline_s`` propagates an
-absolute deadline into every worker, which aborts between protocol
-stages, and the coordinator raises ``TimeoutError``.  With an enabled
-registry each shard records real worker-side spans (``shard`` with
-``hub``/``enumerate``/``exchange``/``tally`` children) that are
-stitched under the coordinator's ``distributed`` span, and the run
-emits the ``dist.*`` metric family (shard edge counts, boundary-edge
-ratio, local/remote NNN checks, bytes exchanged, bytes replicated).
+Robustness: ``fault_shard`` injects a hard crash
+(``os._exit(FAULT_EXIT_CODE)``), which the coordinator surfaces as a
+structured :class:`ShardFailedError` after sending every survivor an
+abort and draining the partial span trees they ship back;
+``deadline_s`` propagates an absolute deadline into every worker,
+which aborts between protocol stages, and the coordinator raises
+``TimeoutError``.  With an enabled registry each shard records real
+worker-side spans (``shard`` with ``hub``/``enumerate``/``exchange``/
+``tally`` children) that are stitched under the coordinator's
+``distributed`` span, and the run emits the ``dist.*`` metric family
+(shard edge counts, boundary-edge ratio, local/remote NNN checks, bytes
+exchanged, bytes replicated).  Under an active
+:class:`~repro.obs.profiler.SamplingProfiler` every shard samples
+itself at the parent's interval, and its frames fold into the parent
+profile under the stitched ``shard`` span.
 """
 
 from __future__ import annotations
@@ -66,19 +70,25 @@ from repro.dist.plan import (
 from repro.graph.csr import CSRGraph
 from repro.obs import get_registry
 from repro.obs.telemetry import TraceContext, stitch_worker_payloads
-from repro.parallel.procpool import FAULT_EXIT_CODE, _preferred_context
 from repro.tc.intersect import match_keys, wedge_chunks
 
 __all__ = [
+    "FAULT_EXIT_CODE",
     "ShardFailedError",
     "DistributedRunResult",
     "run_distributed_count",
     "resolve_partitioner",
 ]
 
+# exit code of an injected shard fault (distinct from signal deaths)
+FAULT_EXIT_CODE = 23
+
 # coordinator/worker poll granularity and post-crash telemetry drain
 _POLL_S = 0.05
 _TELEMETRY_DRAIN_S = 10.0
+
+# coordinator -> survivor message: a peer died, stop and ship telemetry
+_ABORT = "abort"
 
 # CLI-friendly aliases for PARTITIONERS keys
 _PARTITIONER_ALIASES = {"degree": "degree_balanced"}
@@ -141,13 +151,25 @@ def _deadline_hit(deadline_abs: float | None) -> bool:
     return deadline_abs is not None and time.time() > deadline_abs
 
 
+class _Abort(Exception):
+    """Stops a shard between protocol stages: ``"deadline"``, or
+    ``"aborted"`` when the coordinator releases it after a peer died."""
+
+
+def _check_deadline(deadline_abs: float | None) -> None:
+    if _deadline_hit(deadline_abs):
+        raise _Abort("deadline")
+
+
 def _recv_routed(conn, deadline_abs: float | None):
-    """Worker-side receive with deadline polling; ``None`` on deadline."""
+    """Worker-side receive with deadline polling."""
     while True:
-        if _deadline_hit(deadline_abs):
-            return None
+        _check_deadline(deadline_abs)
         if conn.poll(_POLL_S):
-            return conn.recv()
+            message = conn.recv()
+            if message == _ABORT:
+                raise _Abort("aborted")
+            return message
 
 
 def _hub_stage(payload: dict, registry, root_span) -> tuple[int, int, int]:
@@ -209,32 +231,32 @@ def _enumerate_shard(payload: dict, registry, root_span):
 
 
 def _run_shard(payload: dict, conn, deadline_abs, registry, root_span):
-    """The full worker-side protocol; returns the shard's result dict."""
+    """The full worker-side protocol; returns the shard's result dict.
+
+    A deadline or a coordinator abort stops it between stages with a
+    ``{"shard", "error"}`` result; the spans closed so far still ship.
+    """
     shard = payload["shard"]
     started = time.perf_counter()
-    hhh, hhn, hnn = _hub_stage(payload, registry, root_span)
-    if _deadline_hit(deadline_abs):
-        return {"shard": shard, "error": "deadline"}
-    nnn, stats, (own_keys, queries) = _enumerate_shard(
-        payload, registry, root_span
-    )
-    if _deadline_hit(deadline_abs):
-        return {"shard": shard, "error": "deadline"}
-
-    with registry.span("exchange", parent=root_span, shard=shard) as span:
-        conn.send(("queries", shard, queries))
-        inbound = _recv_routed(conn, deadline_abs)
-        if inbound is None:
-            return {"shard": shard, "error": "deadline"}
-        answers = {
-            src: match_keys(own_keys, qk) for src, qk in inbound.items()
-        }
-        conn.send(("answers", shard, answers))
-        mine = _recv_routed(conn, deadline_abs)
-        if mine is None:
-            return {"shard": shard, "error": "deadline"}
-        span.set("queries_sent", stats["remote_checks"])
-        span.set("queries_answered", sum(a.size for a in answers.values()))
+    try:
+        hhh, hhn, hnn = _hub_stage(payload, registry, root_span)
+        _check_deadline(deadline_abs)
+        nnn, stats, (own_keys, queries) = _enumerate_shard(
+            payload, registry, root_span
+        )
+        _check_deadline(deadline_abs)
+        with registry.span("exchange", parent=root_span, shard=shard) as span:
+            conn.send(("queries", shard, queries))
+            inbound = _recv_routed(conn, deadline_abs)
+            answers = {
+                src: match_keys(own_keys, qk) for src, qk in inbound.items()
+            }
+            conn.send(("answers", shard, answers))
+            mine = _recv_routed(conn, deadline_abs)
+            span.set("queries_sent", stats["remote_checks"])
+            span.set("queries_answered", sum(a.size for a in answers.values()))
+    except _Abort as exc:
+        return {"shard": shard, "error": str(exc)}
 
     with registry.span("tally", parent=root_span, shard=shard) as span:
         for hit in mine.values():
@@ -273,33 +295,65 @@ def _shard_worker(
     fault_shard: int | None,
     deadline_abs: float | None,
 ) -> None:
-    """Worker entry point: run the protocol, ship result + telemetry."""
+    """Worker entry point: run the protocol, ship result + telemetry.
+
+    With a trace wire the shard records its spans in its own registry
+    and ships them; when the wire also carries the parent profiler's
+    ``profile_interval_ms``, the shard samples itself at that interval
+    and ships its profile alongside.
+    """
     shard = payload["shard"]
     if fault_shard == shard:
         # simulate a hard crash (segfault / OOM-kill): no cleanup, no result
         os._exit(FAULT_EXIT_CODE)
     try:
-        if trace_wire is not None:
-            from repro.obs.telemetry import (
-                worker_payload,
-                worker_telemetry_session,
-            )
+        if trace_wire is None:
+            from repro.obs.registry import NULL_REGISTRY
 
+            result_queue.put(
+                _run_shard(payload, conn, deadline_abs, NULL_REGISTRY, None)
+            )
+            return
+        from repro.obs.telemetry import worker_payload, worker_telemetry_session
+
+        interval_ms = trace_wire.get("profile_interval_ms")
+        profiler = None
+        if interval_ms:
+            from repro.obs.profiler import SamplingProfiler
+
+            # activate=False: under fork the child inherits the parent's
+            # active-profiler global (its thread does not survive), so
+            # process-wide activation here would refuse to start
+            profiler = SamplingProfiler(
+                interval_s=float(interval_ms) / 1000.0, activate=False
+            ).start()
+        try:
             with worker_telemetry_session(
                 trace_wire, "shard", shard=shard, pid=os.getpid()
             ) as (wreg, wspan):
                 out = _run_shard(payload, conn, deadline_abs, wreg, wspan)
-            telemetry_queue.put(worker_payload(wreg, shard, os.getpid()))
-        else:
-            from repro.obs.registry import NULL_REGISTRY
-
-            out = _run_shard(payload, conn, deadline_abs, NULL_REGISTRY, None)
+        finally:
+            profile = profiler.stop() if profiler is not None else None
+        telemetry_queue.put(
+            worker_payload(wreg, shard, os.getpid(), profile=profile)
+        )
         result_queue.put(out)
     finally:
         conn.close()
 
 
+def _preferred_context(start_method: str | None):
+    """``multiprocessing`` context: ``fork`` where available, else ``spawn``."""
+    import multiprocessing
+
+    if start_method is None:
+        methods = multiprocessing.get_all_start_methods()
+        start_method = "fork" if "fork" in methods else "spawn"
+    return multiprocessing.get_context(start_method)
+
+
 def _drain_nowait(tele_queue, payloads: list) -> None:
+    """Move everything currently readable off the telemetry queue."""
     if tele_queue is None:
         return
     while True:
@@ -361,19 +415,32 @@ class _Coordinator:
             if still:
                 raise ShardFailedError(still[0], 0, reason="exited early")
         if dead:
-            self._drain_survivor_telemetry(dead)
+            self._abort_survivors(dead)
             raise ShardFailedError(dead[0], self.procs[dead[0]].exitcode)
 
-    def _drain_survivor_telemetry(self, dead: list[int]) -> None:
-        """Let survivors flush partial span trees before raising."""
+    def _abort_survivors(self, dead: list[int]) -> None:
+        """Release the survivors — they would wait forever for the dead
+        shard's routed batch — and stitch the partial span trees they
+        ship on the way out."""
+        survivors = [s for s in range(len(self.procs)) if s not in dead]
+        for s in survivors:
+            try:
+                self.conns[s].send(_ABORT)
+            except (BrokenPipeError, OSError):
+                pass
         if self.telemetry_queue is None:
             return
         deadline = time.perf_counter() + _TELEMETRY_DRAIN_S
         while time.perf_counter() < deadline and any(
-            p.exitcode is None
-            for s, p in enumerate(self.procs)
-            if s not in dead
+            self.procs[s].exitcode is None for s in survivors
         ):
+            for s in survivors:
+                # a survivor mid-send must finish before it reads the abort
+                try:
+                    while self.conns[s].poll(0):
+                        self.conns[s].recv()
+                except (EOFError, OSError):
+                    pass
             _drain_nowait(self.telemetry_queue, self.telemetry_payloads)
             time.sleep(_POLL_S)
         _drain_nowait(self.telemetry_queue, self.telemetry_payloads)
@@ -518,6 +585,14 @@ def run_distributed_count(
 
         trace_ctx = TraceContext.from_span(dspan)
         trace_wire = trace_ctx.to_wire() if trace_ctx is not None else None
+        if trace_wire is not None:
+            from repro.obs.profiler import get_profiler
+
+            profiler = get_profiler()
+            if profiler is not None:
+                # shards sample themselves at the parent's rate; their
+                # profiles fold back in during stitching
+                trace_wire["profile_interval_ms"] = profiler.interval_s * 1000.0
         deadline_abs = (
             time.time() + deadline_s if deadline_s is not None else None
         )

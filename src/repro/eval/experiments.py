@@ -379,44 +379,31 @@ def scaling(
     datasets: tuple[str, ...] = ("LJGrp", "Twtr10", "EU15"),
     workers: tuple[int, ...] = (1, 2, 4),
 ) -> ExperimentResult:
-    """Phase-1 strong scaling across execution backends.
+    """Phase-1 strong scaling of the squared-edge tiling.
 
-    For each dataset and worker count: the simulated work-stealing
-    speedup (deterministic, from exact tile costs) and the measured
-    process-backend wall time, with a bit-identity check against the
-    sequential phase.  Complements Table 9, which reports idle time for
-    the same tiling.
+    For each dataset: the phase-1 hit count and, per worker count, the
+    simulated work-stealing speedup over the exact tile costs
+    (deterministic on any host).  Complements Table 9, which reports
+    idle time for the same tiling.
     """
-    import time as _time
-
     from repro.core.count import count_hhh_hhn
-    from repro.parallel.procpool import count_hhh_hhn_processes
     from repro.parallel.scheduler import simulate_schedule
 
     rows = []
     for name in datasets:
         lotus = _lotus(name)
-        seq = count_hhh_hhn(lotus)
-        row: dict = {"dataset": name, "phase1 hits": sum(seq)}
+        row: dict = {"dataset": name, "phase1 hits": sum(count_hhh_hhn(lotus))}
         for w in workers:
             tiles = tiles_for_phase1(lotus.he, partitions=2 * w)
             row[f"sim speedup w={w}"] = simulate_schedule(tiles, w).speedup
-            started = _time.perf_counter()
-            got = count_hhh_hhn_processes(lotus, workers=w)
-            row[f"proc seconds w={w}"] = _time.perf_counter() - started
-            if got != seq:  # pragma: no cover - correctness canary
-                raise AssertionError(
-                    f"process backend diverged on {name} at workers={w}"
-                )
         rows.append(row)
     return ExperimentResult(
         "scaling",
-        f"Phase-1 scaling, process backend (workers {list(workers)})",
+        f"Phase-1 scaling, squared-edge tiling (workers {list(workers)})",
         rows,
         paper_reference={
             "note": "paper reports 32-thread pthread scaling; stand-ins "
-                    "record simulated work-stealing speedup + measured "
-                    "process-pool wall time"
+                    "record the simulated work-stealing speedup"
         },
     )
 

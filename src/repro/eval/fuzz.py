@@ -212,11 +212,6 @@ def fuzz_counters() -> dict[str, Callable[[CSRGraph], int]]:
     def _quarter_hubs(g: CSRGraph) -> LotusConfig:
         return LotusConfig(hub_count=max(1, g.num_vertices // 4))
 
-    def _lotus_backend(g: CSRGraph, backend: str) -> int:
-        return _triangles(
-            count_triangles_lotus(g, _quarter_hubs(g), backend=backend, workers=2)
-        )
-
     def _lotus_phases(g: CSRGraph) -> int:
         # a misattribution between phases can still sum to the right
         # total, so the per-phase split must match the literal paths too
@@ -237,7 +232,7 @@ def fuzz_counters() -> dict[str, Callable[[CSRGraph], int]]:
         # hub classes come from the shards' local hub stage and NNN from
         # the wedge exchange, so the split must match the sequential one
         result = count_triangles_lotus(
-            g, _quarter_hubs(g), backend="distributed", workers=2
+            g, _quarter_hubs(g), backend="distributed", shards=2
         )
         c = result.extra["counts"]
         want = lotus_count_from_structure(build_lotus_graph(g, _quarter_hubs(g)))
@@ -249,10 +244,8 @@ def fuzz_counters() -> dict[str, Callable[[CSRGraph], int]]:
         return c.total
 
     counters["lotus-phases"] = _lotus_phases
-    for backend in ("threads", "processes"):
-        counters[f"lotus-{backend}"] = lambda g, b=backend: _lotus_backend(g, b)
     # spawns real shard processes per case (edge-free graphs are answered
-    # inline), exactly like "processes" spawns a pool
+    # inline)
     counters["lotus-distributed"] = _lotus_distributed
     return counters
 

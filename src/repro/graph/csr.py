@@ -140,35 +140,6 @@ class CSRGraph:
         np.cumsum(counts, out=indptr[1:])
         return CSRGraph(indptr, dst.astype(neighbor_dtype_for(n)))
 
-    def to_shared(self):
-        """Copy the CSR arrays into one shared-memory segment.
-
-        Returns a :class:`repro.util.shm.SharedArrays` handle whose
-        picklable ``manifest`` reconstructs the graph zero-copy in any
-        process via :meth:`from_shared`.  The caller owns the segment
-        (``unlink()`` when all attachers are done).
-        """
-        from repro.util.shm import share_arrays
-
-        return share_arrays(
-            {"indptr": self.indptr, "indices": self.indices},
-            meta={"kind": "csr-graph"},
-        )
-
-    @classmethod
-    def from_shared(cls, manifest: dict) -> "tuple[CSRGraph, object]":
-        """Attach a segment created by :meth:`to_shared`.
-
-        Returns ``(graph, handle)``; the graph's arrays are zero-copy
-        views into the segment, which stays mapped at least as long as
-        the views are alive.
-        """
-        from repro.util.shm import attach_arrays
-
-        handle = attach_arrays(manifest)
-        graph = cls(handle.arrays["indptr"], handle.arrays["indices"])
-        return graph, handle
-
     def nbytes_csx(self, include_symmetric: bool = True) -> int:
         """Bytes of the CSX representation as accounted in Table 7.
 

@@ -9,7 +9,7 @@ JSON/CSV artifact (``python -m repro report ...``).
 
 Disabled by default: the active registry is a shared no-op object, so
 the hooks threaded through ``repro.tc`` / ``repro.core`` /
-``repro.parallel`` / ``repro.memsim`` cost nothing measurable.  Enable
+``repro.dist`` / ``repro.memsim`` cost nothing measurable.  Enable
 per run:
 
 ```python

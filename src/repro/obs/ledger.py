@@ -407,52 +407,6 @@ def flatten_record_metrics(record: dict[str, Any]) -> dict[str, float]:
     return flat
 
 
-def ledger_metric_kind(key: str) -> str:
-    """Tolerance class of a flattened run-record metric.
-
-    Mirrors :func:`repro.obs.regress._metric_kind` and extends it to the
-    record namespaces: triangle counts compare exactly, shares / rates
-    (gauges) by absolute drift, wall-clock timings are informational
-    only, everything else is a count gated by relative tolerance.
-    """
-    if key.endswith(".triangles"):
-        return "exact"
-    if key.endswith(".overhead_ratio"):
-        # telemetry/profiler self-measurement: gated against an absolute
-        # ceiling (profiler.* keys get their own, tighter default)
-        return "ceiling"
-    if ".profiler." in key or key.startswith("profiler."):
-        # sample/drop totals scale with wall time and machine load;
-        # trend, never gate (the overhead_ratio above is the gate)
-        return "timing"
-    if ".sched." in key:
-        # scheduler-dependent metrics (tile/chunk/steal counts, pool waits,
-        # shm sizes) vary with worker count and backend by design; they are
-        # informational, so snapshots stay identical across backends
-        return "timing"
-    if ".serve." in key or key.startswith("serve."):
-        # serving metrics (cache hit mixes, queue depths, latencies) depend
-        # on request arrival order and machine load; trend, never gate
-        return "timing"
-    if ".dynamic." in key or key.startswith("dynamic."):
-        # dynamic-graph metrics: the update-vs-recount speedup is gated
-        # as a floor (the whole point of incremental maintenance); batch
-        # sizes, overlay residency and latencies are informational
-        return "floor" if key.endswith("_speedup") else "timing"
-    if key.endswith("_share") or key.startswith("gauge."):
-        return "share"
-    if key.endswith("_speedup"):
-        return "floor"
-    if (
-        key.endswith("_seconds")
-        or key.endswith(".elapsed")
-        or key == "meta.elapsed"
-        or ".queue_wait" in key
-    ):
-        return "timing"
-    return "count"
-
-
 @dataclass(frozen=True)
 class SpanDelta:
     """Elapsed-time comparison of one aligned span path."""
@@ -501,9 +455,9 @@ def diff_runs(
 ) -> dict[str, Any]:
     """Full diff of two run records.
 
-    Metric deltas reuse :func:`repro.obs.regress.compare_artifacts` with
-    the ledger kind map (so ``runs diff`` and the regression gate agree
-    on what counts as a regression); span deltas align the two trees by
+    Metric deltas reuse :func:`repro.obs.regress.compare_artifacts` and
+    its kind table (so ``runs diff`` and the regression gate agree on
+    what counts as a regression); span deltas align the two trees by
     slash path.  Returns ``{"a", "b", "same_config", "same_dataset",
     "metrics": [MetricDelta...], "spans": [SpanDelta...]}``.
     """
@@ -516,7 +470,6 @@ def diff_runs(
         {"metrics": flatten_record_metrics(b)},
         rel_tol=rel_tol,
         share_tol=share_tol,
-        kind_fn=ledger_metric_kind,
     )
     return {
         "a": a["run_id"],

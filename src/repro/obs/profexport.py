@@ -16,9 +16,9 @@ Span attribution is woven into the stack exports as synthetic
 ``span:<name>`` frames prepended to each sample.  Pass a
 :func:`span_path_index` built from the post-run span tree and the
 prefix becomes the span's full ancestor path — which is what makes a
-``--backend processes`` flamegraph nest worker frames under
-``span:lotus;span:hhh+hhn;span:phase1-processes;span:worker``: the
-worker-side span ids survive stitching
+``--backend distributed`` flamegraph nest shard frames under
+``span:lotus;span:distributed;span:shard``: the shard-side span ids
+survive stitching
 (:func:`repro.obs.telemetry.stitch_worker_payloads` re-parents but does
 not re-identify), so the parent tree resolves them.
 """

@@ -13,12 +13,13 @@ speedscope JSON through :mod:`repro.obs.profexport`.
 
 Three integration points:
 
-* **workers** — procpool workers run their own sampler when the
-  propagated trace wire requests one and ship ``Profile.to_dict()``
-  back in the telemetry payload; the parent's
-  :func:`~repro.obs.telemetry.stitch_worker_payloads` merges it into the
-  active profiler, so a ``--backend processes`` profile shows worker
-  frames attributed to the worker-side spans stitched under ``phase1``;
+* **workers** — distributed shards (:mod:`repro.dist.runtime`) run
+  their own sampler when the propagated trace wire requests one and
+  ship ``Profile.to_dict()`` back in the telemetry payload; the
+  parent's :func:`~repro.obs.telemetry.stitch_worker_payloads` merges
+  it into the active profiler, so a ``--backend distributed`` profile
+  shows shard frames attributed to the shard-side spans stitched under
+  ``distributed``;
 * **memory** — ``profile_memory=True`` (or a standalone
   :class:`MemoryAccountant`) snapshots :mod:`tracemalloc` at every span
   boundary and writes ``mem_delta`` / ``mem_peak`` byte attrs onto the
@@ -35,8 +36,8 @@ the 10 ms default interval).
 
 Only one sampler is *active* per process (module-level, like the
 registry and the bus): :meth:`SamplingProfiler.start` installs it so the
-procpool dispatch can discover that profiling is on and forward the
-interval to its workers.
+distributed coordinator can discover that profiling is on and forward
+the interval to its shards.
 """
 
 from __future__ import annotations
@@ -264,8 +265,8 @@ _active_lock = threading.Lock()
 def get_profiler() -> "SamplingProfiler | None":
     """The running :class:`SamplingProfiler`, or ``None``.
 
-    Procpool dispatch asks this to decide whether workers should sample
-    themselves (and at what interval).
+    The distributed coordinator asks this to decide whether shards
+    should sample themselves (and at what interval).
     """
     return _active_profiler
 

@@ -39,21 +39,24 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import json
 import os
 import pathlib
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 __all__ = [
     "DEFAULT_REL_TOL",
     "DEFAULT_SHARE_TOL",
     "DEFAULT_OVERHEAD_CEILING",
     "DEFAULT_PROFILER_CEILING",
+    "METRIC_KIND_RULES",
     "MetricDelta",
     "artifact_from_record",
     "load_artifact",
+    "metric_kind",
     "compare_artifacts",
     "regressions",
     "format_deltas",
@@ -97,19 +100,44 @@ def load_artifact(path: str | pathlib.Path) -> dict[str, Any]:
     return artifact
 
 
-def _metric_kind(key: str) -> str:
-    if key.endswith(".triangles"):
-        return "exact"
-    if key.endswith(".overhead_ratio"):
-        return "ceiling"
-    if key.startswith("serve."):
-        # serving latencies / hit rates vary with machine load; they are
-        # tracked for trend lines, never gated
-        return "timing"
-    if key.endswith("_share"):
-        return "share"
-    if key.endswith("_speedup"):
-        return "floor"
+# Tolerance class of a metric key, shared by the trajectory gate and
+# ``runs diff`` (whose flattened record keys carry ``counter.`` /
+# ``gauge.`` / ``histogram.`` / ``meta.`` prefixes): the first
+# ``fnmatch`` pattern that matches wins, and anything unmatched is a
+# ``count``.  ``name.*`` / ``*.name.*`` pairs match a namespace at the
+# start of a key or inside it.
+METRIC_KIND_RULES: tuple[tuple[str, str], ...] = (
+    ("*.triangles", "exact"),
+    # telemetry/profiler self-measurement: gated against an absolute
+    # ceiling even when candidate-only
+    ("*.overhead_ratio", "ceiling"),
+    # profiler sample/drop totals scale with wall time; serving hit
+    # mixes, queue depths and latencies with arrival order and load
+    ("profiler.*", "timing"),
+    ("*.profiler.*", "timing"),
+    ("serve.*", "timing"),
+    ("*.serve.*", "timing"),
+    # incremental maintenance must keep beating a recount; batch sizes,
+    # overlay residency and latencies are informational
+    ("dynamic.*_speedup", "floor"),
+    ("*.dynamic.*_speedup", "floor"),
+    ("dynamic.*", "timing"),
+    ("*.dynamic.*", "timing"),
+    ("*_share", "share"),
+    ("gauge.*", "share"),
+    ("*_speedup", "floor"),
+    ("*_seconds", "timing"),
+    ("*.elapsed", "timing"),
+)
+
+
+def metric_kind(key: str) -> str:
+    """Tolerance class of ``key`` under :data:`METRIC_KIND_RULES`:
+    ``exact`` / ``ceiling`` / ``timing`` / ``share`` / ``floor`` /
+    ``count``."""
+    for pattern, kind in METRIC_KIND_RULES:
+        if fnmatch.fnmatchcase(key, pattern):
+            return kind
     return "count"
 
 
@@ -139,17 +167,14 @@ def compare_artifacts(
     candidate: dict[str, Any],
     rel_tol: float = DEFAULT_REL_TOL,
     share_tol: float = DEFAULT_SHARE_TOL,
-    kind_fn: Callable[[str], str] = _metric_kind,
     overhead_ceiling: float = DEFAULT_OVERHEAD_CEILING,
     profiler_ceiling: float = DEFAULT_PROFILER_CEILING,
 ) -> list[MetricDelta]:
     """Per-metric comparison; see the module docstring for the rules.
 
-    ``kind_fn`` maps a metric key to its tolerance class (``exact`` /
-    ``share`` / ``count`` / ``ceiling`` / ``timing``); the default is
-    the trajectory map, and the run ledger passes its own
-    (:func:`repro.obs.ledger.ledger_metric_kind`).  ``timing`` metrics
-    are reported but never regress — wall-clock is not gated.
+    :func:`metric_kind` maps each key to its tolerance class.
+    ``timing`` metrics are reported but never regress — wall-clock is
+    not gated.
     ``ceiling`` metrics gate against an absolute ceiling even when they
     are candidate-only: ``overhead_ceiling`` for telemetry ratios,
     ``profiler_ceiling`` (tighter) for ``profiler.*`` keys.
@@ -169,7 +194,7 @@ def compare_artifacts(
             )
             continue
         cand_value = cand_metrics[key]
-        kind = kind_fn(key)
+        kind = metric_kind(key)
         if kind == "exact":
             regressed = cand_value != base_value
             reason = "exact-match metric changed" if regressed else ""
@@ -208,7 +233,7 @@ def compare_artifacts(
         deltas.append(MetricDelta(key, base_value, cand_value, kind, regressed, reason))
     for key, cand_value in cand_metrics.items():
         if key not in base_metrics:
-            if kind_fn(key) == "ceiling":
+            if metric_kind(key) == "ceiling":
                 # absolute gates apply even without a baseline value:
                 # new instrumentation must prove its own overhead
                 ceiling = ceiling_for(key)
@@ -333,13 +358,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         parser.error("provide CANDIDATE or --latest DIR")
     candidate = _load_artifact_or_record(candidate_path)
-    kind_fn = _metric_kind
-    if "run-record-projection" in (baseline.get("kind"), candidate.get("kind")):
-        from repro.obs.ledger import ledger_metric_kind
-
-        kind_fn = ledger_metric_kind
     deltas = compare_artifacts(baseline, candidate, rel_tol=args.rel_tol,
-                               share_tol=args.share_tol, kind_fn=kind_fn,
+                               share_tol=args.share_tol,
                                overhead_ceiling=args.overhead_ceiling,
                                profiler_ceiling=args.profiler_ceiling)
     print(f"baseline:  {baseline_desc} (generated {baseline.get('generated')})")

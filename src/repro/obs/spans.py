@@ -116,7 +116,7 @@ class Span:
         Children can legitimately sum past the parent's elapsed: stitched
         worker spans (:func:`repro.obs.telemetry.stitch_worker_payloads`)
         ran *concurrently* on their own processes' monotonic clocks, so a
-        ``phase1-processes`` span with 4 workers carries ~4x its own wall
+        ``distributed`` span with 4 shards carries up to ~4x its own wall
         time in children.  A negative "self time" is meaningless — clamp.
         """
         return max(0.0, self.elapsed - sum(c.elapsed for c in self.children))
@@ -262,7 +262,7 @@ class SpanContext:
     """Context manager that opens a :class:`Span` inside a registry.
 
     The parent is the span currently open on this thread (or an explicit
-    ``parent`` handed across threads, as the parallel executor does); on
+    ``parent`` handed across threads); on
     exit the finished span is attached to the parent's children, or to
     the registry's roots when there is no parent.
 

@@ -6,7 +6,7 @@ https://ui.perfetto.dev — the paper's Figure-6 phase breakdown as an
 interactive timeline.
 
 Spans recorded live carry absolute :func:`repro.util.timer.clock`
-start timestamps (including spans recorded *inside* procpool worker
+start timestamps (including spans recorded *inside* distributed shard
 processes, whose CLOCK_MONOTONIC readings are comparable with the
 parent's), so the exporter lays them out on a real shared timeline:
 ``ts`` is the span's start offset from the earliest start in the
@@ -22,8 +22,8 @@ span's elapsed time in microseconds and whose ``args`` carry the span
 attributes.  Each event also carries the span's ``trace_id`` /
 ``span_id`` / ``parent_span_id`` (the structural parent), and spans
 whose attrs record a worker ``pid`` are placed in that pid's lane —
-which is how a ``--backend processes`` export shows true worker-side
-nesting under ``phase1`` with distinct pids.  :func:`spans_from_trace`
+which is how a ``--backend distributed`` export shows true shard-side
+nesting under ``distributed`` with distinct pids.  :func:`spans_from_trace`
 reconstructs the span trees exactly from those ids (names, nesting,
 durations, trace identity), falling back to interval containment for
 traces exported before ids existed; the CI smoke job validates the

@@ -67,11 +67,10 @@ QUICK_SUITE: tuple[str, ...] = ("LJGrp", "Twtr10")
 DEFAULT_SUITE: tuple[str, ...] = ("LJGrp", "Twtr10", "Frndstr", "SK")
 ALL_MACHINES: tuple[str, ...] = ("SkyLakeX", "Haswell", "Epyc")
 
-# Pinned multi-worker scaling run: the largest stand-in, phase 1 on the
-# process backend.  The gated metric is the *simulated* work-stealing
-# speedup over the exact tile costs (deterministic on any host); measured
-# wall-clock lands in ``info`` because CI runners have arbitrary core
-# counts (this container has one).
+# Pinned multi-worker scaling run: the largest stand-in's phase 1 over
+# squared-edge tiles.  The gated metrics are the phase-1 hit count and
+# the *simulated* work-stealing speedup over the exact tile costs
+# (deterministic on any host).
 SCALING_DATASET = "EU15"
 SCALING_WORKERS: tuple[int, ...] = (1, 2, 4)
 
@@ -138,46 +137,25 @@ def build_scaling_measurements(
     """Phase-1 scaling metrics for one dataset across worker counts.
 
     Returns ``(metrics, info)``: gated metrics are the phase-1 hit count
-    (deterministic, backend-invariant) and per-worker-count simulated
-    speedups (``*_speedup`` keys — gated as a floor: a drop regresses);
-    ``info`` carries measured process-backend wall times and the measured
-    speedup ratio.
+    and per-worker-count simulated speedups of the squared-edge tiling
+    (``*_speedup`` keys — gated as a floor: a drop regresses).  ``info``
+    is empty; it keeps the shape of the other builders.
     """
-    import time
-
     from repro.core.count import count_hhh_hhn
     from repro.core.structure import build_lotus_graph
     from repro.core.tiling import tiles_for_phase1
     from repro.graph import load_dataset
-    from repro.parallel.procpool import count_hhh_hhn_processes
     from repro.parallel.scheduler import simulate_schedule
 
-    graph = load_dataset(dataset)
-    lotus = build_lotus_graph(graph)
-    seq = count_hhh_hhn(lotus)
-    metrics: dict[str, float] = {f"{dataset}.phase1.hits": int(sum(seq))}
-    info: dict[str, Any] = {}
+    lotus = build_lotus_graph(load_dataset(dataset))
+    metrics: dict[str, float] = {
+        f"{dataset}.phase1.hits": int(sum(count_hhh_hhn(lotus)))
+    }
     for w in workers:
         tiles = tiles_for_phase1(lotus.he, partitions=2 * w)
         sim = simulate_schedule(tiles, w)
         metrics[f"{dataset}.phase1.workers{w}_sim_speedup"] = round(sim.speedup, 4)
-        started = time.perf_counter()
-        got = count_hhh_hhn_processes(lotus, workers=w)
-        elapsed = time.perf_counter() - started
-        if got != seq:  # pragma: no cover - correctness canary
-            raise AssertionError(
-                f"process backend diverged on {dataset} at workers={w}: "
-                f"{got} != {seq}"
-            )
-        info[f"{dataset}.phase1.workers{w}_seconds"] = round(elapsed, 4)
-    base = info.get(f"{dataset}.phase1.workers{min(workers)}_seconds")
-    for w in workers:
-        secs = info[f"{dataset}.phase1.workers{w}_seconds"]
-        if base and secs:
-            info[f"{dataset}.phase1.workers{w}_measured_speedup"] = round(
-                base / secs, 4
-            )
-    return metrics, info
+    return metrics, {}
 
 
 def build_serve_measurements(
@@ -187,7 +165,7 @@ def build_serve_measurements(
     """One scripted warm/cold serve session over ``dataset``.
 
     Returns ``(metrics, info)``: every metric key is ``serve.``-prefixed,
-    which :func:`repro.obs.regress._metric_kind` classifies as ``timing``
+    which :func:`repro.obs.regress.metric_kind` classifies as ``timing``
     — reported in diffs, never a gate.  The correctness canary (all
     responses equal, warm responses are cache hits) is asserted here so a
     broken serving path fails the measurement loudly instead of writing

@@ -1,51 +1,29 @@
-"""Parallel execution substrate.
+"""Phase-1 load balance, simulated.
 
-The paper parallelises with pthreads + work stealing (Section 5.1.3) and
-evaluates load balance as thread idle time (Table 9).  Python threads
-cannot reproduce hardware scheduling, so this package provides:
+The paper parallelises phase 1 with pthreads + work stealing over
+squared-edge tiles (Sections 4.6 and 5.1.3) and evaluates load balance
+as thread idle time (Table 9).  Python threads cannot reproduce hardware
+scheduling, and the in-process bitset kernel of
+:mod:`repro.core.count` outruns any real Python pool on every
+registered dataset, so this package reproduces the result by
+simulation over exact per-tile work:
 
 * :mod:`repro.parallel.partition` — global edge-balanced partitioning
   (the Table 9 comparator policy) alongside the per-vertex tilings of
   :mod:`repro.core.tiling`;
-* :mod:`repro.parallel.scheduler` — the scheduling layer: a deterministic
-  simulator (per-thread busy/idle time from exact per-tile work), the
-  chunk autotuner, and the flat-array work-stealing deques;
-* :mod:`repro.parallel.executor` — a real thread-pool backend running
-  the phase-1 tiles concurrently (NumPy kernels release the GIL in their
-  inner loops);
-* :mod:`repro.parallel.procpool` — a process-pool backend sharing the
-  Lotus structure and scheduler state via ``multiprocessing.shared_memory``;
-* :mod:`repro.parallel.backend` — selection layer mapping
-  ``auto | sequential | threads | processes`` onto the above.
+* :mod:`repro.parallel.scheduler` — a deterministic scheduling
+  simulator (per-thread busy/idle time and speedup).
+
+Real multi-process counting is :mod:`repro.dist.runtime`, which shards
+the whole count.
 """
 
-from repro.parallel.backend import BACKENDS, BackendDecision, resolve_backend, run_phase1
-from repro.parallel.executor import count_hhh_hhn_parallel, count_hhh_hhn_parallel_split
 from repro.parallel.partition import edge_balanced_global_tiles
-from repro.parallel.procpool import WorkerCrashError, count_hhh_hhn_processes
-from repro.parallel.scheduler import (
-    ScheduleResult,
-    TileScheduler,
-    chunk_tiles,
-    idle_time_pct,
-    plan_assignment,
-    simulate_schedule,
-)
+from repro.parallel.scheduler import ScheduleResult, idle_time_pct, simulate_schedule
 
 __all__ = [
-    "BACKENDS",
-    "BackendDecision",
     "ScheduleResult",
-    "TileScheduler",
-    "WorkerCrashError",
-    "chunk_tiles",
-    "count_hhh_hhn_parallel",
-    "count_hhh_hhn_parallel_split",
-    "count_hhh_hhn_processes",
     "edge_balanced_global_tiles",
     "idle_time_pct",
-    "plan_assignment",
-    "resolve_backend",
-    "run_phase1",
     "simulate_schedule",
 ]

@@ -11,16 +11,15 @@ that amortization:
   keyed by the run ledger's dataset fingerprint (exact CSR bytes) plus a
   canonical build-config hash, holding the built
   :class:`~repro.graph.csr.CSRGraph` / :class:`~repro.core.structure.LotusGraph`
-  pair (and optionally their shared-memory manifests) so repeated
-  queries skip construction entirely;
+  pair so repeated queries skip construction entirely;
 * :mod:`repro.serve.request` — the :class:`QueryRequest` /
   :class:`QueryResult` records and the service error taxonomy
-  (admission rejections, deadline expiry, worker crashes);
+  (admission rejections, deadline expiry, shard crashes);
 * :mod:`repro.serve.engine` — :class:`QueryEngine`: a bounded submission
   queue with admission control, per-request deadlines with cooperative
   cancellation, micro-batching that coalesces requests against the same
-  structure into one backend dispatch
-  (:mod:`repro.parallel.backend`), and a ``serve.*`` metric family
+  structure into one count (in-process, or sharded by
+  :mod:`repro.dist.runtime`), and a ``serve.*`` metric family
   exported through :mod:`repro.obs.registry`.
 
 Quick start::

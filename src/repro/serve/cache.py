@@ -23,11 +23,7 @@ outcomes, so the ``serve.cache.hit`` + ``serve.cache.miss`` +
   one resident entry (a capacity miss).
 
 ``serve.cache.evicted_entries`` separately counts the entries removed
-(one insert can evict several).  With ``share=True`` each entry also
-holds the Lotus structure's shared-memory segment
-(:meth:`LotusGraph.to_shared`), so the process backend can attach
-workers zero-copy without re-sharing per dispatch; the cache owns those
-segments and unlinks them on eviction / ``clear``.
+(one insert can evict several).
 """
 
 from __future__ import annotations
@@ -100,22 +96,9 @@ class CacheEntry:
     dataset: str | None = None
     build_seconds: float = 0.0
     hits: int = 0
-    shared: Any = None  # SharedArrays handle when the cache shares segments
     version: int | None = None  # dynamic-session snapshot version
     pins: int = 0  # in-flight queries holding this entry (never evicted)
     meta: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def manifest(self) -> dict | None:
-        """Picklable shared-memory manifest (``None`` unless shared)."""
-        return self.shared.manifest if self.shared is not None else None
-
-    def release(self) -> None:
-        """Drop the shared segment (idempotent; called on eviction)."""
-        if self.shared is not None:
-            self.shared.close()
-            self.shared.unlink()
-            self.shared = None
 
 
 class StructureCache:
@@ -123,16 +106,13 @@ class StructureCache:
 
     ``max_bytes`` / ``max_entries`` bound residency; the newest entry is
     never evicted, so a single structure larger than the byte budget
-    still serves (it is evicted by the *next* insert).  ``share=True``
-    additionally copies each Lotus build into a shared-memory segment for
-    zero-copy process-backend dispatch.
+    still serves (it is evicted by the *next* insert).
     """
 
     def __init__(
         self,
         max_bytes: int = DEFAULT_CACHE_BYTES,
         max_entries: int = DEFAULT_CACHE_ENTRIES,
-        share: bool = False,
     ) -> None:
         if max_bytes < 1:
             raise ValueError("max_bytes must be >= 1")
@@ -140,7 +120,6 @@ class StructureCache:
             raise ValueError("max_entries must be >= 1")
         self.max_bytes = int(max_bytes)
         self.max_entries = int(max_entries)
-        self.share = share
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         self._lock = threading.RLock()
         # internal totals mirror the serve.cache.* registry counters so
@@ -207,8 +186,6 @@ class StructureCache:
                 build_seconds=clock() - started,
                 version=version,
             )
-            if self.share:
-                entry.shared = lotus.to_shared()
             self._entries[key] = entry
             evicted = self._evict_over_budget()
             outcome = "eviction" if evicted else "miss"
@@ -242,7 +219,6 @@ class StructureCache:
                 continue
             del self._entries[key]
             total -= victim.nbytes
-            victim.release()
             evicted += 1
         if evicted:
             self.evicted_entries += evicted
@@ -271,10 +247,8 @@ class StructureCache:
 
     # -- lifecycle ---------------------------------------------------------
     def clear(self) -> None:
-        """Evict everything (releases any shared segments)."""
+        """Evict everything."""
         with self._lock:
-            for entry in self._entries.values():
-                entry.release()
             self._entries.clear()
             self._export_gauges(get_registry())
 

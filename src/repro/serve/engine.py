@@ -18,16 +18,14 @@ One :class:`QueryEngine` owns
   before building, after building, and before computing, so an expired
   request gets a ``timeout`` result instead of occupying the backend
   (and a client may :meth:`QueryTicket.cancel` a queued request);
-* **backend dispatch** — lotus queries run through
-  :mod:`repro.parallel.backend`; with a shared-structure cache
-  (``share=True``) the process backend reuses the entry's
-  shared-memory manifest instead of re-copying the structure per batch.
+* **backend dispatch** — lotus queries count in-process on the cached
+  structure, or with ``backend="distributed"`` shard the cached graph
+  across :mod:`repro.dist.runtime` worker processes.
 
 Failure isolation: an exception inside one computation (including
-:class:`~repro.parallel.procpool.WorkerCrashError` from a crashed
-worker process) fails only the requests coalesced onto that
-computation; the cache entry stays resident and the engine keeps
-serving.
+:class:`~repro.dist.runtime.ShardFailedError` from a crashed shard
+process) fails only the requests coalesced onto that computation; the
+cache entry stays resident and the engine keeps serving.
 
 The ``serve.*`` metric family (exported through the active
 :class:`~repro.obs.registry.MetricsRegistry`):
@@ -75,7 +73,7 @@ import queue as queue_mod
 import threading
 from typing import Any, Callable
 
-from repro.core.count import lotus_count_from_structure
+from repro.core.count import check_backend, lotus_count_from_structure
 from repro.core.structure import LotusConfig
 from repro.obs import get_registry
 from repro.obs.telemetry import get_bus
@@ -149,9 +147,9 @@ class QueryEngine:
     """Long-lived in-process triangle-count query service.
 
     ``backend`` / ``workers`` are the default execution backend for
-    lotus queries (per-request overrides win).  ``builder`` and
-    ``executor`` are injection points for tests (slow builds, crashing
-    workers); production callers leave them ``None``.
+    lotus queries and its shard count (per-request overrides win).
+    ``builder`` and ``executor`` are injection points for tests (slow
+    builds, crashing shards); production callers leave them ``None``.
     """
 
     def __init__(
@@ -173,6 +171,7 @@ class QueryEngine:
             raise ValueError("max_batch must be >= 1")
         if slow_query_s is not None and slow_query_s <= 0:
             raise ValueError("slow_query_s must be positive")
+        check_backend(backend)
         self.slow_query_s = slow_query_s
         self.cache = cache if cache is not None else StructureCache()
         self.max_batch = max_batch
@@ -635,11 +634,9 @@ def _default_executor(
 ) -> dict:
     """Run one computation against a cached structure.
 
-    Lotus queries reuse the prebuilt :class:`LotusGraph` (and, when the
-    cache shares segments, hand the process backend the existing
-    shared-memory manifest); every other algorithm runs on the cached
-    CSR.  Returns a plain payload dict so coalesced requests can share
-    one execution.
+    Lotus queries reuse the prebuilt :class:`LotusGraph`; every other
+    algorithm runs on the cached CSR.  Returns a plain payload dict so
+    coalesced requests can share one execution.
 
     ``backend == "distributed"`` dispatches the cached graph to the
     sharded runtime (``workers`` shards) with the request's timeout as
@@ -661,12 +658,7 @@ def _default_executor(
             )
             counts = run.counts
         else:
-            counts = lotus_count_from_structure(
-                entry.lotus,
-                backend=backend,
-                workers=workers,
-                graph_manifest=entry.manifest,
-            )
+            counts = lotus_count_from_structure(entry.lotus)
         return {
             "triangles": counts.total,
             "counts": {

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, TYPE_CHECKING
 
+from repro.core.count import check_backend
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graph.csr import CSRGraph
 
@@ -68,9 +70,11 @@ class QueryRequest:
 
     Exactly one of ``dataset`` / ``file`` / ``graph`` names the input.
     ``hub_count`` is part of the *build config* (it changes the Lotus
-    structure, hence the cache key); ``backend`` / ``workers`` only
-    change execution and never the cache key.  ``timeout`` is a
-    per-request deadline in seconds, measured from submission.
+    structure, hence the cache key); ``backend`` (``None``,
+    ``"sequential"`` or ``"distributed"``) and ``workers`` (the shard
+    count of a distributed run) only change execution and never the
+    cache key.  ``timeout`` is a per-request deadline in seconds,
+    measured from submission.
     """
 
     dataset: str | None = None
@@ -110,6 +114,7 @@ class QueryRequest:
             raise ValueError("timeout must be positive")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
+        check_backend(self.backend)
 
     def source_label(self) -> str:
         """Human-readable graph source for results and spans."""

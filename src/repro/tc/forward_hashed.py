@@ -2,9 +2,9 @@
 
 Identical traversal to the Forward algorithm but the intersection uses a
 hash container for the current vertex's neighbour list instead of a merge
-join.  GBBS additionally parallelises the intersection; our substrate
-exposes that through :mod:`repro.parallel` — the sequential kernel here
-defines the algorithmic behaviour (op counts, access pattern).
+join.  GBBS additionally parallelises the intersection; the sequential
+kernel here defines the algorithmic behaviour (op counts, access
+pattern).
 """
 
 from __future__ import annotations

@@ -58,30 +58,45 @@ class TestCount:
         with pytest.raises(SystemExit):
             main(["count"])
 
-    @pytest.mark.parametrize("backend", ["sequential", "threads", "processes"])
-    def test_backend_flags_agree(self, backend, capsys):
-        assert main([
-            "count", "--dataset", "LJGrp", "--backend", backend, "--workers", "2",
-        ]) == 0
+    @pytest.mark.parametrize(
+        "flags",
+        [["--backend", "sequential"], ["--backend", "distributed", "--shards", "2"]],
+        ids=["sequential", "distributed"],
+    )
+    def test_backend_flags_agree(self, flags, capsys):
+        assert main(["count", "--dataset", "LJGrp", *flags]) == 0
         out = capsys.readouterr().out
         assert "616,437" in out
-        assert f"backend: {backend} (workers=2)" in out
+        assert f"backend: {flags[1]}" in out
+        if flags[1] == "distributed":
+            assert "shards=2" in out
 
-    def test_backend_auto_resolves(self, capsys):
-        assert main(["count", "--dataset", "LJGrp", "--backend", "auto"]) == 0
-        out = capsys.readouterr().out
-        assert "616,437" in out and "backend: " in out
+    @pytest.mark.parametrize("backend", ["threads", "processes", "auto"])
+    def test_retired_backend_exits_2(self, backend, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--dataset", "LJGrp", "--backend", backend])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_backend_requires_lotus(self, edgelist_file):
         with pytest.raises(SystemExit):
             main([
                 "count", "--file", edgelist_file,
-                "--algorithm", "forward", "--backend", "threads",
+                "--algorithm", "forward", "--backend", "sequential",
             ])
 
     def test_invalid_worker_count(self, edgelist_file):
         with pytest.raises(SystemExit):
-            main(["count", "--file", edgelist_file, "--workers", "0"])
+            main([
+                "count", "--file", edgelist_file,
+                "--backend", "distributed", "--shards", "0",
+            ])
+
+    def test_shards_require_distributed(self, edgelist_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--file", edgelist_file, "--shards", "2"])
+        assert exc.value.code == 2
+        assert "--shards requires --backend distributed" in capsys.readouterr().err
 
 
 class TestOtherCommands:

@@ -83,6 +83,24 @@ class TestServeGolden:
         assert list(lines[0]) == ERROR_FIELDS
         assert lines[1]["ok"] is True and lines[1]["id"] == "after"
 
+    def test_unknown_backend_rejected_per_request(
+        self, tmp_path, edgelist_file, capsys
+    ):
+        _serve(
+            tmp_path,
+            [
+                json.dumps({"file": edgelist_file, "id": "t", "backend": "threads"}),
+                json.dumps({"file": edgelist_file, "id": "after"}),
+            ],
+        )
+        lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert list(lines[0]) == ERROR_FIELDS
+        assert lines[0]["id"] == "t" and lines[0]["status"] == "error"
+        assert "unknown backend 'threads'" in lines[0]["error"]
+        assert "sequential, distributed" in lines[0]["error"]
+        # rejected before any structure was built: the next line misses
+        assert lines[1]["ok"] is True and lines[1]["cache"] == "miss"
+
     def test_unknown_field_rejected_per_request(self, tmp_path, capsys):
         _serve(tmp_path, ['{"dataset": "UU", "frobnicate": 1}'])
         obj = json.loads(capsys.readouterr().out.strip())
@@ -144,20 +162,6 @@ class TestServeGolden:
         err = capsys.readouterr().err
         assert "served 1 request(s)" in err
         assert "1 miss" in err
-
-    def test_share_session_leaves_no_segment_residue(
-        self, tmp_path, edgelist_file, capsys
-    ):
-        import glob
-
-        before = set(glob.glob("/dev/shm/repro-*"))
-        _serve(
-            tmp_path,
-            [json.dumps({"file": edgelist_file}) for _ in range(2)],
-            "--share",
-        )
-        capsys.readouterr()
-        assert set(glob.glob("/dev/shm/repro-*")) == before
 
 
 class TestServeLiveTelemetry:

@@ -228,20 +228,13 @@ class TestBitsetKernels:
         d = lotus.nhe.degrees()
         assert reg.find_span("nnn").attrs["wedges_probed"] == int((d * (d - 1) // 2).sum())
 
-    def test_parallel_backend_reports_probe_kernel(self, powerlaw_small):
-        lotus = build_lotus_graph(powerlaw_small, LotusConfig(hub_count=40))
-        with use_registry() as reg:
-            c = lotus_count_from_structure(lotus, backend="threads", workers=2)
-        assert (c.hhh, c.hhn, c.hnn, c.nnn) == literal_phases(lotus)
-        assert reg.find_span("hhh+hhn").attrs["kernel"] == "probe"
-        assert reg.find_span("hnn").attrs["kernel"] == "bitset"
-        # "auto" resolving to sequential runs the bitset kernel
-        with use_registry() as reg:
-            lotus_count_from_structure(lotus, backend="auto", workers=1)
-        assert reg.find_span("hhh+hhn").attrs["kernel"] == "bitset"
-
 
 class TestEndToEnd:
+    @pytest.mark.parametrize("backend", ["threads", "processes", "auto"])
+    def test_unknown_backend_rejected(self, powerlaw_small, backend):
+        with pytest.raises(ValueError, match="sequential, distributed"):
+            count_triangles_lotus(powerlaw_small, backend=backend)
+
     def test_breakdown_phases_present(self, powerlaw_small):
         r = count_triangles_lotus(powerlaw_small)
         for phase in ("preprocess", "hhh+hhn", "hnn", "nnn"):

@@ -6,8 +6,8 @@ The first half constructs deliberately broken CSR/Lotus structures
 corruption — the guard rail that keeps downstream algorithms from
 silently producing wrong counts.  The second half injects faults into
 the serving path: slow builders that blow request deadlines, executors
-that crash like a dead worker process, and a real crashed process-pool
-worker — in every case the engine must answer the affected requests
+that crash like a dead shard process, and a real crashed shard process
+— in every case the engine must answer the affected requests
 with a failure *result* (no hang, no crash) and keep serving afterwards
 from an intact cache.
 """
@@ -216,13 +216,13 @@ class TestServeDeadlineExpiry:
 
 
 class TestServeWorkerCrash:
-    """A crashed worker fails only the batch it was computing; the cache
+    """A crashed shard fails only the batch it was computing; the cache
     entry survives and later queries succeed."""
 
     def test_injected_crash_fails_only_affected_batch(
         self, serve_graph, serve_oracle
     ):
-        from repro.parallel.procpool import WorkerCrashError
+        from repro.dist import ShardFailedError
         from repro.serve import QueryEngine, QueryRequest, StructureCache
         from repro.serve.engine import _default_executor
 
@@ -231,7 +231,7 @@ class TestServeWorkerCrash:
         def crashing_executor(entry, request, backend, workers):
             if crashes["armed"]:
                 crashes["armed"] = False
-                raise WorkerCrashError("worker(s) [0] died", {0: 23})
+                raise ShardFailedError(0, exitcode=23)
             return _default_executor(entry, request, backend, workers)
 
         other = erdos_renyi(100, 0.1, seed=66)
@@ -241,7 +241,7 @@ class TestServeWorkerCrash:
             # first query hits the armed crash
             crashed = engine.query(QueryRequest(graph=serve_graph), wait_timeout=30)
             assert crashed.status == "error"
-            assert "WorkerCrashError" in crashed.error
+            assert "ShardFailedError" in crashed.error
             # a different graph is unaffected
             ok_other = engine.query(QueryRequest(graph=other), wait_timeout=30)
             assert ok_other.ok
@@ -253,13 +253,13 @@ class TestServeWorkerCrash:
     def test_crash_isolated_to_its_computation_group(self, serve_graph):
         """Two computations coalesced from one micro-batch: the crashing
         one fails its peers, the other completes."""
-        from repro.parallel.procpool import WorkerCrashError
+        from repro.dist import ShardFailedError
         from repro.serve import QueryEngine, QueryRequest, StructureCache
         from repro.serve.engine import _default_executor
 
         def executor(entry, request, backend, workers):
             if request.algorithm == "lotus":
-                raise WorkerCrashError("worker(s) [1] died", {1: 23})
+                raise ShardFailedError(1, exitcode=23)
             return _default_executor(entry, request, backend, workers)
 
         engine = QueryEngine(StructureCache(), executor=executor, max_batch=8)
@@ -269,46 +269,28 @@ class TestServeWorkerCrash:
         r_lotus = t_lotus.result(timeout=30)
         r_fwd = t_fwd.result(timeout=30)
         engine.stop()
-        assert r_lotus.status == "error" and "WorkerCrashError" in r_lotus.error
+        assert r_lotus.status == "error" and "ShardFailedError" in r_lotus.error
         assert r_fwd.ok
 
-    def test_real_process_worker_crash_surfaces(self):
-        """End-to-end: a genuinely killed worker process raises
-        WorkerCrashError through run_phase1, and both shared segments are
-        unlinked (no leak)."""
-        from repro.parallel.backend import run_phase1
-        from repro.parallel.procpool import WorkerCrashError
+    def test_real_process_worker_crash_surfaces(self, serve_graph, serve_oracle):
+        """End-to-end: a genuinely killed shard process fails its
+        distributed query with ShardFailedError, and the engine keeps
+        serving the same cached graph afterwards."""
+        from repro.dist import run_distributed_count
+        from repro.serve import QueryEngine, QueryRequest, StructureCache
+        from repro.serve.engine import _default_executor
 
-        lotus = build_lotus_graph(erdos_renyi(200, 0.1, seed=9))
-        with pytest.raises(WorkerCrashError):
-            run_phase1(lotus, backend="processes", workers=2, fault_worker=0)
+        def executor(entry, request, backend, workers):
+            if backend == "distributed":
+                run_distributed_count(entry.graph, shards=2, fault_shard=0)
+            return _default_executor(entry, request, backend, workers)
 
-    def test_real_crash_spares_borrowed_segment(self):
-        """With a lent manifest (the serving cache's segment), a worker
-        crash must NOT unlink the borrowed segment — the cache still owns
-        a usable structure afterwards."""
-        from repro.parallel.backend import run_phase1
-        from repro.parallel.procpool import WorkerCrashError
-        from repro.serve import StructureCache
-
-        graph = erdos_renyi(200, 0.1, seed=9)
-        with StructureCache(share=True) as cache:
-            entry, _ = cache.get_or_build(graph)
-            with pytest.raises(WorkerCrashError):
-                run_phase1(
-                    entry.lotus,
-                    backend="processes",
-                    workers=2,
-                    fault_worker=0,
-                    graph_manifest=entry.manifest,
-                )
-            # the segment survived the crash: a clean dispatch still works
-            hhh, hhn = run_phase1(
-                entry.lotus,
-                backend="processes",
-                workers=2,
-                graph_manifest=entry.manifest,
+        with QueryEngine(StructureCache(), executor=executor) as engine:
+            crashed = engine.query(
+                QueryRequest(graph=serve_graph, backend="distributed"),
+                wait_timeout=60,
             )
-            from repro.core.count import count_hhh_hhn
-
-            assert (hhh, hhn) == count_hhh_hhn(entry.lotus)
+            assert crashed.status == "error"
+            assert "ShardFailedError" in crashed.error and "shard 0" in crashed.error
+            ok = engine.query(QueryRequest(graph=serve_graph), wait_timeout=60)
+        assert ok.ok and ok.triangles == serve_oracle and ok.cache == "hit"

@@ -70,8 +70,9 @@ def test_oracle_on_known_graphs():
 def test_counter_matrix_covers_kernels_and_backends():
     names = set(fuzz_counters())
     assert {
-        "lotus", "lotus-phases", "forward", "matrix", "lotus-threads", "lotus-processes"
+        "lotus", "lotus-phases", "lotus-distributed", "forward", "matrix"
     } <= names
+    assert not {"lotus-threads", "lotus-processes"} & names
     from repro.tc.intersect import INTERSECT_KERNELS
 
     assert {f"forward-kernel:{k}" for k in INTERSECT_KERNELS} <= names
@@ -104,18 +105,19 @@ def test_injected_off_by_one_is_caught_and_shrunk(monkeypatch):
 
 
 def test_broken_backend_is_caught(monkeypatch):
-    """A mutation in the shared tile runner is seen by the backend counters."""
-    import repro.parallel.executor as executor
+    """A mutation in the shards' hub stage is seen by the distributed
+    counter (forked shards inherit the patch)."""
+    import repro.dist.runtime as runtime
 
-    real = executor.run_tile_batch
+    real = runtime.shard_hub_counts
 
-    def off_by_one(lotus, batch):
-        hhh, hhn = real(lotus, batch)
-        return hhh + 1, hhn
+    def off_by_one(payload, bitsets):
+        hhh, hhn, hnn, arcs = real(payload, bitsets)
+        return hhh, hhn, hnn + 1, arcs
 
-    monkeypatch.setattr(executor, "run_tile_batch", off_by_one)
-    counters = {"lotus-threads": fuzz_counters()["lotus-threads"]}
-    report = run_fuzz(cases=60, seed=3, counters=counters)
+    monkeypatch.setattr(runtime, "shard_hub_counts", off_by_one)
+    counters = {"lotus-distributed": fuzz_counters()["lotus-distributed"]}
+    report = run_fuzz(cases=10, seed=3, counters=counters)
     assert report["failure"] is not None
 
 

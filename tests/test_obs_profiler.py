@@ -448,42 +448,39 @@ class TestContinuousProfiler:
 
 
 # --------------------------------------------------------------------------
-# end-to-end: process backend workers sample themselves
+# end-to-end: distributed shards sample themselves
 # --------------------------------------------------------------------------
-class TestProcessBackendProfiling:
-    def test_worker_frames_attributed_under_phase1(self):
-        from repro.core import build_lotus_graph
+class TestDistributedProfiling:
+    def test_shard_frames_attributed_under_distributed(self):
+        from repro.dist import run_distributed_count
         from repro.graph import load_dataset
-        from repro.parallel.procpool import count_hhh_hhn_processes
 
-        lotus = build_lotus_graph(load_dataset("Twtr10"))
+        graph = load_dataset("Twtr10")
         with use_registry() as reg:
             with SamplingProfiler(interval_s=0.001) as profiler:
-                count_hhh_hhn_processes(lotus, workers=2)
-        phase = reg.find_span("phase1-processes")
-        assert phase is not None
-        worker_ids = {
-            s.span_id for w in phase.find_all("worker") for s in w.iter_spans()
+                run_distributed_count(graph, shards=2)
+        dspan = reg.find_span("distributed")
+        assert dspan is not None
+        shard_ids = {
+            s.span_id for w in dspan.find_all("shard") for s in w.iter_spans()
         }
-        assert worker_ids
+        assert shard_ids
         p = profiler.profile
-        worker_samples = sum(
+        shard_samples = sum(
             count
             for (span_id, _, _), count in p.stacks.items()
-            if span_id in worker_ids
+            if span_id in shard_ids
         )
-        assert worker_samples > 0  # workers sampled themselves and merged
-        # and the export path nests those frames under phase1
+        assert shard_samples > 0  # shards sampled themselves and merged
+        # and the export path nests those frames under distributed
         index = span_path_index(reg.roots)
         doc = to_speedscope(p, span_index=index)
         frames = [f["name"] for f in doc["shared"]["frames"]]
         nested = [
             [frames[i] for i in sample]
             for sample in doc["profiles"][0]["samples"]
-            if "span:worker" in {frames[i] for i in sample}
+            if "span:shard" in {frames[i] for i in sample}
         ]
         assert nested
         for names in nested:
-            assert names.index("span:phase1-processes") < names.index(
-                "span:worker"
-            )
+            assert names.index("span:distributed") < names.index("span:shard")

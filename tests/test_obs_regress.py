@@ -332,7 +332,7 @@ class TestAgainstRun:
 
     def test_plain_record_projected_onto_flat_metrics(self, tmp_path, capsys):
         # a non-trajectory record (no embedded artifact) is compared via
-        # its flattened metric projection, with the ledger kind map
+        # its flattened metric projection, under the shared kind table
         from repro.obs import use_registry
         from repro.obs.ledger import Ledger, build_run_record
 

@@ -316,12 +316,12 @@ class TestSelfTimeClamp:
     own elapsed — ``self_time`` must clamp at 0, never go negative."""
 
     def test_concurrent_children_exceeding_parent_clamp_to_zero(self):
-        # the shape stitch_worker_payloads produces: a 1s phase span with
-        # four concurrent 0.9s worker children (3.6s of child time)
-        parent = Span("phase1-processes")
+        # the shape stitch_worker_payloads produces: a 1s distributed
+        # span with four concurrent 0.9s shard children (3.6s of child time)
+        parent = Span("distributed")
         parent.elapsed = 1.0
         for w in range(4):
-            child = Span("worker", {"worker": w})
+            child = Span("shard", {"shard": w})
             child.elapsed = 0.9
             parent.children.append(child)
         assert parent.self_time() == 0.0

@@ -3,7 +3,7 @@
 Covers the pieces :mod:`repro.obs.telemetry` layers onto the recorder:
 TraceContext wire round-trips, worker session / payload / stitch
 plumbing (in-process — the cross-process path is exercised by
-tests/test_shm_procpool.py), bus activation semantics, the streaming
+tests/test_dist_runtime.py), bus activation semantics, the streaming
 JSONL exporter, and both Prometheus exposers.
 """
 

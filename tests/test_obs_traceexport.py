@@ -154,40 +154,38 @@ class TestTraceIdentity:
         assert "parent_span_id" not in root_ev
         assert child_ev["parent_span_id"] == root_ev["span_id"]
 
-    def test_process_backend_export_shows_worker_lanes(self):
-        # the acceptance path: a --backend processes run exports worker
-        # spans captured inside the workers, in their own pid lanes,
-        # nested under phase1 via the propagated trace context
+    def test_distributed_export_shows_shard_lanes(self):
+        # the acceptance path: a --backend distributed run exports shard
+        # spans captured inside the shard processes, in their own pid
+        # lanes, nested under distributed via the propagated trace context
         import os
 
-        from repro.core import LotusConfig, build_lotus_graph
-        from repro.parallel.procpool import count_hhh_hhn_processes
+        from repro.core import LotusConfig
+        from repro.dist import run_distributed_count
 
         graph = powerlaw_chung_lu(3000, 10.0, exponent=2.0, seed=6)
-        lotus = build_lotus_graph(graph, LotusConfig(hub_count=96))
         with use_registry() as reg:
-            count_hhh_hhn_processes(lotus, workers=2)
+            run_distributed_count(graph, LotusConfig(hub_count=96), shards=2)
         trace = build_trace(reg.roots)
         events = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
-        worker_events = [e for e in events if e["name"] == "worker"]
-        worker_pids = {e["pid"] for e in worker_events}
-        assert len(worker_pids) == 2 and os.getpid() not in worker_pids
-        # chunk events inherit their worker's lane
-        assert {e["pid"] for e in events if e["name"] == "chunk"} == worker_pids
-        # metadata names each worker lane for the viewer
+        shard_events = [e for e in events if e["name"] == "shard"]
+        shard_pids = {e["pid"] for e in shard_events}
+        assert len(shard_pids) == 2 and os.getpid() not in shard_pids
+        # stage events inherit their shard's lane
+        assert {e["pid"] for e in events if e["name"] == "hub"} == shard_pids
+        # metadata names each shard lane for the viewer
         lane_names = {
             e["pid"]: e["args"]["name"]
             for e in trace["traceEvents"] if e.get("ph") == "M"
         }
-        for pid in worker_pids:
+        for pid in shard_pids:
             assert f"pid {pid}" in lane_names[pid]
-        # and the round trip restores the worker spans under phase1
+        # and the round trip restores the shard spans under distributed
         (root,) = spans_from_trace(trace)
-        phase = next(s for s in root.iter_spans()
-                     if s.name == "phase1-processes")
-        workers = [c for c in phase.children if c.name == "worker"]
-        assert len(workers) == 2
-        assert {w.trace_id for w in workers} == {root.trace_id}
+        assert root.name == "distributed"
+        shards = [c for c in root.children if c.name == "shard"]
+        assert len(shards) == 2
+        assert {s.trace_id for s in shards} == {root.trace_id}
 
 
 class TestDocuments:

@@ -1,18 +1,13 @@
-"""Tests for partitioning, scheduler simulation, and the thread-pool backend."""
+"""Tests for partitioning and the scheduler simulation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LotusConfig, build_lotus_graph, count_hhh_hhn, tiles_for_phase1
+from repro.core import build_lotus_graph, tiles_for_phase1
 from repro.graph import powerlaw_chung_lu
-from repro.parallel import (
-    count_hhh_hhn_parallel,
-    edge_balanced_global_tiles,
-    idle_time_pct,
-    simulate_schedule,
-)
+from repro.parallel import edge_balanced_global_tiles, idle_time_pct, simulate_schedule
 
 
 @pytest.fixture(scope="module")
@@ -110,31 +105,3 @@ class TestTable9Shape:
         idle_eb = idle_time_pct(eb, threads)
         assert idle_sq < 2.0
         assert idle_eb > 10.0
-
-
-class TestParallelExecutor:
-    def test_matches_sequential(self, lotus_graph):
-        hhh, hhn = count_hhh_hhn(lotus_graph)
-        par = count_hhh_hhn_parallel(lotus_graph, threads=4, degree_threshold=32)
-        assert par == hhh + hhn
-
-    def test_single_thread(self, lotus_graph):
-        hhh, hhn = count_hhh_hhn(lotus_graph)
-        assert count_hhh_hhn_parallel(lotus_graph, threads=1) == hhh + hhn
-
-    def test_edge_balanced_policy_also_correct(self, lotus_graph):
-        hhh, hhn = count_hhh_hhn(lotus_graph)
-        par = count_hhh_hhn_parallel(
-            lotus_graph, threads=4, policy="edge_balanced", degree_threshold=32
-        )
-        assert par == hhh + hhn
-
-    def test_invalid_threads(self, lotus_graph):
-        with pytest.raises(ValueError):
-            count_hhh_hhn_parallel(lotus_graph, threads=0)
-
-    def test_empty_lotus(self):
-        from repro.graph import empty_graph
-
-        lotus = build_lotus_graph(empty_graph(10), LotusConfig(hub_count=1))
-        assert count_hhh_hhn_parallel(lotus, threads=2) == 0

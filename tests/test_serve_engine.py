@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.core.structure import LotusConfig
+from repro.core.structure import LotusConfig, build_lotus_graph
 from repro.graph import erdos_renyi, load_dataset
 from repro.obs import use_registry
 from repro.serve import (
@@ -292,28 +292,29 @@ class TestEngineStats:
         assert "queue_depth" in stats and "running" in stats
 
 
-class TestSharedCacheDispatch:
-    """share=True keeps the structure in shared memory; the process
-    backend borrows that segment instead of copying per dispatch."""
+class TestBackendValidation:
+    """``backend`` is checked at the request boundary, before any build."""
 
-    def test_shared_entry_has_manifest(self, g1):
-        with StructureCache(share=True) as cache:
-            entry, _ = cache.get_or_build(g1)
-            assert entry.manifest is not None
-            assert entry.manifest["nbytes"] > 0
+    @pytest.mark.parametrize("backend", ["threads", "processes", "auto"])
+    def test_request_rejects_retired_backend(self, g1, backend):
+        with pytest.raises(ValueError, match="sequential, distributed"):
+            QueryRequest(graph=g1, backend=backend).validate()
 
-    def test_process_backend_reuses_segment(self):
-        # large enough that the processes backend actually engages
-        g = erdos_renyi(600, 0.12, seed=3)
-        oracle = count_triangles_forward(g).triangles
-        with StructureCache(share=True) as cache:
-            with QueryEngine(cache, backend="processes", workers=2) as engine:
-                r1 = engine.query(QueryRequest(graph=g), wait_timeout=120)
-                # segment must survive the first dispatch (not unlinked)
-                r2 = engine.query(QueryRequest(graph=g), wait_timeout=120)
-        assert r1.ok and r2.ok
-        assert r1.triangles == r2.triangles == oracle
-        assert r2.cache == "hit"
+    def test_engine_rejects_unknown_default_backend(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            QueryEngine(StructureCache(), backend="threads")
+
+    def test_submit_fails_before_building(self, g1):
+        builds = []
+
+        def builder(graph, config):
+            builds.append(graph)
+            return build_lotus_graph(graph, config)
+
+        with QueryEngine(StructureCache(), builder=builder) as engine:
+            with pytest.raises(ValueError):
+                engine.submit(QueryRequest(graph=g1, backend="threads"))
+        assert builds == []
 
 
 class TestQueryResultProjection:
