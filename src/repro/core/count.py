@@ -12,8 +12,10 @@ over arcs:
 2. **HNN** — the same popcount over NHE arcs ``(v, u)``: the common
    *hub* neighbours of two non-hubs;
 3. **NNN** — every wedge ``(b > c)`` of an NHE row is one int64 key
-   ``b * n + c``, looked up with one ``searchsorted`` in the sorted NHE
-   arc keys; hub edges are never touched (the Section 3.3 pruning).
+   ``b * n + c``, looked up in the NHE arc keys' :class:`KeySet`: a
+   hash filter rejects most wedges and only its hits reach the exact
+   ``searchsorted``; hub edges are never touched (the Section 3.3
+   pruning).
 
 The bitsets cost ``⌈H/64⌉`` words per row with hub neighbours.  Above
 :data:`_BITSET_BUDGET` bytes (checked before allocating) phases 1 and 2
@@ -40,10 +42,11 @@ from repro.core.structure import LotusConfig, LotusGraph, build_lotus_graph
 from repro.graph.csr import CSRGraph, OrientedGraph
 from repro.obs import root_span, timed_phase
 from repro.tc.intersect import (
+    KeySet,
+    arc_keys,
     batch_intersect_counts,
     batch_pairwise_counts,
     bitset_nbytes,
-    match_keys,
     pack_row_bitsets,
     popcount_pairs,
     wedge_chunks,
@@ -187,6 +190,20 @@ def _hnn(lotus: LotusGraph, bitsets: Bitsets | None) -> tuple[int, int]:
     return hnn, arcs
 
 
+def _nnn(lotus: LotusGraph) -> tuple[int, KeySet]:
+    """``(nnn, keyset)``: every NHE wedge tested against the NHE arc
+    keys' :class:`~repro.tc.intersect.KeySet` (which keeps the work
+    counters)."""
+    nhe = lotus.nhe
+    n = lotus.num_vertices
+    rows = np.arange(n, dtype=np.int64)
+    keyset = KeySet(arc_keys(rows, nhe.indptr, nhe.indices, n))
+    total = 0
+    for _, b, c in wedge_chunks(nhe.indptr, nhe.indices, rows):
+        total += keyset.count(b * n + c)
+    return total, keyset
+
+
 def count_hhh_hhn(lotus: LotusGraph, fused: bool = True) -> tuple[int, int]:
     """Phase 1: triangles with >= 2 hubs.  Returns ``(hhh, hhn)``.
 
@@ -239,19 +256,14 @@ def count_nnn(lotus: LotusGraph, fused: bool = True) -> int:
     Counting is restricted to the NHE sub-graph; hub edges are never
     loaded (the fruitless-search pruning of Section 3.3).  The fused
     kernel tests every wedge ``(b > c)`` of each NHE row as the key
-    ``b * n + c`` against the sorted NHE arc keys; ``fused=False`` runs
-    the literal Forward-style per-vertex intersections.
+    ``b * n + c`` against the NHE arc keys' :class:`KeySet`;
+    ``fused=False`` runs the literal Forward-style per-vertex
+    intersections.
     """
+    if fused:
+        return _nnn(lotus)[0]
     indptr = lotus.nhe.indptr
     indices = lotus.nhe.indices
-    if fused:
-        n = lotus.num_vertices
-        rows = np.arange(n, dtype=np.int64)
-        keys = np.repeat(rows * n, np.diff(indptr)) + indices
-        total = 0
-        for _, b, c in wedge_chunks(indptr, indices, rows):
-            total += int(np.count_nonzero(match_keys(keys, b * n + c)))
-        return total
     total = 0
     for v in np.flatnonzero(np.diff(indptr) >= 2):
         row = indices[indptr[v] : indptr[v + 1]]
@@ -285,12 +297,14 @@ def lotus_count_from_structure(
             span.set("hnn", hnn)
     del bitsets  # freed before NNN allocates its arc keys
     with timed_phase(timer, "nnn") as span:
-        nnn = count_nnn(lotus)
+        nnn, keyset = _nnn(lotus)
         if span.enabled:
             deg = lotus.nhe.degrees()
             span.set("wedges_probed", int((deg * (deg - 1) // 2).sum()))
-            # NHE IDs plus one int64 key per arc
-            span.set("bytes_touched", int(lotus.nhe.indices.nbytes + 8 * lotus.nhe.num_edges))
+            span.set("keys_verified", keyset.verified)
+            span.set("filter_bytes", int(keyset.filter.nbytes))
+            # NHE IDs plus the arc keys and their filter
+            span.set("bytes_touched", int(lotus.nhe.indices.nbytes + keyset.nbytes))
             span.set("nnn", nnn)
     return LotusCounts(hhh=hhh, hhn=hhn, hnn=hnn, nnn=nnn)
 

@@ -29,8 +29,10 @@ puts every arc in NHE, which is the all-wedge protocol.
 
 Everything here operates in *relabeled* ID space: vertex ``v`` of the
 input graph becomes ``rank[v]``, rows are sorted ascending, and an arc
-``(b, c)`` (``c < b``) is encoded as the int64 key ``b * n + c`` so
-membership reduces to one vectorised ``searchsorted``.
+``(b, c)`` (``c < b``) is encoded as the int64 key ``b * n + c``
+(:func:`~repro.tc.intersect.arc_keys`) so membership is a batched
+:class:`~repro.tc.intersect.KeySet` lookup: a hash filter, then an
+exact ``searchsorted`` of the keys that pass it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from repro.core.structure import LotusConfig, split_oriented
 from repro.graph.csr import CSRGraph, OrientedGraph
 from repro.graph.reorder import lotus_relabeling_array
 # the wedge enumeration and membership kernels, re-exported for the protocol
-from repro.tc.intersect import match_keys, wedge_chunks
+from repro.tc.intersect import KeySet, arc_keys, wedge_chunks
 from repro.util.arrays import compact_rows
 
 __all__ = [
@@ -58,7 +60,7 @@ __all__ = [
     "lotus_rank",
     "shard_hub_counts",
     "wedge_chunks",
-    "match_keys",
+    "KeySet",
 ]
 
 # wire cost of one cross-shard wedge check: an int64 arc key out ...
@@ -234,11 +236,3 @@ def shard_hub_counts(payload: dict, bitsets) -> tuple[int, int, int, int]:
         he, bitsets, payload["nhe_indptr"], payload["nhe_indices"], apexes, 0
     )
     return hhh, hhn, hnn, he_arcs + nhe_arcs
-
-
-def arc_keys(
-    apexes: np.ndarray, indptr: np.ndarray, indices: np.ndarray, n: int
-) -> np.ndarray:
-    """The arcs of a compact CSR aligned with ``apexes`` as int64 keys
-    ``apex * n + col`` (sorted when ``apexes`` ascend)."""
-    return np.repeat(apexes * n, np.diff(indptr)) + indices

@@ -21,8 +21,9 @@ Each shard runs three stages:
 3. two coordinator-routed barrier rounds over ``multiprocessing`` pipes
    (deadlock-free because every shard sends every stage message, even
    when empty): the coordinator routes the query batches, targets
-   answer membership with one vectorised ``searchsorted`` against their
-   own NHE arc keys, and the boolean vectors flow back the same way.
+   answer membership through the :class:`~repro.tc.intersect.KeySet`
+   of their own NHE arc keys, and the boolean vectors flow back the
+   same way.
    Every remote hit is an NNN triangle.
 
 The orientation is the exact LOTUS relabeling (``ra`` + ``hub_count``
@@ -60,17 +61,11 @@ import numpy as np
 from repro.core.count import LotusCounts, hub_bitsets
 from repro.core.structure import LotusConfig
 from repro.dist.partition import PARTITIONERS
-from repro.dist.plan import (
-    ShardPlan,
-    arc_keys,
-    build_plan,
-    lotus_rank,
-    shard_hub_counts,
-)
+from repro.dist.plan import ShardPlan, build_plan, lotus_rank, shard_hub_counts
 from repro.graph.csr import CSRGraph
 from repro.obs import get_registry
 from repro.obs.telemetry import TraceContext, stitch_worker_payloads
-from repro.tc.intersect import match_keys, wedge_chunks
+from repro.tc.intersect import KeySet, arc_keys, wedge_chunks
 
 __all__ = [
     "FAULT_EXIT_CODE",
@@ -188,8 +183,10 @@ def _enumerate_shard(payload: dict, registry, root_span):
     """Stage 2: NHE wedge enumeration + local membership checks.
 
     Returns ``(nnn, stats, (own_keys, queries))`` where ``nnn`` counts
-    the local hits, ``stats`` the check/byte counters, and ``queries``
-    the per-target arc keys awaiting remote answers.
+    the local hits, ``stats`` the check/byte counters, ``own_keys`` the
+    :class:`~repro.tc.intersect.KeySet` of the owned NHE arcs (which
+    also answers remote queries), and ``queries`` the per-target arc
+    keys awaiting remote answers.
     """
     shard = payload["shard"]
     n = payload["num_vertices"]
@@ -198,7 +195,7 @@ def _enumerate_shard(payload: dict, registry, root_span):
     indptr = payload["nhe_indptr"]
     indices = payload["nhe_indices"]
 
-    own_keys = arc_keys(apexes, indptr, indices, n)
+    own_keys = KeySet(arc_keys(apexes, indptr, indices, n))
     nnn = local_checks = 0
     query_parts: list[list[np.ndarray]] = [[] for _ in range(payload["workers"])]
 
@@ -210,12 +207,13 @@ def _enumerate_shard(payload: dict, registry, root_span):
             keys = b * n + c
             local = target == shard
             local_checks += int(np.count_nonzero(local))
-            nnn += int(np.count_nonzero(match_keys(own_keys, keys[local])))
+            nnn += own_keys.count(keys[local])
             remote = ~local
             for t in np.unique(target[remote]):
                 query_parts[t].append(keys[remote & (target == t)])
         span.set("wedges", wedges)
         span.set("local_checks", local_checks)
+        span.set("keys_verified", own_keys.verified)
 
     queries = {
         t: np.concatenate(parts)
@@ -249,7 +247,7 @@ def _run_shard(payload: dict, conn, deadline_abs, registry, root_span):
             conn.send(("queries", shard, queries))
             inbound = _recv_routed(conn, deadline_abs)
             answers = {
-                src: match_keys(own_keys, qk) for src, qk in inbound.items()
+                src: own_keys.contains(qk) for src, qk in inbound.items()
             }
             conn.send(("answers", shard, answers))
             mine = _recv_routed(conn, deadline_abs)

@@ -27,14 +27,13 @@ from repro.core.count import hub_bitsets
 from repro.dist.plan import (
     ANSWER_BYTES,
     QUERY_BYTES,
-    arc_keys,
     build_plan,
     degree_rank,
     identity_rank,
     shard_hub_counts,
 )
 from repro.graph.csr import CSRGraph
-from repro.tc.intersect import match_keys, wedge_chunks
+from repro.tc.intersect import KeySet, arc_keys, wedge_chunks
 
 __all__ = ["DistributedTCReport", "simulate_distributed_tc"]
 
@@ -95,7 +94,7 @@ def simulate_distributed_tc(
     n = plan.num_vertices
     nhe = plan.nhe
     apex_ids = np.arange(n, dtype=np.int64)
-    keys = arc_keys(apex_ids, nhe.indptr, nhe.indices, n)
+    keys = KeySet(arc_keys(apex_ids, nhe.indptr, nhe.indices, n))
     shard_of = plan.owner
 
     per_worker_triangles = np.zeros(workers, dtype=np.int64)
@@ -105,7 +104,7 @@ def simulate_distributed_tc(
         apex_shard = shard_of[a]
         per_worker_checks += np.bincount(apex_shard, minlength=workers)
         remote += int(np.count_nonzero(shard_of[b] != apex_shard))
-        hit = match_keys(keys, b * n + c)
+        hit = keys.contains(b * n + c)
         if hit.any():
             per_worker_triangles += np.bincount(
                 apex_shard[hit], minlength=workers

@@ -127,6 +127,9 @@ METRIC_KIND_RULES: tuple[tuple[str, str], ...] = (
     ("gauge.*", "share"),
     ("*_speedup", "floor"),
     ("*_seconds", "timing"),
+    # histogram sums of wall time (dist.shard_wall_s); their .count is
+    # the number of observations and stays a count
+    ("*_wall_s.sum", "timing"),
     ("*.elapsed", "timing"),
 )
 

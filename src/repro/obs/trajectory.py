@@ -232,7 +232,9 @@ def build_telemetry_overhead_measurements(
     the registry.  Both sides take the best of ``repeats`` runs so the
     ratio compares steady-state floors, not scheduler noise.  Returns
     ``(metrics, info)`` where the single gated metric is
-    ``telemetry.<dataset>.overhead_ratio``.
+    ``telemetry.<dataset>.overhead_ratio``; ``info`` also keeps the
+    per-phase wall time of the best telemetry-off run as
+    ``perf.<dataset>.<phase>.seconds`` (preprocess, hhh+hhn, hnn, nnn).
     """
     import os
     import tempfile
@@ -253,20 +255,23 @@ def build_telemetry_overhead_measurements(
     graph = load_dataset(dataset)
     expected = count_triangles_lotus(graph).triangles  # warm-up + canary
 
-    def best_of(run) -> float:
-        times = []
+    def best_of(run):
+        """``(seconds, result)`` of the fastest of ``repeats`` runs."""
+        best = None
         for _ in range(repeats):
             started = time.perf_counter()
             result = run()
-            times.append(time.perf_counter() - started)
+            run_s = time.perf_counter() - started
             if result.triangles != expected:  # pragma: no cover - canary
                 raise AssertionError(
                     f"telemetry bench diverged on {dataset}: "
                     f"{result.triangles} != {expected}"
                 )
-        return min(times)
+            if best is None or run_s < best[0]:
+                best = (run_s, result)
+        return best
 
-    off_s = best_of(lambda: count_triangles_lotus(graph))
+    off_s, off_result = best_of(lambda: count_triangles_lotus(graph))
     events = 0
     with tempfile.TemporaryDirectory(prefix="repro-telemetry-") as tmp:
         jsonl = JsonlExporter(os.path.join(tmp, "events.jsonl"))
@@ -276,7 +281,7 @@ def build_telemetry_overhead_measurements(
             )
             try:
                 with use_bus(TelemetryBus((jsonl,))):
-                    on_s = best_of(lambda: count_triangles_lotus(graph))
+                    on_s, _ = best_of(lambda: count_triangles_lotus(graph))
             finally:
                 exposer.close()
             events = jsonl.events_written
@@ -288,6 +293,8 @@ def build_telemetry_overhead_measurements(
         f"telemetry.{dataset}.repeats": repeats,
         f"telemetry.{dataset}.events": events,
     }
+    for phase, seconds in off_result.phases.items():
+        info[f"perf.{dataset}.{phase}.seconds"] = round(seconds, 4)
     return metrics, info
 
 

@@ -16,10 +16,11 @@ wedge protocol live here too:
 * :func:`pack_row_bitsets` + :func:`popcount_pairs` — bitmap
   intersection batched over arcs: CSR rows packed into ``uint64`` words,
   ``|row(l) ∩ row(r)| = popcount(bits[l] & bits[r])``;
-* :func:`wedge_chunks` + :func:`match_keys` — every in-row pair of many
-  CSR rows, enumerated in bounded chunks by the one closed-form
-  triangular decoder, then tested as int64 arc keys with one
-  ``searchsorted``.
+* :func:`wedge_chunks` + :class:`KeySet` — every in-row pair of many
+  CSR rows, enumerated in bounded chunks by one walk over the arcs, then
+  tested as int64 arc keys (:func:`arc_keys`): a one-byte-per-slot hash
+  filter rejects most absent keys, and only its hits reach the exact
+  ``searchsorted`` of :func:`match_keys`.
 """
 
 from __future__ import annotations
@@ -46,12 +47,20 @@ __all__ = [
     "popcount_pairs",
     "wedge_chunks",
     "match_keys",
+    "arc_keys",
+    "KeySet",
     "INTERSECT_KERNELS",
 ]
 
 # wedges per wedge_chunks block: the one enumeration chunk of the LOTUS
 # phases, the distributed shards and the memsim replays
 _WEDGE_CHUNK = 1 << 18
+# KeySet filter: slots per key (rounded up to a power of two, ~4% false
+# positives) and the byte cap on the one-byte-per-slot table
+_FILTER_SLOTS_PER_KEY = 16
+_FILTER_CAP = 64 << 20
+# Fibonacci hashing: 2^64 / golden ratio, odd
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 
 
 def intersect_count_merge(a: np.ndarray, b: np.ndarray) -> int:
@@ -382,36 +391,38 @@ def wedge_chunks(
     (default :data:`_WEDGE_CHUNK`, read at call time) with ``b > c`` per
     element, row-major and ``b``-major inside a row.
 
-    All pairs share one flat ordinal space ``p``; row ``r`` owns
-    ordinals ``[cum[r-1], cum[r])`` and local ordinal ``q`` decodes in
-    closed form to ``i = floor((1 + sqrt(1 + 8q)) / 2)``,
-    ``j = q - i(i-1)/2`` (with float-rounding guards) — no Python loop
-    over vertices, and rows larger than a chunk split across chunks.
+    The walk is over arcs: the arc at in-row position ``i`` heads the
+    ``i`` wedges ``(i, 0) … (i, i-1)``, so a chunk is a run of
+    consecutive arcs (the first and last possibly cut), each repeated as
+    ``b`` against a contiguous slice of its row as ``c`` — no Python
+    loop over vertices, and rows larger than a chunk split across
+    chunks.
     """
     chunk_pairs = chunk_pairs or _WEDGE_CHUNK
-    deg = (indptr[1:] - indptr[:-1]).astype(np.int64)
-    pairs = deg * (deg - 1) // 2
-    cum = np.cumsum(pairs)
+    deg = np.diff(indptr).astype(np.int64, copy=False)
+    arc_apex = np.repeat(apex_ids, deg)
+    row_start = np.repeat(np.asarray(indptr[:-1], dtype=np.int64), deg)
+    heads = np.arange(indptr[0], indptr[-1], dtype=np.int64) - row_start
+    cum = np.cumsum(heads)
     total = int(cum[-1]) if cum.size else 0
-    row_base = cum - pairs
     indices = indices.astype(np.int64, copy=False)
+    arcs = indices[indptr[0] : indptr[-1]]
     for lo in range(0, total, chunk_pairs):
-        p = np.arange(lo, min(lo + chunk_pairs, total), dtype=np.int64)
-        r = np.searchsorted(cum, p, side="right")
-        lp = p - row_base[r]
-        i = ((1.0 + np.sqrt(1.0 + 8.0 * lp)) / 2.0).astype(np.int64)
-        # guard against float rounding at triangular boundaries
-        tri = i * (i - 1) // 2
-        over = tri > lp
-        i[over] -= 1
-        tri[over] = i[over] * (i[over] - 1) // 2
-        j = lp - tri
-        under = j >= i
-        i[under] += 1
-        tri[under] = i[under] * (i[under] - 1) // 2
-        j[under] = lp[under] - tri[under]
-        base = indptr[r]
-        yield apex_ids[r], indices[base + i], indices[base + j]
+        hi = min(lo + chunk_pairs, total)
+        # the arcs heading wedges lo .. hi-1 and each one's share of them
+        k0 = int(np.searchsorted(cum, lo, side="right"))
+        k1 = int(np.searchsorted(cum, hi - 1, side="right")) + 1
+        first = cum[k0:k1] - heads[k0:k1]  # flat ordinal of wedge (i, 0)
+        skip = np.maximum(lo - first, 0)
+        take = np.minimum(hi - first, heads[k0:k1]) - skip
+        # wedge lo + t of arc k pairs with c at row_start[k] + lo + t - first[k]
+        c_pos = np.repeat(row_start[k0:k1] + lo - first, take)
+        c_pos += np.arange(hi - lo, dtype=np.int64)
+        yield (
+            np.repeat(arc_apex[k0:k1], take),
+            np.repeat(arcs[k0:k1], take),
+            indices[c_pos],
+        )
 
 
 def match_keys(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:
@@ -421,3 +432,64 @@ def match_keys(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:
     pos = np.searchsorted(sorted_keys, query_keys)
     pos = np.minimum(pos, sorted_keys.size - 1)
     return sorted_keys[pos] == query_keys
+
+
+def arc_keys(
+    apexes: np.ndarray, indptr: np.ndarray, indices: np.ndarray, n: int
+) -> np.ndarray:
+    """The arcs of a compact CSR aligned with ``apexes`` as int64 keys
+    ``apex * n + col`` (sorted when ``apexes`` ascend)."""
+    return np.repeat(np.asarray(apexes, dtype=np.int64) * n, np.diff(indptr)) + indices
+
+
+class KeySet:
+    """Exact membership in sorted int64 keys behind a hash filter.
+
+    Every key sets the byte at its multiplicative-hash slot of
+    :attr:`filter`, so a query whose slot is clear is absent; only the
+    queries that hit a set slot reach :func:`match_keys`, and
+    :attr:`verified` counts them.  The filter has about
+    :data:`_FILTER_SLOTS_PER_KEY` slots per key, rounded up to a power
+    of two and capped at :data:`_FILTER_CAP` bytes, sized before it is
+    allocated; past the cap more queries are verified and the answers
+    are unchanged.
+    """
+
+    def __init__(self, sorted_keys: np.ndarray):
+        self.keys = np.asarray(sorted_keys, dtype=np.int64)
+        want = max(_FILTER_SLOTS_PER_KEY * self.keys.size, 1)
+        bits = min((want - 1).bit_length(), max(int(_FILTER_CAP).bit_length() - 1, 0))
+        self._shift = np.uint64(64 - bits)
+        self.filter = np.zeros(1 << bits, dtype=bool)
+        self.filter[self._slots(self.keys)] = True
+        self.verified = 0
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the sorted keys plus the filter."""
+        return int(self.keys.nbytes + self.filter.nbytes)
+
+    def _slots(self, keys: np.ndarray) -> np.ndarray:
+        slots = keys.view(np.uint64) * _HASH_MULT
+        slots >>= self._shift
+        # below 2^63, so the int64 view indexes without a cast
+        return slots.view(np.int64)
+
+    def contains(self, query: np.ndarray) -> np.ndarray:
+        """Boolean mask: is each query key in the set?"""
+        query = np.asarray(query, dtype=np.int64)
+        hit = np.flatnonzero(self.filter[self._slots(query)])
+        self.verified += hit.size
+        # verify in key order: sorted probes walk the keys cache-friendly
+        hit = hit[np.argsort(query[hit])]
+        out = np.zeros(query.size, dtype=bool)
+        out[hit] = match_keys(self.keys, query[hit])
+        return out
+
+    def count(self, query: np.ndarray) -> int:
+        """How many query keys are in the set (repeats count each time)."""
+        query = np.asarray(query, dtype=np.int64)
+        # no positions to keep: sort the candidates themselves
+        candidates = np.sort(query[self.filter[self._slots(query)]])
+        self.verified += candidates.size
+        return int(np.count_nonzero(match_keys(self.keys, candidates)))

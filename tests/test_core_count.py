@@ -226,7 +226,12 @@ class TestBitsetKernels:
             assert span.attrs["bitset_bytes"] == bits.nbytes > 0
             assert span.attrs["arcs_popcounted"] == live_arcs(csr) > 0
         d = lotus.nhe.degrees()
-        assert reg.find_span("nnn").attrs["wedges_probed"] == int((d * (d - 1) // 2).sum())
+        nnn = reg.find_span("nnn").attrs
+        assert nnn["wedges_probed"] == int((d * (d - 1) // 2).sum())
+        # only filter hits are verified, and every triangle is one of them
+        assert nnn["nnn"] <= nnn["keys_verified"] <= nnn["wedges_probed"]
+        assert 0 < nnn["filter_bytes"] <= intersect_mod._FILTER_CAP
+        assert nnn["bytes_touched"] >= nnn["filter_bytes"] + 8 * lotus.nhe.num_edges
 
 
 class TestEndToEnd:

@@ -331,9 +331,12 @@ class TestTelemetry:
                 hub = children["hub"].attrs
                 assert hub["kernel"] == "bitset"
                 assert hub["arcs_popcounted"] > 0 and hub["bitset_bytes"] > 0
-                assert children["enumerate"].attrs["wedges"] == nhe_wedges(
+                enum = children["enumerate"].attrs
+                assert enum["wedges"] == nhe_wedges(
                     skew_graph, CONFIG, owner, span.attrs["shard"]
                 )
+                # local checks that passed the arc-key filter
+                assert 0 <= enum["keys_verified"] <= enum["local_checks"]
             assert reg.counter("dist.bytes_exchanged").value == (
                 run.bytes_exchanged
             )

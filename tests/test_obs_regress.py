@@ -9,19 +9,23 @@ committed baseline must itself be a valid artifact for the quick suite.
 from __future__ import annotations
 
 import copy
+import fnmatch
 import json
 import pathlib
 
 import pytest
 
+from repro.obs import regress
 from repro.obs.regress import (
     DEFAULT_OVERHEAD_CEILING,
     DEFAULT_REL_TOL,
     DEFAULT_SHARE_TOL,
+    METRIC_KIND_RULES,
     compare_artifacts,
     format_deltas,
     load_artifact,
     main,
+    metric_kind,
     regressions,
 )
 from repro.obs.trajectory import (
@@ -288,6 +292,22 @@ class TestCommittedBaseline:
     def test_baseline_self_compare_is_clean(self):
         artifact = load_artifact(BASELINE)
         assert regressions(compare_artifacts(artifact, copy.deepcopy(artifact))) == []
+
+    def test_wall_time_rule_leaves_baseline_kinds_alone(self, monkeypatch):
+        keys = list(load_artifact(BASELINE)["metrics"])
+        assert len(keys) == 128
+        kinds = [metric_kind(k) for k in keys]
+        assert not any(fnmatch.fnmatchcase(k, "*_wall_s.sum") for k in keys)
+        monkeypatch.setattr(
+            regress, "METRIC_KIND_RULES",
+            tuple(r for r in METRIC_KIND_RULES if r[0] != "*_wall_s.sum"),
+        )
+        assert [metric_kind(k) for k in keys] == kinds
+
+
+def test_shard_wall_time_is_timing_and_shard_count_a_count():
+    assert metric_kind("histogram.dist.shard_wall_s.sum") == "timing"
+    assert metric_kind("histogram.dist.shard_wall_s.count") == "count"
 
 
 class TestAgainstRun:

@@ -75,6 +75,14 @@ class TestOverheadMeasurements:
         )
         assert info["telemetry.Twtr10.events"] > 0
         assert info["telemetry.Twtr10.off_seconds"] > 0
+        # the best telemetry-off run's phase split rides along, ungated
+        phases = {
+            k.split(".")[2]: v for k, v in info.items() if k.startswith("perf.")
+        }
+        assert set(phases) == {"preprocess", "hhh+hhn", "hnn", "nnn"}
+        assert all(v >= 0 for v in phases.values())
+        assert sum(phases.values()) <= info["telemetry.Twtr10.off_seconds"] + 1e-3
+        assert not any(k.startswith("perf.") for k in metrics)
 
     def test_profiler_overhead_schema(self):
         metrics, info = build_profiler_overhead_measurements(

@@ -5,9 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import erdos_renyi
+from repro.core import (
+    LotusConfig,
+    build_lotus_graph,
+    count_hhh_hhn,
+    count_hnn,
+    count_nnn,
+    lotus_count_from_structure,
+)
+from repro.graph import erdos_renyi, powerlaw_chung_lu
+from repro.obs import use_registry
+from repro.tc import intersect as intersect_mod
 from repro.tc.intersect import (
     INTERSECT_KERNELS,
+    KeySet,
     batch_intersect_counts,
     batch_pairwise_counts,
     bitset_nbytes,
@@ -272,3 +283,67 @@ class TestWedgeKernels:
         )
         assert match_keys(keys[:0], np.array([1])).tolist() == [False]
         assert match_keys(keys, keys[:0]).size == 0
+
+    @pytest.mark.parametrize("indptr", [[0], [0, 0, 0, 0]])
+    def test_wedges_of_empty_rows(self, indptr):
+        indptr = np.array(indptr, dtype=np.int64)
+        apex_ids = np.arange(indptr.size - 1, dtype=np.int64)
+        indices = np.zeros(0, dtype=np.uint32)
+        assert list(wedge_chunks(indptr, indices, apex_ids, 2)) == []
+
+
+keys_and_queries = st.tuples(
+    st.lists(st.integers(-(2**62), 2**62), max_size=40),
+    st.lists(st.integers(0, 60), max_size=30),
+    st.lists(st.integers(-(2**62), 2**62), max_size=20),
+)
+
+
+class TestKeySet:
+    @given(keys_and_queries)
+    @settings(max_examples=80, deadline=None)
+    def test_membership_is_exact(self, case):
+        raw_keys, small, wide = case
+        keys = np.unique(np.array(raw_keys + small[::2], dtype=np.int64))
+        # small queries repeat and hit the keys; wide ones mostly miss
+        query = np.array(small + wide + small, dtype=np.int64)
+        keyset = KeySet(keys)
+        expected = np.isin(query, keys)
+        np.testing.assert_array_equal(keyset.contains(query), expected)
+        assert keyset.count(query) == int(expected.sum())
+        assert keyset.count(query[:0]) == 0
+        assert keyset.contains(query[:0]).size == 0
+        # every member passes the filter on both calls
+        assert 2 * int(expected.sum()) <= keyset.verified <= 2 * query.size
+
+    def test_empty_key_set_verifies_nothing(self):
+        keyset = KeySet(np.zeros(0, dtype=np.int64))
+        query = np.array([0, 5, 5, -1], dtype=np.int64)
+        assert keyset.contains(query).tolist() == [False] * 4
+        assert keyset.count(query) == 0
+        assert keyset.verified == 0
+
+    def test_filter_sized_per_key_up_to_the_cap(self, monkeypatch):
+        keys = np.arange(1000, dtype=np.int64) * 7
+        # 16 slots per key, rounded up to a power of two
+        assert KeySet(keys).filter.nbytes == 16384
+        monkeypatch.setattr(intersect_mod, "_FILTER_CAP", 1000)
+        assert KeySet(keys).filter.nbytes == 512
+
+    @pytest.mark.parametrize("cap", [1, 64, 1024])
+    def test_forced_collisions_keep_phase_counts(self, cap, monkeypatch):
+        g = powerlaw_chung_lu(3000, 8.0, exponent=2.1, seed=cap)
+        lotus = build_lotus_graph(g, LotusConfig(hub_count=40))
+        literal = (
+            *count_hhh_hhn(lotus, fused=False),
+            count_hnn(lotus, fused=False),
+            count_nnn(lotus, fused=False),
+        )
+        monkeypatch.setattr(intersect_mod, "_FILTER_CAP", cap)
+        with use_registry() as reg:
+            c = lotus_count_from_structure(lotus)
+        assert (c.hhh, c.hhn, c.hnn, c.nnn) == literal
+        nnn = reg.find_span("nnn").attrs
+        assert 0 < nnn["filter_bytes"] <= cap
+        # a table this small passes nearly every wedge to the exact search
+        assert nnn["keys_verified"] >= 0.9 * nnn["wedges_probed"] > 0
