@@ -619,6 +619,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         _fail("--max-queue must be >= 1")
     if args.max_batch < 1:
         _fail("--max-batch must be >= 1")
+    if args.workers is not None and args.workers < 1:
+        _fail("--workers must be >= 1")
     if args.slow_query_ms is not None and args.slow_query_ms <= 0:
         _fail("--slow-query-ms must be > 0")
     if args.metrics_interval <= 0:
@@ -961,6 +963,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         _fail("specify --dataset NAME or --file PATH")
     if args.warm < 0:
         _fail("--warm must be >= 0")
+    if args.workers is not None and args.workers < 1:
+        _fail("--workers must be >= 1")
 
     def request() -> "QueryRequest":
         return QueryRequest(

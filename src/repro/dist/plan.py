@@ -8,10 +8,11 @@ rank[v]}``) and a triangle is counted exactly once — at its
 highest-ranked vertex (the apex) — by the shard that owns the apex:
 
 * **hub side** — HE (every vertex's hub neighbours, ``uint16`` IDs) is
-  small, so it is replicated to every shard.  A shard counts HHH/HHN
-  over its owned HE arcs and HNN over its owned NHE arcs with the
-  sequential phase 1-2 kernel (:func:`shard_hub_counts`), without
-  talking to anyone;
+  small, so it is replicated to every shard, and :func:`build_plan`
+  packs its hub bitsets once (under the sequential count's bitset
+  budget).  A shard counts HHH/HHN over its owned HE arcs and HNN over
+  its owned NHE arcs with the sequential phase 1-2 kernel
+  (:func:`shard_hub_counts`), without talking to anyone;
 * **non-hub side** — each shard holds only the NHE rows of the apexes
   it owns.  For every NHE wedge ``(b, c)`` (``b > c``) of an owned row
   the check ``c in NHE(b)`` is answerable by whichever shard owns
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.count import common_hub_counts
+from repro.core.count import Bitsets, common_hub_counts, hub_bitsets
 from repro.core.structure import LotusConfig, split_oriented
 from repro.graph.csr import CSRGraph, OrientedGraph
 from repro.graph.reorder import lotus_relabeling_array
@@ -111,7 +112,9 @@ class ShardPlan:
     ``hub_count`` (0 when the plan has no hubs, so ``he`` is empty);
     ``owner`` maps a relabeled ID to its shard.  ``boundary_edges``
     counts input edges whose endpoints live on different shards (the
-    classic edge-cut).
+    classic edge-cut).  ``bitsets`` are HE's
+    :func:`~repro.core.count.hub_bitsets`, packed once for every shard
+    (``None`` without hubs or past the bitset budget).
     """
 
     num_vertices: int
@@ -123,6 +126,7 @@ class ShardPlan:
     nhe: OrientedGraph
     hub_count: int
     boundary_edges: int
+    bitsets: Bitsets | None
 
     def shard_arc_counts(self) -> np.ndarray:
         """Oriented arcs (HE + NHE) owned by each shard (``dist.shard_edges``)."""
@@ -144,7 +148,9 @@ class ShardPlan:
         HE, the O(n) ``owner`` array and ``hub_count`` are replicated so
         the shard can count its hub triangles and route queries without
         seeing any remote NHE row; ``nhe_indptr``/``nhe_indices`` are the
-        NHE rows of the owned ``apexes`` only (a compact CSR).
+        NHE rows of the owned ``apexes`` only (a compact CSR).  The
+        runtime's shards build their own payload from the plan they
+        inherit, so the slicing runs in parallel.
         """
         apexes = np.flatnonzero(self.owner == shard).astype(np.int64)
         nhe_indptr, take = compact_rows(self.nhe.indptr, apexes)
@@ -174,7 +180,8 @@ def build_plan(
     ``owner`` is indexed by *original* vertex ID (what the partitioners
     produce); it is permuted into relabeled space here.  ``rank`` must be
     a permutation of ``[0, n)``; ``None`` selects :func:`degree_rank`.
-    ``hub_count=None`` plans without hubs.
+    ``hub_count=None`` plans without hubs.  HE's hub bitsets are packed
+    here, once, unless they would exceed the bitset budget.
     """
     n = graph.num_vertices
     if workers < 1:
@@ -212,6 +219,7 @@ def build_plan(
         nhe=nhe,
         hub_count=hub_count,
         boundary_edges=boundary,
+        bitsets=hub_bitsets(he, hub_count) if hub_count else None,
     )
 
 
@@ -221,9 +229,9 @@ def shard_hub_counts(payload: dict, bitsets) -> tuple[int, int, int, int]:
     HHH/HHN over the replicated HE rows of the owned apexes (split at
     ``hub_count``: hub apexes come first) and HNN over the owned NHE
     arcs, both with the sequential kernel
-    :func:`~repro.core.count.common_hub_counts`.  ``bitsets`` are
-    ``hub_bitsets(payload["he"], payload["hub_count"])``: the replicated
-    HE's hub bitsets, or ``None`` past the bitset budget.
+    :func:`~repro.core.count.common_hub_counts`.  ``bitsets`` are the
+    plan's :attr:`ShardPlan.bitsets`: the replicated HE's hub bitsets, or
+    ``None`` past the bitset budget.
     """
     he = payload["he"]
     apexes = payload["apexes"]

@@ -1,14 +1,16 @@
 """Real sharded execution of LOTUS triangle counting.
 
 ``N`` worker processes each own one partition of the vertex set (any of
-the :data:`~repro.dist.partition.PARTITIONERS`).  The plan
-(:mod:`repro.dist.plan`) splits the graph at ``hub_count`` like the
-sequential structure: HE — every vertex's hub neighbours, ``uint16``
-IDs — is replicated to every worker, together with O(n) metadata (the
-shard map and ``hub_count``); of NHE a worker holds only the rows of
-the apexes it owns.  The non-hub vertices a shard references but does
-not own are its ghost (halo) set: it knows their shard, and resolves
-NHE adjacency questions about them over the wire.
+the :data:`~repro.dist.partition.PARTITIONERS`).  The coordinator builds
+the plan (:mod:`repro.dist.plan`), which splits the graph at
+``hub_count`` like the sequential structure and packs HE's hub bitsets,
+and forks the shards, which inherit it copy-on-write: HE — every
+vertex's hub neighbours, ``uint16`` IDs — and its bitsets are
+replicated to every shard, together with O(n) metadata (the shard map
+and ``hub_count``); each shard slices out the NHE rows of the apexes it
+owns itself.  The non-hub vertices a shard references but does not own
+are its ghost (halo) set: it knows their shard, and resolves NHE
+adjacency questions about them over the wire.
 
 Each shard runs three stages:
 
@@ -18,13 +20,18 @@ Each shard runs three stages:
 2. **enumerate** — the NHE wedges of its owned apexes: it answers the
    checks whose middle vertex it also owns and batches the rest as
    8-byte arc keys per remote target shard;
-3. two coordinator-routed barrier rounds over ``multiprocessing`` pipes
-   (deadlock-free because every shard sends every stage message, even
-   when empty): the coordinator routes the query batches, targets
-   answer membership through the :class:`~repro.tc.intersect.KeySet`
-   of their own NHE arc keys, and the boolean vectors flow back the
-   same way.
+3. **exchange** — every pair of shards shares one duplex pipe.  A shard
+   sends each peer its query keys, answers the peer's keys through the
+   :class:`~repro.tc.intersect.KeySet` of its own NHE arc keys and
+   sends the boolean vector back on the same pipe.  Every message is
+   sent, even when empty, and a helper thread makes the sends, so two
+   shards that send to each other never both block on a full pipe.
    Every remote hit is an NNN triangle.
+
+The coordinator never sees a query or an answer: it forks the shards,
+blocks in :func:`multiprocessing.connection.wait` on one control pipe
+per shard and the process sentinels, and reads each shard's final
+report (its result and, when tracing, its telemetry payload).
 
 The orientation is the exact LOTUS relabeling (``ra`` + ``hub_count``
 from :class:`~repro.core.structure.LotusConfig`), so the merged
@@ -33,32 +40,35 @@ per-phase counts are identical to the sequential
 total.
 
 Robustness: ``fault_shard`` injects a hard crash
-(``os._exit(FAULT_EXIT_CODE)``), which the coordinator surfaces as a
-structured :class:`ShardFailedError` after sending every survivor an
-abort and draining the partial span trees they ship back;
-``deadline_s`` propagates an absolute deadline into every worker,
-which aborts between protocol stages, and the coordinator raises
-``TimeoutError``.  With an enabled registry each shard records real
-worker-side spans (``shard`` with ``hub``/``enumerate``/``exchange``/
-``tally`` children) that are stitched under the coordinator's
-``distributed`` span, and the run emits the ``dist.*`` metric family
-(shard edge counts, boundary-edge ratio, local/remote NNN checks, bytes
-exchanged, bytes replicated).  Under an active
-:class:`~repro.obs.profiler.SamplingProfiler` every shard samples
-itself at the parent's interval, and its frames fold into the parent
-profile under the stitched ``shard`` span.
+(``os._exit(FAULT_EXIT_CODE)``).  The coordinator sees the dead
+shard's sentinel, sends every survivor an abort over its control pipe
+(a survivor waiting on the dead peer also sees that peer's pipe close),
+stitches the partial span trees they report and raises a structured
+:class:`ShardFailedError`.  ``deadline_s`` propagates an absolute
+deadline into every worker: it bounds every wait, shards also check it
+between stages, and the coordinator raises ``TimeoutError``.  With an
+enabled registry each shard records real worker-side spans (``shard``
+with ``hub``/``enumerate``/``exchange``/``tally`` children) that are
+stitched under the coordinator's ``distributed`` span, and the run
+emits the ``dist.*`` metric family (shard edge counts, boundary-edge
+ratio, local/remote NNN checks, bytes exchanged, bytes replicated).
+Under an active :class:`~repro.obs.profiler.SamplingProfiler` every
+shard samples itself at the parent's interval, and its frames fold into
+the parent profile under the stitched ``shard`` span.
 """
 
 from __future__ import annotations
 
 import os
-import queue as queue_mod
+import queue
+import threading
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import Pipe, wait
 
 import numpy as np
 
-from repro.core.count import LotusCounts, hub_bitsets
+from repro.core.count import LotusCounts
 from repro.core.structure import LotusConfig
 from repro.dist.partition import PARTITIONERS
 from repro.dist.plan import ShardPlan, build_plan, lotus_rank, shard_hub_counts
@@ -78,11 +88,10 @@ __all__ = [
 # exit code of an injected shard fault (distinct from signal deaths)
 FAULT_EXIT_CODE = 23
 
-# coordinator/worker poll granularity and post-crash telemetry drain
-_POLL_S = 0.05
-_TELEMETRY_DRAIN_S = 10.0
+# how long shards still running after a failure get to report
+_DRAIN_S = 0.5
 
-# coordinator -> survivor message: a peer died, stop and ship telemetry
+# coordinator -> shard: a peer failed, stop and report
 _ABORT = "abort"
 
 # CLI-friendly aliases for PARTITIONERS keys
@@ -142,35 +151,26 @@ def resolve_partitioner(name: str) -> str:
     return name
 
 
-def _deadline_hit(deadline_abs: float | None) -> bool:
-    return deadline_abs is not None and time.time() > deadline_abs
+def _remaining(deadline_abs: float | None) -> float | None:
+    """Seconds left before ``deadline_abs`` (``None``: no deadline)."""
+    if deadline_abs is None:
+        return None
+    return max(0.0, deadline_abs - time.time())
 
 
 class _Abort(Exception):
-    """Stops a shard between protocol stages: ``"deadline"``, or
-    ``"aborted"`` when the coordinator releases it after a peer died."""
+    """Stops a shard: ``"deadline"``, ``"aborted"`` when the coordinator
+    releases it after a failure, or a lost peer."""
 
 
 def _check_deadline(deadline_abs: float | None) -> None:
-    if _deadline_hit(deadline_abs):
+    if _remaining(deadline_abs) == 0.0:
         raise _Abort("deadline")
 
 
-def _recv_routed(conn, deadline_abs: float | None):
-    """Worker-side receive with deadline polling."""
-    while True:
-        _check_deadline(deadline_abs)
-        if conn.poll(_POLL_S):
-            message = conn.recv()
-            if message == _ABORT:
-                raise _Abort("aborted")
-            return message
-
-
-def _hub_stage(payload: dict, registry, root_span) -> tuple[int, int, int]:
+def _hub_stage(payload: dict, bitsets, registry, root_span) -> tuple[int, int, int]:
     """Stage 1: the shard's HHH/HHN/HNN counts, from replicated HE alone."""
     with registry.span("hub", parent=root_span, shard=payload["shard"]) as span:
-        bitsets = hub_bitsets(payload["he"], payload["hub_count"])
         hhh, hhn, hnn, arcs = shard_hub_counts(payload, bitsets)
         if span.enabled:
             span.set("kernel", "probe" if bitsets is None else "bitset")
@@ -182,11 +182,11 @@ def _hub_stage(payload: dict, registry, root_span) -> tuple[int, int, int]:
 def _enumerate_shard(payload: dict, registry, root_span):
     """Stage 2: NHE wedge enumeration + local membership checks.
 
-    Returns ``(nnn, stats, (own_keys, queries))`` where ``nnn`` counts
-    the local hits, ``stats`` the check/byte counters, ``own_keys`` the
+    Returns ``(nnn, local_checks, own_keys, queries)`` where ``nnn``
+    counts the local hits, ``own_keys`` is the
     :class:`~repro.tc.intersect.KeySet` of the owned NHE arcs (which
-    also answers remote queries), and ``queries`` the per-target arc
-    keys awaiting remote answers.
+    also answers remote queries), and ``queries`` maps every other shard
+    to the arc keys it must answer (possibly none).
     """
     shard = payload["shard"]
     n = payload["num_vertices"]
@@ -216,50 +216,118 @@ def _enumerate_shard(payload: dict, registry, root_span):
         span.set("keys_verified", own_keys.verified)
 
     queries = {
-        t: np.concatenate(parts)
+        t: np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         for t, parts in enumerate(query_parts)
-        if parts
+        if t != shard
     }
-    stats = {
-        "local_checks": local_checks,
-        "remote_checks": sum(q.size for q in queries.values()),
-        "bytes_exchanged": sum(q.nbytes for q in queries.values()),
-    }
-    return nnn, stats, (own_keys, queries)
+    return nnn, local_checks, own_keys, queries
 
 
-def _run_shard(payload: dict, conn, deadline_abs, registry, root_span):
+def _exchange(links: dict, control, own_keys: KeySet, queries: dict,
+              deadline_abs: float | None, traffic: dict) -> int:
+    """Stage 3: send each peer its queries, answer theirs; returns the hits.
+
+    ``links`` maps every peer shard to this shard's end of their duplex
+    pipe.  Each direction carries two raw-byte messages: the sender's
+    query keys, then its answers to the other side's keys.  A helper
+    thread makes every send — the query batches first, then each answer
+    as it is ready — so this thread only receives, and it also waits on
+    the control pipe, so an abort or the deadline releases it.
+    ``traffic`` accumulates ``bytes_sent``, ``bytes_received``,
+    ``queries_answered`` and ``wait_s``, the time blocked on peers.
+    """
+    outbox: queue.SimpleQueue = queue.SimpleQueue()
+    # the helper closes its end when it has sent everything (or lost a peer)
+    done, done_w = Pipe(duplex=False)
+    lost: list[int] = []
+
+    def send_all() -> None:
+        peer = None
+        try:
+            for peer, conn in links.items():
+                conn.send_bytes(queries[peer])
+                traffic["bytes_sent"] += queries[peer].nbytes
+            for _ in links:
+                peer, answers = outbox.get()
+                links[peer].send_bytes(answers)
+                traffic["bytes_sent"] += answers.nbytes
+        except OSError:
+            lost.append(peer)
+        finally:
+            done_w.close()
+
+    threading.Thread(target=send_all, daemon=True).start()
+    peer_of = {conn: peer for peer, conn in links.items()}
+    unqueried, unanswered = set(links), set(links)
+    sending, hits = True, 0
+    try:
+        while sending or unqueried or unanswered:
+            watch = [control] + [links[p] for p in unqueried | unanswered]
+            started = time.perf_counter()
+            ready = wait(watch + [done] if sending else watch, _remaining(deadline_abs))
+            traffic["wait_s"] += time.perf_counter() - started
+            if not ready:
+                raise _Abort("deadline")
+            if control in ready:
+                raise _Abort("aborted")
+            for conn in ready:
+                if conn is done:
+                    sending = False
+                    if lost:
+                        raise _Abort(f"lost shard {lost[0]}")
+                    continue
+                peer = peer_of[conn]
+                try:
+                    data = conn.recv_bytes()
+                except (EOFError, OSError):
+                    raise _Abort(f"lost shard {peer}") from None
+                traffic["bytes_received"] += len(data)
+                if peer in unqueried:
+                    unqueried.discard(peer)
+                    answers = own_keys.contains(np.frombuffer(data, dtype=np.int64))
+                    traffic["queries_answered"] += answers.size
+                    outbox.put((peer, answers))
+                else:
+                    unanswered.discard(peer)
+                    hits += int(np.count_nonzero(np.frombuffer(data, dtype=bool)))
+    finally:
+        done.close()
+    return hits
+
+
+def _run_shard(plan: ShardPlan, shard: int, control, links: dict,
+               deadline_abs, registry, root_span) -> dict:
     """The full worker-side protocol; returns the shard's result dict.
 
-    A deadline or a coordinator abort stops it between stages with a
-    ``{"shard", "error"}`` result; the spans closed so far still ship.
+    A deadline, an abort or a lost peer stops it with a ``{"shard",
+    "error"}`` result; the spans closed so far still ship.
     """
-    shard = payload["shard"]
     started = time.perf_counter()
+    payload = plan.shard_payload(shard)
+    traffic = dict.fromkeys(
+        ("bytes_sent", "bytes_received", "queries_answered", "wait_s"), 0
+    )
     try:
-        hhh, hhn, hnn = _hub_stage(payload, registry, root_span)
+        hhh, hhn, hnn = _hub_stage(payload, plan.bitsets, registry, root_span)
         _check_deadline(deadline_abs)
-        nnn, stats, (own_keys, queries) = _enumerate_shard(
+        nnn, local_checks, own_keys, queries = _enumerate_shard(
             payload, registry, root_span
         )
         _check_deadline(deadline_abs)
         with registry.span("exchange", parent=root_span, shard=shard) as span:
-            conn.send(("queries", shard, queries))
-            inbound = _recv_routed(conn, deadline_abs)
-            answers = {
-                src: own_keys.contains(qk) for src, qk in inbound.items()
-            }
-            conn.send(("answers", shard, answers))
-            mine = _recv_routed(conn, deadline_abs)
-            span.set("queries_sent", stats["remote_checks"])
-            span.set("queries_answered", sum(a.size for a in answers.values()))
+            span.set("queries_sent", sum(q.size for q in queries.values()))
+            try:
+                hits = _exchange(
+                    links, control, own_keys, queries, deadline_abs, traffic
+                )
+            finally:
+                for key, value in traffic.items():
+                    span.set(key, value)
     except _Abort as exc:
         return {"shard": shard, "error": str(exc)}
 
     with registry.span("tally", parent=root_span, shard=shard) as span:
-        for hit in mine.values():
-            stats["bytes_exchanged"] += hit.nbytes
-            nnn += int(np.count_nonzero(hit))
+        nnn += hits
         triangles = hhh + hhn + hnn + nnn
         span.set("triangles", triangles)
 
@@ -277,232 +345,142 @@ def _run_shard(payload: dict, conn, deadline_abs, registry, root_span):
         "hhn": hhn,
         "hhh": hhh,
         "triangles": triangles,
-        "local_checks": stats["local_checks"],
-        "remote_checks": stats["remote_checks"],
-        "bytes_exchanged": stats["bytes_exchanged"],
+        "local_checks": local_checks,
+        "remote_checks": sum(q.size for q in queries.values()),
+        "bytes_exchanged": traffic["bytes_sent"],
         "wall_s": time.perf_counter() - started,
     }
 
 
 def _shard_worker(
-    payload: dict,
-    conn,
-    result_queue,
-    telemetry_queue,
+    plan: ShardPlan,
+    shard: int,
+    control,
+    links: dict,
+    inherited: list,
     trace_wire: dict | None,
     fault_shard: int | None,
     deadline_abs: float | None,
 ) -> None:
-    """Worker entry point: run the protocol, ship result + telemetry.
+    """Worker entry point: run the protocol, report result + telemetry.
 
-    With a trace wire the shard records its spans in its own registry
-    and ships them; when the wire also carries the parent profiler's
-    ``profile_interval_ms``, the shard samples itself at that interval
-    and ships its profile alongside.
+    ``inherited`` is every pipe end the coordinator made; the shard
+    first closes all but its own ``control`` and ``links`` ends, so that
+    a peer that dies shows EOF.  The final report is one ``(result,
+    telemetry)`` message on the control pipe.  With a trace wire the
+    shard records its spans in its own registry and ships them; when the
+    wire also carries the parent profiler's ``profile_interval_ms``, the
+    shard samples itself at that interval and ships its profile
+    alongside.
     """
-    shard = payload["shard"]
+    own = {id(control)} | {id(conn) for conn in links.values()}
+    for conn in inherited:
+        if id(conn) not in own:
+            conn.close()
     if fault_shard == shard:
-        # simulate a hard crash (segfault / OOM-kill): no cleanup, no result
+        # simulate a hard crash (segfault / OOM-kill): no cleanup, no report
         os._exit(FAULT_EXIT_CODE)
+    if trace_wire is None:
+        from repro.obs.registry import NULL_REGISTRY
+
+        out = _run_shard(plan, shard, control, links, deadline_abs,
+                         NULL_REGISTRY, None)
+        control.send((out, None))
+        return
+    from repro.obs.telemetry import worker_payload, worker_telemetry_session
+
+    interval_ms = trace_wire.get("profile_interval_ms")
+    profiler = None
+    if interval_ms:
+        from repro.obs.profiler import SamplingProfiler
+
+        # activate=False: under fork the child inherits the parent's
+        # active-profiler global (its thread does not survive), so
+        # process-wide activation here would refuse to start
+        profiler = SamplingProfiler(
+            interval_s=float(interval_ms) / 1000.0, activate=False
+        ).start()
     try:
-        if trace_wire is None:
-            from repro.obs.registry import NULL_REGISTRY
-
-            result_queue.put(
-                _run_shard(payload, conn, deadline_abs, NULL_REGISTRY, None)
-            )
-            return
-        from repro.obs.telemetry import worker_payload, worker_telemetry_session
-
-        interval_ms = trace_wire.get("profile_interval_ms")
-        profiler = None
-        if interval_ms:
-            from repro.obs.profiler import SamplingProfiler
-
-            # activate=False: under fork the child inherits the parent's
-            # active-profiler global (its thread does not survive), so
-            # process-wide activation here would refuse to start
-            profiler = SamplingProfiler(
-                interval_s=float(interval_ms) / 1000.0, activate=False
-            ).start()
-        try:
-            with worker_telemetry_session(
-                trace_wire, "shard", shard=shard, pid=os.getpid()
-            ) as (wreg, wspan):
-                out = _run_shard(payload, conn, deadline_abs, wreg, wspan)
-        finally:
-            profile = profiler.stop() if profiler is not None else None
-        telemetry_queue.put(
-            worker_payload(wreg, shard, os.getpid(), profile=profile)
-        )
-        result_queue.put(out)
+        with worker_telemetry_session(
+            trace_wire, "shard", shard=shard, pid=os.getpid()
+        ) as (wreg, wspan):
+            out = _run_shard(plan, shard, control, links, deadline_abs,
+                             wreg, wspan)
     finally:
-        conn.close()
+        profile = profiler.stop() if profiler is not None else None
+    control.send(
+        (out, worker_payload(wreg, shard, os.getpid(), profile=profile))
+    )
 
 
-def _preferred_context(start_method: str | None):
+def _preferred_context():
     """``multiprocessing`` context: ``fork`` where available, else ``spawn``."""
     import multiprocessing
 
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else "spawn"
-    return multiprocessing.get_context(start_method)
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _drain_nowait(tele_queue, payloads: list) -> None:
-    """Move everything currently readable off the telemetry queue."""
-    if tele_queue is None:
-        return
-    while True:
-        try:
-            payloads.append(tele_queue.get_nowait())
-        except queue_mod.Empty:
-            return
+def _await_reports(procs, controls, deadline_abs):
+    """Every shard's ``(result, telemetry)`` report, plus the failure.
 
-
-class _Coordinator:
-    """Routes stage messages between shards and polices failures."""
-
-    def __init__(self, procs, conns, result_queue, telemetry_queue,
-                 deadline_abs, registry, span):
-        self.procs = procs
-        self.conns = conns
-        self.result_queue = result_queue
-        self.telemetry_queue = telemetry_queue
-        self.deadline_abs = deadline_abs
-        self.registry = registry
-        self.span = span
-        self.telemetry_payloads: list[dict] = []
-        self.results: dict[int, dict] = {}
-
-    def _absorb_results(self, block: bool = False) -> None:
-        while True:
+    Blocks in :func:`~multiprocessing.connection.wait` on the control
+    pipes and process sentinels, with the deadline as the timeout.  The
+    first failure — a shard that dies or exits without a report, a
+    report of an error, the deadline — sends every shard still running
+    an abort and leaves it :data:`_DRAIN_S` to report.  Returns
+    ``(reports, failure)``; a dead shard outranks the deadline, which
+    outranks a shard that stopped because of another's failure.
+    """
+    reports: dict[int, tuple] = {}
+    failures: list[Exception] = []
+    pending = set(range(len(procs)))
+    cutoff, aborted = deadline_abs, False
+    while pending:
+        shard_of = {controls[s]: s for s in pending}
+        shard_of.update({procs[s].sentinel: s for s in pending})
+        ready = wait(list(shard_of), _remaining(cutoff))
+        if not ready and failures:
+            break  # the drain is over: the rest get terminated
+        if not ready:
+            failures.append(TimeoutError("distributed count exceeded its deadline"))
+        for s in sorted({shard_of[obj] for obj in ready}):
+            pending.discard(s)
+            # a report is written before its shard exits, so it is
+            # readable whenever that shard's sentinel is
             try:
-                r = self.result_queue.get(timeout=1.0 if block else 0)
-                self._note_result(r)
-                block = False
-            except queue_mod.Empty:
-                return
-
-    def _note_result(self, r: dict) -> None:
-        if r.get("error") == "deadline":
-            raise TimeoutError(
-                f"shard {r['shard']} exceeded the distributed deadline"
-            )
-        self.results[r["shard"]] = r
-
-    def _check_health(self, waiting_on: set[int]) -> None:
-        if _deadline_hit(self.deadline_abs):
-            raise TimeoutError("distributed count exceeded its deadline")
-        dead = [
-            s for s, p in enumerate(self.procs)
-            if p.exitcode not in (None, 0) and s in waiting_on
-        ]
-        exited = [
-            s for s, p in enumerate(self.procs)
-            if p.exitcode == 0 and s in waiting_on
-        ]
-        if exited:
-            # a clean exit without its stage message means the shard
-            # reported something on the result queue (e.g. a deadline);
-            # absorb before raising — a normal result may still be in
-            # flight when the exit code becomes visible
-            self._absorb_results(block=True)
-            still = [s for s in exited if s not in self.results]
-            if still:
-                raise ShardFailedError(still[0], 0, reason="exited early")
-        if dead:
-            self._abort_survivors(dead)
-            raise ShardFailedError(dead[0], self.procs[dead[0]].exitcode)
-
-    def _abort_survivors(self, dead: list[int]) -> None:
-        """Release the survivors — they would wait forever for the dead
-        shard's routed batch — and stitch the partial span trees they
-        ship on the way out."""
-        survivors = [s for s in range(len(self.procs)) if s not in dead]
-        for s in survivors:
-            try:
-                self.conns[s].send(_ABORT)
-            except (BrokenPipeError, OSError):
-                pass
-        if self.telemetry_queue is None:
-            return
-        deadline = time.perf_counter() + _TELEMETRY_DRAIN_S
-        while time.perf_counter() < deadline and any(
-            self.procs[s].exitcode is None for s in survivors
-        ):
-            for s in survivors:
-                # a survivor mid-send must finish before it reads the abort
-                try:
-                    while self.conns[s].poll(0):
-                        self.conns[s].recv()
-                except (EOFError, OSError):
-                    pass
-            _drain_nowait(self.telemetry_queue, self.telemetry_payloads)
-            time.sleep(_POLL_S)
-        _drain_nowait(self.telemetry_queue, self.telemetry_payloads)
-        stitch_worker_payloads(self.registry, self.span, self.telemetry_payloads)
-
-    def collect_stage(self, tag: str) -> dict[int, dict]:
-        """One message with ``tag`` from every shard, crash-checked."""
-        out: dict[int, dict] = {}
-        waiting = set(range(len(self.procs)))
-        eof: set[int] = set()
-        while waiting:
-            progressed = False
-            for s in list(waiting - eof):
-                if self.conns[s].poll(0):
-                    try:
-                        got_tag, shard, body = self.conns[s].recv()
-                    except EOFError:
-                        # the shard died with its pipe end open; leave it
-                        # to the health check to surface the exit code
-                        eof.add(s)
-                        continue
-                    if got_tag != tag:  # pragma: no cover - protocol bug
-                        raise RuntimeError(
-                            f"shard {shard} sent {got_tag!r}, expected {tag!r}"
-                        )
-                    out[shard] = body
-                    waiting.discard(s)
-                    progressed = True
-            if waiting and not progressed:
-                self._absorb_results()
-                self._check_health(waiting)
-                time.sleep(_POLL_S)
-        return out
-
-    def route(self, per_source: dict[int, dict]) -> None:
-        """Regroup ``{source: {target: data}}`` by target and deliver."""
-        shards = len(self.procs)
-        for target in range(shards):
-            bundle = {
-                src: data[target]
-                for src, data in per_source.items()
-                if target in data
-            }
-            try:
-                self.conns[target].send(bundle)
-            except (BrokenPipeError, OSError):
-                # the target died between stages; the next collect will
-                # surface the failure with its exit code
-                pass
-
-    def collect_results(self, expected: int) -> dict[int, dict]:
-        """Block until ``expected`` shard results arrived (or a shard died)."""
-        self._absorb_results()
-        while len(self.results) < expected:
-            try:
-                self._note_result(self.result_queue.get(timeout=_POLL_S))
+                report = controls[s].recv() if controls[s] in ready else None
+            except EOFError:
+                report = None
+            if report is None:
+                procs[s].join()
+                code = procs[s].exitcode
+                failures.append(ShardFailedError(
+                    s, code, reason="crashed" if code else "exited early"
+                ))
                 continue
-            except queue_mod.Empty:
-                pass
-            _drain_nowait(self.telemetry_queue, self.telemetry_payloads)
-            self._check_health(
-                set(range(expected)) - set(self.results)
-            )
-        return self.results
+            reports[s] = report
+            error = report[0].get("error")
+            if error == "deadline":
+                failures.append(
+                    TimeoutError(f"shard {s} exceeded the distributed deadline")
+                )
+            elif error:
+                failures.append(ShardFailedError(s, None, reason=error))
+        if failures and not aborted:
+            cutoff, aborted = time.time() + _DRAIN_S, True
+            for s in pending:
+                try:
+                    controls[s].send(_ABORT)
+                except OSError:
+                    pass
+
+    def rank(error: Exception) -> int:
+        if getattr(error, "exitcode", None) is not None:
+            return 0  # a shard that died or exited early
+        return 1 if isinstance(error, TimeoutError) else 2
+
+    return reports, min(failures, key=rank, default=None)
 
 
 def _empty_result(shards: int, partitioner: str, hub_count: int,
@@ -536,20 +514,18 @@ def run_distributed_count(
     partitioner: str = "hash",
     fault_shard: int | None = None,
     deadline_s: float | None = None,
-    start_method: str | None = None,
 ) -> DistributedRunResult:
     """Count triangles across ``shards`` real worker processes.
 
     Exact for any partitioner and shard count, with per-phase counts
     identical to the sequential LOTUS decomposition.  Only NNN wedge
-    checks cross shards; hub triangles are counted shard-locally over
-    the replicated HE.  ``fault_shard`` (tests only) makes that shard
-    die with ``FAULT_EXIT_CODE`` before doing any work; the call then
-    raises :class:`ShardFailedError`.
+    checks cross shards, straight from shard to shard; hub triangles are
+    counted shard-locally over the replicated HE.  ``fault_shard``
+    (tests only) makes that shard die with ``FAULT_EXIT_CODE`` before
+    doing any work; the call then raises :class:`ShardFailedError`.
     ``deadline_s`` bounds the whole run: the deadline propagates to every
-    shard, workers abort between protocol stages, and ``TimeoutError``
-    is raised.  Graphs without edges are answered inline — no processes
-    are spawned.
+    shard, which stops at it, and ``TimeoutError`` is raised.  Graphs
+    without edges are answered inline — no processes are spawned.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -595,85 +571,72 @@ def run_distributed_count(
             time.time() + deadline_s if deadline_s is not None else None
         )
 
-        ctx = _preferred_context(start_method)
-        result_queue = ctx.Queue()
-        telemetry_queue = ctx.Queue() if trace_wire is not None else None
-        procs, parent_conns = [], []
+        ctx = _preferred_context()
+        # one control pipe per shard (coordinator end, shard end) and one
+        # duplex pipe per pair of shards (links[a][b] is a's end to b)
+        controls = [ctx.Pipe() for _ in range(shards)]
+        links: list[dict] = [{} for _ in range(shards)]
+        for a in range(shards):
+            for b in range(a + 1, shards):
+                links[a][b], links[b][a] = ctx.Pipe()
+        shard_ends = [pair[1] for pair in controls] + [
+            end for row in links for end in row.values()
+        ]
+        inherited = [pair[0] for pair in controls] + shard_ends
+        procs, reports = [], {}
         try:
             for shard in range(shards):
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
                 p = ctx.Process(
                     target=_shard_worker,
-                    args=(
-                        plan.shard_payload(shard),
-                        child_conn,
-                        result_queue,
-                        telemetry_queue,
-                        trace_wire,
-                        fault_shard,
-                        deadline_abs,
-                    ),
+                    name=f"shard-{shard}",
+                    args=(plan, shard, controls[shard][1], links[shard],
+                          inherited, trace_wire, fault_shard, deadline_abs),
                     daemon=True,
                 )
                 p.start()
-                child_conn.close()
                 procs.append(p)
-                parent_conns.append(parent_conn)
-
-            coord = _Coordinator(
-                procs, parent_conns, result_queue, telemetry_queue,
-                deadline_abs, registry, dspan,
+            # only the shards may hold their ends, or a dead one shows no EOF
+            for end in shard_ends:
+                end.close()
+            reports, failure = _await_reports(
+                procs, [pair[0] for pair in controls], deadline_abs
             )
-            coord.route(coord.collect_stage("queries"))
-            coord.route(coord.collect_stage("answers"))
-            results = coord.collect_results(shards)
-
-            if telemetry_queue is not None:
-                deadline = time.perf_counter() + _TELEMETRY_DRAIN_S
-                while (
-                    len(coord.telemetry_payloads) < shards
-                    and time.perf_counter() < deadline
-                ):
-                    try:
-                        coord.telemetry_payloads.append(
-                            telemetry_queue.get(timeout=_POLL_S)
-                        )
-                    except queue_mod.Empty:
-                        pass
-            for p in procs:
-                p.join(timeout=10.0)
         finally:
-            for p in procs:
+            for s, p in enumerate(procs):
+                if s in reports:
+                    p.join(_DRAIN_S)  # reported: on its way out
                 if p.is_alive():
                     p.terminate()
-                    p.join(timeout=5.0)
-            for conn in parent_conns:
-                conn.close()
-            result_queue.close()
-            if telemetry_queue is not None:
-                telemetry_queue.close()
+                p.join()
+            for end in inherited:
+                end.close()
+        stitch_worker_payloads(
+            registry, dspan, [tele for _, tele in reports.values() if tele]
+        )
+        if failure is not None:
+            raise failure
 
+        results = [reports[s][0] for s in range(shards)]
         counts = LotusCounts(
-            hhh=sum(r["hhh"] for r in results.values()),
-            hhn=sum(r["hhn"] for r in results.values()),
-            hnn=sum(r["hnn"] for r in results.values()),
-            nnn=sum(r["nnn"] for r in results.values()),
+            hhh=sum(r["hhh"] for r in results),
+            hhn=sum(r["hhn"] for r in results),
+            hnn=sum(r["hnn"] for r in results),
+            nnn=sum(r["nnn"] for r in results),
         )
         per_shard_triangles = np.array(
-            [results[s]["triangles"] for s in range(shards)], dtype=np.int64
+            [r["triangles"] for r in results], dtype=np.int64
         )
-        local_checks = sum(r["local_checks"] for r in results.values())
-        remote_checks = sum(r["remote_checks"] for r in results.values())
-        bytes_exchanged = sum(r["bytes_exchanged"] for r in results.values())
+        local_checks = sum(r["local_checks"] for r in results)
+        remote_checks = sum(r["remote_checks"] for r in results)
+        bytes_exchanged = sum(r["bytes_exchanged"] for r in results)
 
         registry.counter("dist.local_checks").add(local_checks)
         registry.counter("dist.remote_checks").add(remote_checks)
         registry.counter("dist.bytes_exchanged").add(bytes_exchanged)
         registry.counter("dist.replicated_bytes").add(replicated_bytes)
         wall_hist = registry.histogram("dist.shard_wall_s")
-        for s in sorted(results):
-            wall_hist.observe(results[s]["wall_s"])
-        stitch_worker_payloads(registry, dspan, coord.telemetry_payloads)
+        for r in results:
+            wall_hist.observe(r["wall_s"])
         dspan.set("triangles", counts.total)
         dspan.set("bytes_exchanged", bytes_exchanged)
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.count import hub_bitsets
 from repro.dist.plan import (
     ANSWER_BYTES,
     QUERY_BYTES,
@@ -110,9 +109,10 @@ def simulate_distributed_tc(
                 apex_shard[hit], minlength=workers
             )
     if plan.hub_count:
-        bitsets = hub_bitsets(plan.he, plan.hub_count)
         for shard in range(workers):
-            hhh, hhn, hnn, _ = shard_hub_counts(plan.shard_payload(shard), bitsets)
+            hhh, hhn, hnn, _ = shard_hub_counts(
+                plan.shard_payload(shard), plan.bitsets
+            )
             per_worker_triangles[shard] += hhh + hhn + hnn
 
     total_checks = int(per_worker_checks.sum())

@@ -24,7 +24,8 @@ from __future__ import annotations
 import datetime
 import json
 import pathlib
-from typing import Any, Iterable
+import time
+from typing import Any, Callable, Iterable
 
 __all__ = [
     "TRAJECTORY_SCHEMA_VERSION",
@@ -47,6 +48,7 @@ __all__ = [
     "DIST_SHARDS",
     "DIST_PARTITIONER",
     "DIST_SIM_SHARDS",
+    "DIST_REPEATS",
     "build_dist_measurements",
     "build_scaling_measurements",
     "build_serve_measurements",
@@ -128,6 +130,19 @@ DIST_DATASET = "EU15"
 DIST_SHARDS = 2
 DIST_PARTITIONER = "hash"
 DIST_SIM_SHARDS: tuple[int, ...] = (2, 4, 8)
+DIST_REPEATS = 3
+
+
+def _best_of(run: Callable[[], Any], repeats: int) -> tuple[float, Any]:
+    """``(seconds, result)`` of the fastest of ``repeats`` calls of ``run``."""
+    best = None
+    for _ in range(repeats):
+        started = time.perf_counter()
+        result = run()
+        seconds = time.perf_counter() - started
+        if best is None or seconds < best[0]:
+            best = (seconds, result)
+    return best
 
 
 def build_scaling_measurements(
@@ -238,7 +253,6 @@ def build_telemetry_overhead_measurements(
     """
     import os
     import tempfile
-    import time
 
     from repro.core import count_triangles_lotus
     from repro.graph import load_dataset
@@ -255,23 +269,16 @@ def build_telemetry_overhead_measurements(
     graph = load_dataset(dataset)
     expected = count_triangles_lotus(graph).triangles  # warm-up + canary
 
-    def best_of(run):
-        """``(seconds, result)`` of the fastest of ``repeats`` runs."""
-        best = None
-        for _ in range(repeats):
-            started = time.perf_counter()
-            result = run()
-            run_s = time.perf_counter() - started
-            if result.triangles != expected:  # pragma: no cover - canary
-                raise AssertionError(
-                    f"telemetry bench diverged on {dataset}: "
-                    f"{result.triangles} != {expected}"
-                )
-            if best is None or run_s < best[0]:
-                best = (run_s, result)
-        return best
+    def count():
+        result = count_triangles_lotus(graph)
+        if result.triangles != expected:  # pragma: no cover - canary
+            raise AssertionError(
+                f"telemetry bench diverged on {dataset}: "
+                f"{result.triangles} != {expected}"
+            )
+        return result
 
-    off_s, off_result = best_of(lambda: count_triangles_lotus(graph))
+    off_s, off_result = _best_of(count, repeats)
     events = 0
     with tempfile.TemporaryDirectory(prefix="repro-telemetry-") as tmp:
         jsonl = JsonlExporter(os.path.join(tmp, "events.jsonl"))
@@ -281,7 +288,7 @@ def build_telemetry_overhead_measurements(
             )
             try:
                 with use_bus(TelemetryBus((jsonl,))):
-                    on_s, _ = best_of(lambda: count_triangles_lotus(graph))
+                    on_s, _ = _best_of(count, repeats)
             finally:
                 exposer.close()
             events = jsonl.events_written
@@ -313,8 +320,6 @@ def build_profiler_overhead_measurements(
     ``profiler.<dataset>.overhead_ratio`` (ceiling kind, tighter
     :data:`repro.obs.regress.DEFAULT_PROFILER_CEILING`).
     """
-    import time
-
     from repro.core import count_triangles_lotus
     from repro.graph import load_dataset
     from repro.obs import use_registry
@@ -327,25 +332,21 @@ def build_profiler_overhead_measurements(
     graph = load_dataset(dataset)
     expected = count_triangles_lotus(graph).triangles  # warm-up + canary
 
-    def best_of(run) -> float:
-        times = []
-        for _ in range(repeats):
-            started = time.perf_counter()
-            result = run()
-            times.append(time.perf_counter() - started)
-            if result.triangles != expected:  # pragma: no cover - canary
-                raise AssertionError(
-                    f"profiler bench diverged on {dataset}: "
-                    f"{result.triangles} != {expected}"
-                )
-        return min(times)
+    def count():
+        result = count_triangles_lotus(graph)
+        if result.triangles != expected:  # pragma: no cover - canary
+            raise AssertionError(
+                f"profiler bench diverged on {dataset}: "
+                f"{result.triangles} != {expected}"
+            )
+        return result
 
     with use_registry():
-        off_s = best_of(lambda: count_triangles_lotus(graph))
+        off_s, _ = _best_of(count, repeats)
     samples = dropped = 0
     with use_registry():
         with SamplingProfiler(interval_s=interval_ms / 1000.0) as profiler:
-            on_s = best_of(lambda: count_triangles_lotus(graph))
+            on_s, _ = _best_of(count, repeats)
         samples = profiler.profile.samples
         dropped = profiler.profile.dropped
     if samples <= 0:  # pragma: no cover - canary
@@ -381,8 +382,6 @@ def build_dynamic_measurements(
     stream is deterministic).  The correctness canary asserts the
     incrementally maintained count equals the recount exactly.
     """
-    import time
-
     from repro.dynamic import DynamicGraph, replay_stream, synthesize_stream
     from repro.graph import load_dataset
     from repro.tc.forward import count_triangles_forward
@@ -425,8 +424,9 @@ def build_dist_measurements(
     shards: int = DIST_SHARDS,
     partitioner: str = DIST_PARTITIONER,
     sim_shards: Iterable[int] = DIST_SIM_SHARDS,
+    repeats: int = DIST_REPEATS,
 ) -> tuple[dict[str, float], dict[str, Any]]:
-    """One real sharded count plus the simulated shard-scaling sweep.
+    """Real sharded counts plus the simulated shard-scaling sweep.
 
     Runs :func:`repro.dist.runtime.run_distributed_count` on ``dataset``
     and simulates the same partitioner and hub count across
@@ -434,13 +434,15 @@ def build_dist_measurements(
     ``dist.<dataset>.triangles`` (exact), the measured traffic
     (``boundary_edges`` / ``bytes_exchanged`` / ``replicated_bytes`` —
     deterministic functions of the partition), and the per-shard-count
-    simulated traffic trend.  Two canaries run in-build: the simulator
-    must predict the measured wire and replication bytes *exactly*
-    (runtime and simulator share :mod:`repro.dist.plan`), and the
-    simulated triangle total must match the distributed run.
+    simulated traffic trend.  ``info`` keeps ``run_seconds``, the best of
+    ``repeats`` sharded runs, and ``vs_sequential``, its ratio to the
+    best of ``repeats`` sequential LOTUS counts in the same process.
+    Two canaries run in-build: the simulator must predict the measured
+    wire and replication bytes *exactly* (runtime and simulator share
+    :mod:`repro.dist.plan`), and the simulated and sequential triangle
+    totals must match the distributed run.
     """
-    import time
-
+    from repro.core import count_triangles_lotus
     from repro.core.structure import LotusConfig
     from repro.dist import (
         PARTITIONERS,
@@ -450,13 +452,22 @@ def build_dist_measurements(
     )
     from repro.graph import load_dataset
 
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     graph = load_dataset(dataset)
     config = LotusConfig()
-    started = time.perf_counter()
-    run = run_distributed_count(
-        graph, config=config, shards=shards, partitioner=partitioner
+    run_s, run = _best_of(
+        lambda: run_distributed_count(
+            graph, config=config, shards=shards, partitioner=partitioner
+        ),
+        repeats,
     )
-    run_s = time.perf_counter() - started
+    seq_s, seq = _best_of(lambda: count_triangles_lotus(graph, config), repeats)
+    if seq.triangles != run.counts.total:  # pragma: no cover - canary
+        raise AssertionError(
+            f"dist bench diverged on {dataset}: sequential {seq.triangles} "
+            f"!= distributed {run.counts.total}"
+        )
     rank, hub_count = lotus_rank(graph, config)
     metrics: dict[str, float] = {
         f"dist.{dataset}.triangles": int(run.counts.total),
@@ -468,6 +479,7 @@ def build_dist_measurements(
         f"dist.{dataset}.shards": shards,
         f"dist.{dataset}.partitioner": partitioner,
         f"dist.{dataset}.run_seconds": round(run_s, 4),
+        f"dist.{dataset}.vs_sequential": round(run_s / seq_s, 4),
         f"dist.{dataset}.boundary_edge_ratio": round(run.boundary_edge_ratio, 6),
     }
     for s in sim_shards:

@@ -171,6 +171,8 @@ class QueryEngine:
             raise ValueError("max_batch must be >= 1")
         if slow_query_s is not None and slow_query_s <= 0:
             raise ValueError("slow_query_s must be positive")
+        if workers is not None and workers < 1:
+            raise ValueError("workers must be >= 1")
         check_backend(backend)
         self.slow_query_s = slow_query_s
         self.cache = cache if cache is not None else StructureCache()
@@ -653,7 +655,7 @@ def _default_executor(
             run = run_distributed_count(
                 entry.graph,
                 config=entry.lotus.config,
-                shards=workers or 2,
+                shards=2 if workers is None else workers,
                 deadline_s=request.timeout,
             )
             counts = run.counts

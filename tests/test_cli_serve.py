@@ -404,6 +404,25 @@ class TestServeErrorContract:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestWorkerCountContract:
+    """``--workers`` (the shard count) must be >= 1 for serve and query,
+    like ``count --shards``."""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve", "--input", "x.jsonl"], ["query", "--dataset", "LJGrp"]],
+        ids=["serve", "query"],
+    )
+    def test_nonpositive_workers_exits_2(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--backend", "distributed", "--workers", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --workers must be >= 1")
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestQueryGolden:
     def test_warm_query_output(self, edgelist_file, capsys):
         assert main(["query", "--file", edgelist_file, "--id", "one"]) == 0

@@ -5,11 +5,13 @@ dense-matrix oracle, across hub counts, partitioners and shard counts,
 and through the in-shard bitset-budget fallback), the work invariant of
 the NNN exchange, the simulator-vs-runtime differential contract
 (``simulate_distributed_tc`` predicts the measured ``dist.*`` traffic),
-failure semantics (shard crash, deadline), telemetry stitching, and the
-serve-engine integration.
+failure semantics (a shard crash at start or mid-exchange, a deadline,
+a shard stalled past it), telemetry stitching and the ``exchange``
+counters, and the serve-engine integration.
 """
 
 import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -30,6 +32,7 @@ from repro.dist.runtime import FAULT_EXIT_CODE
 from repro.graph import DATASETS, erdos_renyi, load_dataset, powerlaw_chung_lu
 from repro.obs import use_registry
 from repro.tc import count_triangles_matrix
+from repro.tc.intersect import KeySet
 
 CONFIG = LotusConfig(hub_count=48)
 
@@ -107,9 +110,8 @@ class TestExactness:
         assert run.per_shard_triangles.sum() == expected.total
 
     def test_in_shard_bitset_fallback(self, skew_graph, skew_counts, monkeypatch):
-        """Past the bitset budget a shard never packs bitsets (the fork
-        start method carries the patched budget into the workers) and
-        its hub stage falls back to the binary-search kernel."""
+        """Past the bitset budget the plan never packs bitsets, so every
+        shard's hub stage falls back to the binary-search kernel."""
 
         def no_alloc(*args):
             raise AssertionError("bitsets allocated above the budget")
@@ -117,9 +119,7 @@ class TestExactness:
         monkeypatch.setattr(count_mod, "_BITSET_BUDGET", 0)
         monkeypatch.setattr(count_mod, "pack_row_bitsets", no_alloc)
         with use_registry() as reg:
-            run = run_distributed_count(
-                skew_graph, config=CONFIG, shards=3, start_method="fork"
-            )
+            run = run_distributed_count(skew_graph, config=CONFIG, shards=3)
         assert run.counts == skew_counts
         hub_spans = [s for s in reg.iter_spans() if s.name == "hub"]
         assert len(hub_spans) == 3
@@ -229,6 +229,61 @@ class TestFailureSemantics:
         # the dead shard and both survivors are gone once the error is raised
         assert set(multiprocessing.active_children()) <= before
 
+    @staticmethod
+    def _in_shard_1(monkeypatch, action):
+        """Run ``action`` when shard 1 answers a peer's query batch.
+
+        ``KeySet.contains`` answers only remote queries, so ``action``
+        runs in the middle of the exchange, after shard 1's helper thread
+        started sending its queries and while its peers wait for its
+        answers; the fork start method carries the patch into the shards.
+        """
+        real = KeySet.contains
+
+        def contains(self, query):
+            if multiprocessing.current_process().name == "shard-1":
+                action()
+            return real(self, query)
+
+        monkeypatch.setattr(KeySet, "contains", contains)
+
+    def _run_failing(self, expected, **kwargs):
+        """Run LJGrp on 3 traced shards; check the error arrives in under
+        3 s, that no shard is left alive, and that the spans of shards 0
+        and 2 are stitched with their ``exchange`` stage.  Returns their
+        ``exchange`` spans."""
+        before = set(multiprocessing.active_children())
+        with use_registry() as reg:
+            started = time.perf_counter()
+            with pytest.raises(expected) as exc:
+                run_distributed_count(load_dataset("LJGrp"), shards=3, **kwargs)
+            elapsed = time.perf_counter() - started
+            dspan = reg.find_span("distributed")
+        assert elapsed < 3.0
+        assert set(multiprocessing.active_children()) <= before
+        shards = {c.attrs["shard"]: c for c in dspan.children if c.name == "shard"}
+        assert set(shards) >= {0, 2}
+        exchanges = []
+        for s in (0, 2):
+            children = {c.name: c for c in shards[s].children}
+            assert {"hub", "enumerate", "exchange"} <= set(children)
+            assert {n.trace_id for n in shards[s].iter_spans()} == {dspan.trace_id}
+            exchanges.append(children["exchange"])
+        return exc.value, exchanges
+
+    def test_shard_dies_mid_exchange(self, monkeypatch):
+        self._in_shard_1(monkeypatch, lambda: os._exit(FAULT_EXIT_CODE))
+        error, _ = self._run_failing(ShardFailedError)
+        assert error.shard == 1
+        assert error.exitcode == FAULT_EXIT_CODE
+
+    def test_shard_stalls_past_deadline_while_answering(self, monkeypatch):
+        self._in_shard_1(monkeypatch, lambda: time.sleep(60))
+        _, exchanges = self._run_failing(TimeoutError, deadline_s=0.5)
+        for span in exchanges:
+            # the survivors spent their exchange blocked on shard 1
+            assert 0.5 * span.elapsed <= span.attrs["wait_s"] <= span.elapsed
+
     def test_deadline_raises_timeout(self, skew_graph):
         with pytest.raises(TimeoutError):
             run_distributed_count(
@@ -325,9 +380,14 @@ class TestTelemetry:
             shard_spans = [s for s in reg.iter_spans() if s.name == "shard"]
             assert len(shard_spans) == 3
             owner = PARTITIONERS["hash"](skew_graph, 3)
+            sent = received = 0
             for span in shard_spans:
                 children = {c.name: c for c in span.children}
                 assert {"hub", "enumerate", "exchange", "tally"} <= set(children)
+                exchange = children["exchange"]
+                sent += exchange.attrs["bytes_sent"]
+                received += exchange.attrs["bytes_received"]
+                assert 0 <= exchange.attrs["wait_s"] <= exchange.elapsed
                 hub = children["hub"].attrs
                 assert hub["kernel"] == "bitset"
                 assert hub["arcs_popcounted"] > 0 and hub["bitset_bytes"] > 0
@@ -337,6 +397,8 @@ class TestTelemetry:
                 )
                 # local checks that passed the arc-key filter
                 assert 0 <= enum["keys_verified"] <= enum["local_checks"]
+            # every byte a shard sends reaches its peer, and nothing else moves
+            assert sent == received == run.bytes_exchanged > 0
             assert reg.counter("dist.bytes_exchanged").value == (
                 run.bytes_exchanged
             )

@@ -15,6 +15,7 @@ import pytest
 from repro.obs import regress
 from repro.obs.trajectory import (
     TRAJECTORY_SCHEMA_VERSION,
+    build_dist_measurements,
     build_profiler_overhead_measurements,
     build_scaling_measurements,
     build_serve_measurements,
@@ -105,6 +106,26 @@ class TestOverheadMeasurements:
             build_profiler_overhead_measurements(
                 "Twtr10", repeats=1, interval_ms=0
             )
+
+
+class TestDistMeasurements:
+    def test_schema_and_timing_info(self):
+        metrics, info = build_dist_measurements(
+            "LJGrp", shards=2, sim_shards=(2,), repeats=2
+        )
+        assert metrics["dist.LJGrp.triangles"] > 0
+        assert (
+            metrics["dist.LJGrp.bytes_exchanged"]
+            == metrics["dist.LJGrp.sim.shards2.bytes_exchanged"]
+        )
+        # the wall times are info: recorded, never gated
+        assert info["dist.LJGrp.run_seconds"] > 0
+        assert info["dist.LJGrp.vs_sequential"] > 0
+        assert not any(k.endswith(("run_seconds", "vs_sequential")) for k in metrics)
+
+    def test_invalid_repeats_rejected(self):
+        with pytest.raises(ValueError):
+            build_dist_measurements("LJGrp", repeats=0)
 
 
 class TestTrajectoryArtifact:

@@ -317,6 +317,38 @@ class TestBackendValidation:
         assert builds == []
 
 
+class TestWorkerCount:
+    """``workers`` is the shard count of distributed queries: checked at
+    construction like a request's, and passed through exactly."""
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_nonpositive_workers(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            QueryRequest(dataset="UU", workers=workers).validate()
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            QueryEngine(StructureCache(), backend="distributed", workers=workers)
+
+    @pytest.mark.parametrize("workers,shards", [(None, 2), (3, 3)])
+    def test_distributed_shard_count(self, g1, monkeypatch, workers, shards):
+        import repro.dist.runtime as runtime
+
+        real = runtime.run_distributed_count
+        seen = []
+
+        def spy(graph, **kwargs):
+            seen.append(kwargs["shards"])
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(runtime, "run_distributed_count", spy)
+        oracle = count_triangles_forward(g1).triangles
+        with QueryEngine(
+            StructureCache(), backend="distributed", workers=workers
+        ) as engine:
+            result = engine.query(QueryRequest(graph=g1), wait_timeout=120)
+        assert result.ok and result.triangles == oracle
+        assert seen == [shards]
+
+
 class TestQueryResultProjection:
     def test_ok_field_order(self):
         r = QueryResult(
