@@ -41,17 +41,21 @@ total.
 
 Robustness: ``fault_shard`` injects a hard crash
 (``os._exit(FAULT_EXIT_CODE)``).  The coordinator sees the dead
-shard's sentinel, sends every survivor an abort over its control pipe
-(a survivor waiting on the dead peer also sees that peer's pipe close),
-stitches the partial span trees they report and raises a structured
-:class:`ShardFailedError`.  ``deadline_s`` propagates an absolute
-deadline into every worker: it bounds every wait, shards also check it
-between stages, and the coordinator raises ``TimeoutError``.  With an
-enabled registry each shard records real worker-side spans (``shard``
-with ``hub``/``enumerate``/``exchange``/``tally`` children) that are
-stitched under the coordinator's ``distributed`` span, and the run
-emits the ``dist.*`` metric family (shard edge counts, boundary-edge
-ratio, local/remote NNN checks, bytes exchanged, bytes replicated).
+shard's sentinel and sends every survivor an abort over its control
+pipe (a survivor waiting on the dead peer also sees that peer's pipe
+close).  The survivors run on to the exchange, where the abort stops
+them (a traced run gives them up to ``_CRASH_DRAIN_S`` to get there);
+the coordinator stitches the partial span trees they report and raises
+a structured :class:`ShardFailedError`.  ``deadline_s`` propagates an
+absolute deadline into every worker: it bounds every wait, shards also
+check it between stages, and the coordinator raises ``TimeoutError``;
+a shard still inside a stage ``_DRAIN_S`` past it is terminated, and
+its spans are lost.  With an enabled registry each shard records real
+worker-side spans (``shard`` with ``hub``/``enumerate``/``exchange``/
+``tally`` children) that are stitched under the coordinator's
+``distributed`` span, and the run emits the ``dist.*`` metric family
+(shard edge counts, boundary-edge ratio, local/remote NNN checks, bytes
+exchanged, bytes replicated).
 Under an active :class:`~repro.obs.profiler.SamplingProfiler` every
 shard samples itself at the parent's interval, and its frames fold into
 the parent profile under the stitched ``shard`` span.
@@ -64,7 +68,6 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
-from multiprocessing.connection import Pipe, wait
 
 import numpy as np
 
@@ -88,7 +91,11 @@ __all__ = [
 # exit code of an injected shard fault (distinct from signal deaths)
 FAULT_EXIT_CODE = 23
 
-# how long shards still running after a failure get to report
+# after a failure, how long the shards still running get to report: the
+# survivors of a crash run on to the exchange, where the abort stops them,
+# and a traced run waits for their partial spans; past the deadline, or
+# untraced, they only need a moment to say why they stopped
+_CRASH_DRAIN_S = 10.0
 _DRAIN_S = 0.5
 
 # coordinator -> shard: a peer failed, stop and report
@@ -236,6 +243,8 @@ def _exchange(links: dict, control, own_keys: KeySet, queries: dict,
     ``traffic`` accumulates ``bytes_sent``, ``bytes_received``,
     ``queries_answered`` and ``wait_s``, the time blocked on peers.
     """
+    from multiprocessing.connection import Pipe, wait
+
     outbox: queue.SimpleQueue = queue.SimpleQueue()
     # the helper closes its end when it has sent everything (or lost a peer)
     done, done_w = Pipe(duplex=False)
@@ -421,17 +430,20 @@ def _preferred_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _await_reports(procs, controls, deadline_abs):
+def _await_reports(procs, controls, deadline_abs, traced: bool):
     """Every shard's ``(result, telemetry)`` report, plus the failure.
 
     Blocks in :func:`~multiprocessing.connection.wait` on the control
     pipes and process sentinels, with the deadline as the timeout.  The
     first failure — a shard that dies or exits without a report, a
     report of an error, the deadline — sends every shard still running
-    an abort and leaves it :data:`_DRAIN_S` to report.  Returns
+    an abort and leaves it :data:`_DRAIN_S` to report, or
+    :data:`_CRASH_DRAIN_S` after a crash in a ``traced`` run.  Returns
     ``(reports, failure)``; a dead shard outranks the deadline, which
     outranks a shard that stopped because of another's failure.
     """
+    from multiprocessing.connection import wait
+
     reports: dict[int, tuple] = {}
     failures: list[Exception] = []
     pending = set(range(len(procs)))
@@ -447,10 +459,11 @@ def _await_reports(procs, controls, deadline_abs):
         for s in sorted({shard_of[obj] for obj in ready}):
             pending.discard(s)
             # a report is written before its shard exits, so it is
-            # readable whenever that shard's sentinel is
+            # readable whenever that shard's sentinel is; a shard that
+            # exits without one, leaving an abort unread, resets the pipe
             try:
                 report = controls[s].recv() if controls[s] in ready else None
-            except EOFError:
+            except (EOFError, OSError):
                 report = None
             if report is None:
                 procs[s].join()
@@ -468,7 +481,9 @@ def _await_reports(procs, controls, deadline_abs):
             elif error:
                 failures.append(ShardFailedError(s, None, reason=error))
         if failures and not aborted:
-            cutoff, aborted = time.time() + _DRAIN_S, True
+            crashed = any(isinstance(f, ShardFailedError) for f in failures)
+            drain = _CRASH_DRAIN_S if traced and crashed else _DRAIN_S
+            cutoff, aborted = time.time() + drain, True
             for s in pending:
                 try:
                     controls[s].send(_ABORT)
@@ -599,7 +614,8 @@ def run_distributed_count(
             for end in shard_ends:
                 end.close()
             reports, failure = _await_reports(
-                procs, [pair[0] for pair in controls], deadline_abs
+                procs, [pair[0] for pair in controls], deadline_abs,
+                traced=trace_wire is not None,
             )
         finally:
             for s, p in enumerate(procs):

@@ -424,7 +424,6 @@ def build_dist_measurements(
     shards: int = DIST_SHARDS,
     partitioner: str = DIST_PARTITIONER,
     sim_shards: Iterable[int] = DIST_SIM_SHARDS,
-    repeats: int = DIST_REPEATS,
 ) -> tuple[dict[str, float], dict[str, Any]]:
     """Real sharded counts plus the simulated shard-scaling sweep.
 
@@ -435,8 +434,8 @@ def build_dist_measurements(
     (``boundary_edges`` / ``bytes_exchanged`` / ``replicated_bytes`` —
     deterministic functions of the partition), and the per-shard-count
     simulated traffic trend.  ``info`` keeps ``run_seconds``, the best of
-    ``repeats`` sharded runs, and ``vs_sequential``, its ratio to the
-    best of ``repeats`` sequential LOTUS counts in the same process.
+    :data:`DIST_REPEATS` sharded runs, and ``vs_sequential``, its ratio
+    to the best of as many sequential LOTUS counts in the same process.
     Two canaries run in-build: the simulator must predict the measured
     wire and replication bytes *exactly* (runtime and simulator share
     :mod:`repro.dist.plan`), and the simulated and sequential triangle
@@ -452,17 +451,17 @@ def build_dist_measurements(
     )
     from repro.graph import load_dataset
 
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
     graph = load_dataset(dataset)
     config = LotusConfig()
     run_s, run = _best_of(
         lambda: run_distributed_count(
             graph, config=config, shards=shards, partitioner=partitioner
         ),
-        repeats,
+        DIST_REPEATS,
     )
-    seq_s, seq = _best_of(lambda: count_triangles_lotus(graph, config), repeats)
+    seq_s, seq = _best_of(
+        lambda: count_triangles_lotus(graph, config), DIST_REPEATS
+    )
     if seq.triangles != run.counts.total:  # pragma: no cover - canary
         raise AssertionError(
             f"dist bench diverged on {dataset}: sequential {seq.triangles} "

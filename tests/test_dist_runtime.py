@@ -5,9 +5,10 @@ dense-matrix oracle, across hub counts, partitioners and shard counts,
 and through the in-shard bitset-budget fallback), the work invariant of
 the NNN exchange, the simulator-vs-runtime differential contract
 (``simulate_distributed_tc`` predicts the measured ``dist.*`` traffic),
-failure semantics (a shard crash at start or mid-exchange, a deadline,
-a shard stalled past it), telemetry stitching and the ``exchange``
-counters, and the serve-engine integration.
+failure semantics (a shard crash at start or mid-exchange, a survivor
+that exits without a report or is slow to reach the exchange, a
+deadline, a shard stalled past it), telemetry stitching and the
+``exchange`` counters, and the serve-engine integration.
 """
 
 import multiprocessing
@@ -26,6 +27,7 @@ from repro.dist import (
     lotus_rank,
     resolve_partitioner,
     run_distributed_count,
+    runtime,
     simulate_distributed_tc,
 )
 from repro.dist.runtime import FAULT_EXIT_CODE
@@ -247,11 +249,11 @@ class TestFailureSemantics:
 
         monkeypatch.setattr(KeySet, "contains", contains)
 
-    def _run_failing(self, expected, **kwargs):
+    def _run_failing(self, expected, survivors=(0, 2), **kwargs):
         """Run LJGrp on 3 traced shards; check the error arrives in under
-        3 s, that no shard is left alive, and that the spans of shards 0
-        and 2 are stitched with their ``exchange`` stage.  Returns their
-        ``exchange`` spans."""
+        3 s, that no shard is left alive, and that the spans of the
+        ``survivors`` are stitched with their ``exchange`` stage.  Returns
+        the error and those ``exchange`` spans."""
         before = set(multiprocessing.active_children())
         with use_registry() as reg:
             started = time.perf_counter()
@@ -262,9 +264,9 @@ class TestFailureSemantics:
         assert elapsed < 3.0
         assert set(multiprocessing.active_children()) <= before
         shards = {c.attrs["shard"]: c for c in dspan.children if c.name == "shard"}
-        assert set(shards) >= {0, 2}
+        assert set(shards) >= set(survivors)
         exchanges = []
-        for s in (0, 2):
+        for s in survivors:
             children = {c.name: c for c in shards[s].children}
             assert {"hub", "enumerate", "exchange"} <= set(children)
             assert {n.trace_id for n in shards[s].iter_spans()} == {dspan.trace_id}
@@ -276,6 +278,41 @@ class TestFailureSemantics:
         error, _ = self._run_failing(ShardFailedError)
         assert error.shard == 1
         assert error.exitcode == FAULT_EXIT_CODE
+
+    def test_survivor_exiting_without_report(self, monkeypatch):
+        """Shard 1 dies mid-exchange and shard 0 exits without a report,
+        leaving the coordinator's abort unread, which resets its control
+        pipe; the run still raises a dead shard's ``ShardFailedError``
+        and stitches shard 2's partial spans."""
+        self._in_shard_1(monkeypatch, lambda: os._exit(FAULT_EXIT_CODE))
+        real = runtime._exchange
+
+        def exchange(links, control, *args):
+            try:
+                return real(links, control, *args)
+            finally:
+                if multiprocessing.current_process().name == "shard-0":
+                    control.poll(3.0)  # the abort arrives; never read
+                    os._exit(1)
+
+        monkeypatch.setattr(runtime, "_exchange", exchange)
+        error, _ = self._run_failing(ShardFailedError, survivors=(2,))
+        assert (error.shard, error.exitcode) in {(1, FAULT_EXIT_CODE), (0, 1)}
+
+    def test_slow_survivor_stitched_after_crash(self, monkeypatch):
+        """Shard 1 crashes at start while shard 0 spends a second in its
+        hub stage; a traced run waits for shard 0 to reach the exchange
+        and stitches its spans."""
+        real = runtime.shard_hub_counts
+
+        def slow_hub(payload, bitsets):
+            if payload["shard"] == 0:
+                time.sleep(1.0)
+            return real(payload, bitsets)
+
+        monkeypatch.setattr(runtime, "shard_hub_counts", slow_hub)
+        error, _ = self._run_failing(ShardFailedError, fault_shard=1)
+        assert (error.shard, error.exitcode) == (1, FAULT_EXIT_CODE)
 
     def test_shard_stalls_past_deadline_while_answering(self, monkeypatch):
         self._in_shard_1(monkeypatch, lambda: time.sleep(60))

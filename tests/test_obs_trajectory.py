@@ -110,9 +110,7 @@ class TestOverheadMeasurements:
 
 class TestDistMeasurements:
     def test_schema_and_timing_info(self):
-        metrics, info = build_dist_measurements(
-            "LJGrp", shards=2, sim_shards=(2,), repeats=2
-        )
+        metrics, info = build_dist_measurements("LJGrp", shards=2, sim_shards=(2,))
         assert metrics["dist.LJGrp.triangles"] > 0
         assert (
             metrics["dist.LJGrp.bytes_exchanged"]
@@ -122,10 +120,6 @@ class TestDistMeasurements:
         assert info["dist.LJGrp.run_seconds"] > 0
         assert info["dist.LJGrp.vs_sequential"] > 0
         assert not any(k.endswith(("run_seconds", "vs_sequential")) for k in metrics)
-
-    def test_invalid_repeats_rejected(self):
-        with pytest.raises(ValueError):
-            build_dist_measurements("LJGrp", repeats=0)
 
 
 class TestTrajectoryArtifact:
