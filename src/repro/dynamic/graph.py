@@ -28,7 +28,14 @@ applied at least one edge.  :meth:`snapshot` materialises the effective
 graph as an immutable CSR tagged with the version and the maintained
 count; later updates *supersede* a snapshot but can never mutate it,
 which is what gives the query service its snapshot-isolated reads
-(docs/dynamic.md).
+(docs/dynamic.md).  A new version is not rebuilt from an edge list: the
+CSR last materialised is *patched* with the edges toggled since then —
+one ``np.delete`` and one ``np.insert`` on ``indices`` plus an
+``indptr`` taken from the maintained degrees — so every update costs
+O(edges changed) and every snapshot at most one vectorised pass over
+the CSR.  The patched CSR is byte-identical to a ``from_edges`` rebuild
+of the effective edge set, so structure-cache fingerprints do not
+depend on how a version was reached.
 
 The ``dynamic.*`` metric family (exported through the active
 :class:`~repro.obs.registry.MetricsRegistry`):
@@ -57,9 +64,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.build import from_edges
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, neighbor_dtype_for
 from repro.obs import get_registry
+from repro.util.arrays import rows_searchsorted
 
 __all__ = [
     "DynamicGraph",
@@ -115,7 +122,8 @@ class DynamicGraph:
     """CSR + sorted delta overlays with an exactly-maintained triangle count.
 
     ``triangles`` may be passed when the caller already knows the base
-    count (skipping the construction-time recount).  ``kernel`` names an
+    count; otherwise the constructor counts the base once with LOTUS
+    (:func:`~repro.core.count.count_triangles_lotus`).  ``kernel`` names an
     entry of :data:`repro.tc.intersect.INTERSECT_KERNELS`, resolved per
     call so monkeypatched kernels are exercised (the dynamic fuzzer's
     self-test relies on this).  ``auto_compact_fraction`` folds overlays
@@ -151,15 +159,18 @@ class DynamicGraph:
         self._rows: dict[int, np.ndarray] = {}
         self._deg = base.degrees().astype(np.int64)
         self._overlay_edges = 0
+        # edges flipped since ``self._snap.graph`` was materialised, as
+        # ``u * n + v`` (u < v) -> present now; the next snapshot patches them
+        self._toggled: dict[int, bool] = {}
         self._lock = threading.RLock()
-        self._snap: GraphSnapshot | None = None
         self.version = 0
         self.compactions = 0
         if triangles is None:
-            from repro.tc.forward import count_triangles_forward
+            from repro.core import count_triangles_lotus
 
-            triangles = int(count_triangles_forward(base).triangles)
+            triangles = count_triangles_lotus(base).triangles
         self.triangles = int(triangles)
+        self._snap = GraphSnapshot(version=0, graph=base, triangles=self.triangles)
         self.hubs = None
         if track_hubs:
             from repro.dynamic.hubs import HubTracker
@@ -286,19 +297,14 @@ class DynamicGraph:
                     rejected += 1  # duplicate insert / absent delete
                     continue
                 d = self.common_neighbor_count(u, v)
-                if inserting:
-                    self._link(u, v)
-                    delta += d
-                else:
-                    self._unlink(u, v)
-                    delta -= d
+                self._flip(u, v, inserting)
+                delta += d if inserting else -d
                 applied += 1
                 if self.hubs is not None:
                     self.hubs.on_update(u, v, inserted=inserting)
             self.triangles += delta
             if applied:
                 self.version += 1
-                self._snap = None
             elapsed = clock() - started
             span.set("requested", requested)
             span.set("applied", applied)
@@ -334,87 +340,79 @@ class DynamicGraph:
                 self.compact()
             return result
 
-    def _link(self, u: int, v: int) -> None:
-        for a, b in ((u, v), (v, u)):
-            removed = self._removed.get(a)
-            if removed is not None and b in removed:
-                removed.discard(b)
-                if not removed:
-                    del self._removed[a]
-            else:
-                self._added.setdefault(a, set()).add(b)
-            self._rows.pop(a, None)
-        self._deg[u] += 1
-        self._deg[v] += 1
-        self._overlay_edges = self._count_overlay_edges()
+    def _flip(self, u: int, v: int, inserting: bool) -> None:
+        """Insert or delete the edge ``(u, v)``, ``u < v``, in the overlays.
 
-    def _unlink(self, u: int, v: int) -> None:
+        An edit that undoes an overlay entry (re-inserting a deleted base
+        edge, deleting an inserted one) cancels it, so ``overlay_edges``
+        moves by exactly ±1 per edge.
+        """
+        undo, record = (
+            (self._removed, self._added) if inserting else (self._added, self._removed)
+        )
+        cancels = v in undo.get(u, ())
         for a, b in ((u, v), (v, u)):
-            added = self._added.get(a)
-            if added is not None and b in added:
-                added.discard(b)
-                if not added:
-                    del self._added[a]
+            if cancels:
+                mates = undo[a]
+                mates.discard(b)
+                if not mates:
+                    del undo[a]
             else:
-                self._removed.setdefault(a, set()).add(b)
+                record.setdefault(a, set()).add(b)
             self._rows.pop(a, None)
-        self._deg[u] -= 1
-        self._deg[v] -= 1
-        self._overlay_edges = self._count_overlay_edges()
-
-    def _count_overlay_edges(self) -> int:
-        arcs = sum(len(s) for s in self._added.values())
-        arcs += sum(len(s) for s in self._removed.values())
-        return arcs // 2
+        step = 1 if inserting else -1
+        self._deg[u] += step
+        self._deg[v] += step
+        self._overlay_edges += -1 if cancels else 1
+        key = u * self.num_vertices + v
+        if self._toggled.pop(key, None) is None:
+            self._toggled[key] = inserting
 
     # -- materialisation ----------------------------------------------------
-    def _effective_edges(self) -> np.ndarray:
-        """The effective undirected edge list as (m, 2) int64, ``u < v``."""
+    def _patch(self, csr: CSRGraph) -> CSRGraph:
+        """``csr`` with every edge in ``self._toggled`` flipped.
+
+        Both arcs of each toggled edge are located in ``csr``'s sorted
+        rows; deleted arcs go in one ``np.delete``, inserted ones in one
+        ``np.insert`` whose positions are shifted left by the deletions
+        ahead of them.  ``indptr`` is the prefix sum of the maintained
+        degrees.  The result is byte-identical to ``from_edges`` of the
+        effective edge list.
+        """
         n = self.num_vertices
-        base_edges = self._base.edges().astype(np.int64)
-        if self._removed:
-            drop_keys = np.array(
-                sorted(
-                    a * n + b
-                    for a, mates in self._removed.items()
-                    for b in mates
-                    if a < b
-                ),
-                dtype=np.int64,
-            )
-            if drop_keys.size:
-                keys = base_edges[:, 0] * n + base_edges[:, 1]
-                base_edges = base_edges[np.isin(keys, drop_keys, invert=True)]
-        if self._added:
-            extra = np.array(
-                sorted(
-                    (a, b)
-                    for a, mates in self._added.items()
-                    for b in mates
-                    if a < b
-                ),
-                dtype=np.int64,
-            ).reshape(-1, 2)
-            base_edges = np.concatenate([base_edges, extra])
-        return base_edges
+        count = len(self._toggled)
+        keys = np.fromiter(self._toggled.keys(), dtype=np.int64, count=count)
+        present = np.fromiter(self._toggled.values(), dtype=bool, count=count)
+        lo, hi = np.divmod(keys, n)
+        rows = np.concatenate([lo, hi])
+        cols = np.concatenate([hi, lo])
+        adds = np.concatenate([present, present])
+        order = np.lexsort((cols, rows))
+        rows, cols, adds = rows[order], cols[order], adds[order]
+        starts = csr.indptr[rows]
+        pos = starts + rows_searchsorted(csr.indices, starts, csr.indptr[rows + 1], cols)
+        gone = pos[~adds]  # strictly increasing: arcs are in CSR order
+        at = pos[adds] - np.searchsorted(gone, pos[adds])
+        indices = np.insert(np.delete(csr.indices, gone), at, cols[adds])
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self._deg, out=indptr[1:])
+        return CSRGraph(indptr, indices.astype(neighbor_dtype_for(n), copy=False))
 
     def snapshot(self) -> GraphSnapshot:
         """The current version as an immutable :class:`GraphSnapshot`.
 
         Repeated calls at the same version return the same (cached)
-        snapshot; when the overlays are empty the base CSR is shared
-        zero-copy.  The returned graph is never mutated by later updates.
+        snapshot.  Until the first update, and right after a compaction,
+        the graph is the base CSR itself (zero-copy).  A new version
+        patches the previous snapshot's CSR; the returned graph is never
+        mutated by later updates.
         """
         with self._lock:
             snap = self._snap
-            if snap is not None and snap.version == self.version:
+            if snap.version == self.version:
                 return snap
-            if self._overlay_edges == 0 and not self._added and not self._removed:
-                graph = self._base
-            else:
-                graph = from_edges(
-                    self._effective_edges(), num_vertices=self.num_vertices
-                )
+            graph = self._patch(snap.graph) if self._toggled else snap.graph
+            self._toggled.clear()
             snap = GraphSnapshot(
                 version=self.version, graph=graph, triangles=self.triangles
             )
@@ -425,9 +423,9 @@ class DynamicGraph:
         """Fold the overlays into a fresh base CSR; returns edges folded.
 
         The effective graph, maintained count and version are all
-        unchanged — compaction is a representation change only (the
-        snapshot fingerprint is byte-identical, so structure-cache keys
-        survive a compaction).
+        unchanged — compaction is a representation change only: the new
+        base *is* the current snapshot's CSR, so structure-cache keys
+        survive a compaction.
         """
         registry = get_registry()
         with self._lock, registry.span("dynamic:compact") as span:
@@ -438,9 +436,7 @@ class DynamicGraph:
                 span.set("folded", 0)
                 return 0
             started = clock()
-            self._base = from_edges(
-                self._effective_edges(), num_vertices=self.num_vertices
-            )
+            self._base = self.snapshot().graph
             self._added.clear()
             self._removed.clear()
             self._rows.clear()

@@ -50,13 +50,15 @@ The ``serve.*`` metric family (exported through the active
 
 **Dynamic graphs.**  ``insert`` / ``delete`` / ``compact`` ops open a
 per-source :class:`~repro.dynamic.graph.DynamicGraph` session on first
-use; later counts against that source are served from the session's
-current *snapshot* — an immutable versioned CSR cached under a
-``(fingerprint, version)``-tagged structure key, pinned while any
-in-flight query reads it (updates supersede snapshots, never invalidate
-a pinned one).  The ``maintained`` pseudo-algorithm answers straight
-from the session's incrementally-maintained count without touching the
-cache.  See docs/dynamic.md.
+use (counting its base once with LOTUS); later counts against that
+source are served from the session's current *snapshot* — an immutable
+versioned CSR, patched from the previous one in O(edges changed),
+cached under a ``(fingerprint, version)``-tagged structure key and
+pinned while any in-flight query reads it (updates supersede snapshots,
+never invalidate a pinned one).  The ``maintained`` pseudo-algorithm
+answers straight from the session's incrementally-maintained count and
+version in O(1): a batch of only maintained reads never materialises a
+snapshot or touches the cache.  See docs/dynamic.md.
 
 When a :class:`~repro.obs.telemetry.TelemetryBus` is active the engine
 also streams events *during* the session: every counter increment is
@@ -337,24 +339,11 @@ class QueryEngine:
         except Exception as exc:
             self._fail_tickets(live, str(exc))
             return
-        # a graph with a dynamic session is served from its current
-        # snapshot: an immutable versioned CSR that later updates
-        # supersede but never mutate (snapshot-isolated reads)
         session = self._dynamic.get(request0.graph_key())
-        version: int | None = None
-        if session is not None:
-            snap = session.snapshot()
-            graph = snap.graph
-            version = snap.version
-        config = (
-            LotusConfig(hub_count=request0.hub_count)
-            if request0.hub_count
-            else LotusConfig()
-        )
 
-        # the maintained count is read straight off the session — no
-        # structure, no cache lookup (so it does not take part in the
-        # hit/miss/eviction partition over cache lookups)
+        # the maintained count is read straight off the session in O(1) —
+        # no snapshot, no structure, no cache lookup (so it does not take
+        # part in the hit/miss/eviction partition over cache lookups)
         maintained = [t for t in live if t.request.algorithm == "maintained"]
         if maintained:
             live = [t for t in live if t.request.algorithm != "maintained"]
@@ -365,16 +354,26 @@ class QueryEngine:
                     "(no updates applied to this graph yet)",
                 )
             else:
+                payload = {"triangles": session.triangles, "version": session.version}
                 for t in maintained:
-                    self._finish(
-                        t,
-                        "ok",
-                        payload={"triangles": snap.triangles, "version": version},
-                        batched=len(maintained),
-                    )
+                    self._finish(t, "ok", payload=payload, batched=len(maintained))
             if not live:
                 return
             request0 = live[0].request
+
+        # every other read of a graph with a dynamic session is served
+        # from its current snapshot: an immutable versioned CSR that later
+        # updates supersede but never mutate (snapshot-isolated reads)
+        version: int | None = None
+        if session is not None:
+            snap = session.snapshot()
+            graph = snap.graph
+            version = snap.version
+        config = (
+            LotusConfig(hub_count=request0.hub_count)
+            if request0.hub_count
+            else LotusConfig()
+        )
         key = structure_key(graph, config, version=version)
 
         with registry.span(
@@ -462,9 +461,9 @@ class QueryEngine:
 
         The first update against a source lazily opens its session: the
         resolved graph becomes the version-0 base and its triangle count
-        is established once (by a full forward count) so every later
-        delta is exact.  Updates never touch resident cache entries —
-        the next count simply keys a new snapshot version.
+        is established once (by a LOTUS count) so every later delta is
+        exact.  Updates never touch resident cache entries — the next
+        count simply keys a new snapshot version.
         """
         import numpy as np
 

@@ -13,14 +13,19 @@ property is checked against full recounts or pure set semantics:
 * **commuting updates** — endpoint-disjoint updates applied in any
   order produce the same final state and total delta;
 * **rejection** — self-loops, within-batch duplicates, duplicate
-  inserts and absent deletes are rejected without mutating anything.
+  inserts and absent deletes are rejected without mutating anything;
+* **patched snapshots** — through any interleaving of insert, delete and
+  re-insert batches, snapshots, explicit compactions and
+  auto-compactions, every snapshot is byte-identical to a ``from_edges``
+  rebuild of a reference edge set, stays so after later updates, and
+  ``overlay_edges`` equals a recount of the overlays.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.dynamic import DynamicGraph
-from repro.graph import erdos_renyi, powerlaw_chung_lu
+from repro.graph import CSRGraph, erdos_renyi, from_edges, powerlaw_chung_lu
 from repro.tc import count_triangles_forward
 
 graph_params = st.tuples(
@@ -245,3 +250,90 @@ class TestRejection:
         assert dyn.triangles == count_triangles_forward(
             dyn.snapshot().graph
         ).triangles
+
+
+class TestPatchedSnapshots:
+    @given(
+        params=graph_params,
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["insert", "delete", "reinsert", "snapshot", "compact"]
+                ),
+                st.integers(min_value=1, max_value=48),
+                st.integers(min_value=0, max_value=10_000),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        wide=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_snapshots_are_byte_identical_to_a_rebuild(self, params, steps, wide):
+        graph = _make_graph(params)
+        if wide:  # a base whose indices dtype differs from the rebuild's
+            graph = CSRGraph(graph.indptr, graph.indices.astype(np.int64))
+        n = graph.num_vertices
+        # the floor max(64, 0.01 * |E|) = 64 overlay edges: a few batches
+        dyn = DynamicGraph(graph, auto_compact_fraction=0.01)
+        edges = _edge_set(graph)
+        base = set(edges)  # the edge set of the last compaction
+        deleted: list[tuple[int, int]] = []
+        taken = []
+
+        def check_snapshot():
+            got = dyn.snapshot().graph
+            want = from_edges(
+                np.array(sorted(edges), dtype=np.int64).reshape(-1, 2),
+                num_vertices=n,
+            )
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            # the base is shared zero-copy in its own dtype; every patched
+            # CSR has the rebuild's
+            assert got is graph or got.indices.dtype == want.indices.dtype
+            taken.append((got, want))
+
+        for op, size, seed in steps:
+            compactions = dyn.compactions
+            rng = np.random.default_rng(seed)
+            if op == "snapshot":
+                check_snapshot()
+                continue
+            if op == "compact":
+                dyn.compact()
+            else:
+                if op == "insert":
+                    pairs = [
+                        (min(u, v), max(u, v))
+                        for u, v in rng.integers(n, size=(size, 2)).tolist()
+                        if u != v
+                    ]
+                    pairs = [p for p in dict.fromkeys(pairs) if p not in edges]
+                elif op == "delete":
+                    live = sorted(edges)
+                    take = rng.permutation(len(live))[:size]
+                    pairs = [live[i] for i in take]
+                else:  # re-insert edges deleted earlier: overlay entries cancel
+                    pairs = [p for p in dict.fromkeys(deleted[-size:]) if p not in edges]
+                if not pairs:
+                    continue
+                batch = np.array(pairs, dtype=np.int64)
+                if op == "delete":
+                    result = dyn.delete_edges(batch)
+                    edges.difference_update(pairs)
+                    deleted.extend(pairs)
+                else:
+                    result = dyn.insert_edges(batch)
+                    edges.update(pairs)
+                assert (result.applied, result.rejected) == (len(pairs), 0)
+            if dyn.compactions != compactions:
+                base = set(edges)
+            recount = sum(map(len, dyn._added.values()))
+            recount += sum(map(len, dyn._removed.values()))
+            assert dyn.overlay_edges == recount // 2 == len(edges ^ base)
+        check_snapshot()
+        # later patches never mutate an earlier snapshot
+        for got, want in taken:
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.indptr, want.indptr)

@@ -4,10 +4,12 @@ check that a warm-cache query never rebuilds the structure."""
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core.structure import LotusConfig, build_lotus_graph
-from repro.graph import erdos_renyi, load_dataset
+from repro.dynamic import DynamicGraph
+from repro.graph import erdos_renyi, from_edges, load_dataset
 from repro.obs import use_registry
 from repro.serve import (
     EngineStoppedError,
@@ -347,6 +349,47 @@ class TestWorkerCount:
             result = engine.query(QueryRequest(graph=g1), wait_timeout=120)
         assert result.ok and result.triangles == oracle
         assert seen == [shards]
+
+
+class TestMaintainedReads:
+    def test_only_lotus_reads_materialise_a_snapshot(self, g1, monkeypatch):
+        versions_materialised = []
+        real = DynamicGraph.snapshot
+
+        def spy(self):
+            versions_materialised.append(self.version)
+            return real(self)
+
+        monkeypatch.setattr(DynamicGraph, "snapshot", spy)
+        fresh = [
+            [u, v] for u in range(20) for v in range(u + 1, 20)
+            if not g1.has_edge(u, v)
+        ][:2]
+        requests = [
+            QueryRequest(graph=g1, op="insert", edges=[fresh[0]]),
+            QueryRequest(graph=g1, algorithm="maintained"),
+            QueryRequest(graph=g1, algorithm="maintained"),
+            QueryRequest(graph=g1, op="insert", edges=[fresh[1]]),
+            QueryRequest(graph=g1, algorithm="maintained"),
+            QueryRequest(graph=g1),
+        ]
+        # queued before start: one micro-batch, split at each update into
+        # a maintained-only segment (v1) and a mixed segment (v2)
+        engine = QueryEngine(StructureCache(), max_batch=len(requests))
+        tickets = [engine.submit(r) for r in requests]
+        engine.start()
+        u1, m1, m2, u2, m3, lotus = (t.result(timeout=60) for t in tickets)
+        engine.stop()
+        assert all(r.ok for r in (u1, m1, m2, u2, m3, lotus))
+        assert versions_materialised == [2]
+        assert (m1.version, m1.triangles) == (1, u1.triangles)
+        assert (m2.version, m2.triangles) == (1, u1.triangles)
+        assert (m3.version, m3.triangles) == (2, u2.triangles)
+        assert (lotus.version, lotus.triangles) == (2, u2.triangles)
+        effective = from_edges(
+            np.concatenate([g1.edges(), fresh]), num_vertices=g1.num_vertices
+        )
+        assert lotus.triangles == count_triangles_forward(effective).triangles
 
 
 class TestQueryResultProjection:
