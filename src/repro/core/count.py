@@ -346,9 +346,12 @@ def count_triangles_lotus(
     ``None``/``"sequential"`` (in-process) or ``"distributed"``, which
     shards the whole count across ``shards`` real processes
     (:mod:`repro.dist.runtime`, default 2) partitioned by
-    ``partitioner``; the per-type counts are identical.
+    ``partitioner``; the per-type counts are identical.  ``shards`` with
+    any other backend raises ``ValueError``.
     """
     check_backend(backend)
+    if shards is not None and backend != "distributed":
+        raise ValueError("shards requires backend 'distributed'")
     if backend == "distributed":
         return _count_triangles_distributed(
             graph, config, shards=2 if shards is None else shards,

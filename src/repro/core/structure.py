@@ -194,28 +194,41 @@ def build_lotus_graph(
 def split_oriented(
     graph: CSRGraph, ra: np.ndarray, hub_count: int
 ) -> tuple[OrientedGraph, OrientedGraph]:
-    """Relabel every arc of ``graph`` through ``ra``, keep ``u_new <
-    v_new`` (symmetric-edge elision) and split at ``hub_count``.
+    """Relabel every edge of ``graph`` through ``ra``, orient it from the
+    higher new ID to the lower (symmetric-edge elision) and split at
+    ``hub_count``.
 
     Returns ``(HE, NHE)``: the arcs whose lower endpoint is a hub
     (``uint16`` IDs when ``hub_count <= 2^16``) and the rest
     (``uint32``), both oriented CSX over the relabeled IDs with sorted
     rows.  ``hub_count=0`` puts every arc in NHE.
+
+    One arc per edge comes from the lower prefix of each sorted input
+    row (``graph`` is symmetric and loop-free).  One :func:`sort_arcs`
+    call keys every HE arc ahead of every NHE arc (an NHE arc's source
+    is offset by ``n``) and one cut splits them, so the sort keys reach
+    ``2n · n``, which must stay below ``2^63``: ``n`` up to about
+    ``2.1 · 10^9``.
     """
     n = graph.num_vertices
     old_src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
-    new_src = ra[old_src]
-    new_dst = ra[graph.indices.astype(np.int64, copy=False)]
-    keep = new_dst < new_src
-    src, dst = sort_arcs(new_src[keep], new_dst[keep], n)
-    is_hub_dst = dst < hub_count
+    lower = graph.indices < old_src
+    a = ra[old_src[lower]]
+    lo = ra[graph.indices[lower]]
+    # the sort sets the memory peak: free the per-arc arrays before it
+    del old_src, lower
+    hi = np.maximum(a, lo)
+    np.minimum(a, lo, out=lo)
+    del a
+    # an NHE arc's source is offset by n, so it sorts after every HE arc
+    hi += np.int64(n) * (lo >= hub_count)
+    src, dst = sort_arcs(hi, lo, n)
+    cut = int(np.searchsorted(src, n))
     he_dtype = np.uint16 if hub_count <= (1 << 16) else np.uint32
     return (
+        OrientedGraph(_rows_to_indptr(src[:cut], n), dst[:cut].astype(he_dtype)),
         OrientedGraph(
-            _rows_to_indptr(src[is_hub_dst], n), dst[is_hub_dst].astype(he_dtype)
-        ),
-        OrientedGraph(
-            _rows_to_indptr(src[~is_hub_dst], n), dst[~is_hub_dst].astype(np.uint32)
+            _rows_to_indptr(src[cut:] - n, n), dst[cut:].astype(np.uint32)
         ),
     )
 

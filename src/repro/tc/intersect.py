@@ -18,7 +18,7 @@ wedge protocol live here too:
   ``|row(l) ∩ row(r)| = popcount(bits[l] & bits[r])``;
 * :func:`wedge_chunks` + :class:`KeySet` — every in-row pair of many
   CSR rows, enumerated in bounded chunks by one walk over the arcs, then
-  tested as int64 arc keys (:func:`arc_keys`): a one-byte-per-slot hash
+  tested as int64 arc keys (:func:`arc_keys`): a one-bit-per-slot hash
   filter rejects most absent keys, and only its hits reach the exact
   ``searchsorted`` of :func:`match_keys`.
 """
@@ -56,7 +56,8 @@ __all__ = [
 # phases, the distributed shards and the memsim replays
 _WEDGE_CHUNK = 1 << 18
 # KeySet filter: slots per key (rounded up to a power of two, ~4% false
-# positives) and the byte cap on the one-byte-per-slot table
+# positives) and the byte cap on the one-byte-per-slot table it is built
+# from, checked before that table is allocated
 _FILTER_SLOTS_PER_KEY = 16
 _FILTER_CAP = 64 << 20
 # Fibonacci hashing: 2^64 / golden ratio, odd
@@ -445,14 +446,17 @@ def arc_keys(
 class KeySet:
     """Exact membership in sorted int64 keys behind a hash filter.
 
-    Every key sets the byte at its multiplicative-hash slot of
+    Every key sets the bit at its multiplicative-hash slot of
     :attr:`filter`, so a query whose slot is clear is absent; only the
     queries that hit a set slot reach :func:`match_keys`, and
     :attr:`verified` counts them.  The filter has about
     :data:`_FILTER_SLOTS_PER_KEY` slots per key, rounded up to a power
-    of two and capped at :data:`_FILTER_CAP` bytes, sized before it is
-    allocated; past the cap more queries are verified and the answers
-    are unchanged.
+    of two.  It is built as a one-byte-per-slot table, capped at
+    :data:`_FILTER_CAP` bytes and sized before it is allocated, then
+    packed to one bit per slot (slot ``s`` is bit ``s & 7`` of byte
+    ``s >> 3``), so the table the probes read is an eighth of that.
+    Past the cap more queries are verified and the answers are
+    unchanged.
     """
 
     def __init__(self, sorted_keys: np.ndarray):
@@ -460,8 +464,9 @@ class KeySet:
         want = max(_FILTER_SLOTS_PER_KEY * self.keys.size, 1)
         bits = min((want - 1).bit_length(), max(int(_FILTER_CAP).bit_length() - 1, 0))
         self._shift = np.uint64(64 - bits)
-        self.filter = np.zeros(1 << bits, dtype=bool)
-        self.filter[self._slots(self.keys)] = True
+        table = np.zeros(1 << bits, dtype=bool)
+        table[self._slots(self.keys)] = True
+        self.filter = np.packbits(table, bitorder="little")
         self.verified = 0
 
     @property
@@ -475,10 +480,22 @@ class KeySet:
         # below 2^63, so the int64 view indexes without a cast
         return slots.view(np.int64)
 
+    def _passes(self, query: np.ndarray) -> np.ndarray:
+        """Boolean mask: does each query key's slot bit pass the filter?"""
+        slots = self._slots(query)
+        bit = slots.astype(np.uint8)
+        bit &= 7
+        # in place: a fresh chunk-sized array per step costs more than the probe
+        slots >>= 3
+        byte = self.filter[slots]
+        byte >>= bit
+        byte &= 1
+        return byte.view(bool)
+
     def contains(self, query: np.ndarray) -> np.ndarray:
         """Boolean mask: is each query key in the set?"""
         query = np.asarray(query, dtype=np.int64)
-        hit = np.flatnonzero(self.filter[self._slots(query)])
+        hit = np.flatnonzero(self._passes(query))
         self.verified += hit.size
         # verify in key order: sorted probes walk the keys cache-friendly
         hit = hit[np.argsort(query[hit])]
@@ -490,6 +507,6 @@ class KeySet:
         """How many query keys are in the set (repeats count each time)."""
         query = np.asarray(query, dtype=np.int64)
         # no positions to keep: sort the candidates themselves
-        candidates = np.sort(query[self.filter[self._slots(query)]])
+        candidates = np.sort(query[self._passes(query)])
         self.verified += candidates.size
         return int(np.count_nonzero(match_keys(self.keys, candidates)))

@@ -6,8 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import LotusConfig, build_lotus_graph
-from repro.core.structure import PAPER_HUB_COUNT
-from repro.graph import erdos_renyi, powerlaw_chung_lu, star_graph, complete_graph
+from repro.core.structure import PAPER_HUB_COUNT, split_oriented
+from repro.dist.plan import degree_rank
+from repro.graph import (
+    complete_graph,
+    empty_graph,
+    erdos_renyi,
+    from_edges,
+    lotus_relabeling_array,
+    powerlaw_chung_lu,
+    star_graph,
+)
+from repro.util.arrays import sort_arcs
 
 
 class TestConfig:
@@ -105,3 +115,66 @@ class TestByteAccounting:
         (Table 7's negative growth rows)."""
         lotus = build_lotus_graph(powerlaw_medium)
         assert lotus.he.indices.dtype.itemsize == 2
+
+
+def _relabel_all_arcs_split(graph, ra, hub_count):
+    """Reference split: relabel every arc, keep ``new_dst < new_src``,
+    sort the survivors, then compress each part by its hub flag."""
+    n = graph.num_vertices
+    old_src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    new_src = ra[old_src]
+    new_dst = ra[graph.indices.astype(np.int64)]
+    keep = new_dst < new_src
+    src, dst = sort_arcs(new_src[keep], new_dst[keep], n)
+    is_hub_dst = dst < hub_count
+    he_dtype = np.uint16 if hub_count <= (1 << 16) else np.uint32
+    parts = []
+    for sel, dtype in ((is_hub_dst, he_dtype), (~is_hub_dst, np.uint32)):
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src[sel], minlength=n), out=indptr[1:])
+        parts.append((indptr, dst[sel].astype(dtype)))
+    return parts
+
+
+# past 2^16 hubs HE holds uint32 IDs; graphs padded past it test that
+_WIDE_HUBS = 70_000
+
+_BUILDERS = {
+    "empty": lambda n, seed: empty_graph(n),
+    "er": lambda n, seed: erdos_renyi(n, 0.1, seed=seed),
+    "powerlaw": lambda n, seed: powerlaw_chung_lu(max(n, 2), 4.0, seed=seed),
+    "star": lambda n, seed: star_graph(max(n, 2)),
+    "complete": lambda n, seed: complete_graph(min(n, 12)),
+}
+
+
+@st.composite
+def split_cases(draw):
+    """``(graph, hub_count)``: a builder's graph with isolated vertices
+    appended, some padded past :data:`_WIDE_HUBS` vertices."""
+    kind = draw(st.sampled_from(sorted(_BUILDERS)))
+    graph = _BUILDERS[kind](draw(st.integers(0, 90)), draw(st.integers(0, 2**31 - 1)))
+    pad = draw(st.sampled_from([0, 3, _WIDE_HUBS + 1]))
+    graph = from_edges(graph.edges(), num_vertices=graph.num_vertices + pad)
+    total = graph.num_vertices
+    hubs = [0, 1, LotusConfig().resolve_hub_count(total), total]
+    if total > _WIDE_HUBS:
+        hubs.append(_WIDE_HUBS)
+    return graph, draw(st.sampled_from(hubs))
+
+
+class TestSplitOriented:
+    @given(split_cases(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_relabel_all_arcs_split(self, case, lotus_rank):
+        graph, hub_count = case
+        ra = (
+            lotus_relabeling_array(graph, 0.10) if lotus_rank else degree_rank(graph)
+        )
+        got = split_oriented(graph, ra, hub_count)
+        want = _relabel_all_arcs_split(graph, ra, hub_count)
+        for part, (indptr, indices) in zip(got, want):
+            assert part.indptr.dtype == indptr.dtype
+            assert part.indices.dtype == indices.dtype
+            np.testing.assert_array_equal(part.indptr, indptr)
+            np.testing.assert_array_equal(part.indices, indices)

@@ -345,6 +345,12 @@ class TestFailureSemantics:
         with pytest.raises(ValueError, match="shards"):
             count_triangles_lotus(skew_graph, backend="distributed", shards=0)
 
+    @pytest.mark.parametrize("backend", [None, "sequential"])
+    @pytest.mark.parametrize("shards", [0, -3, 4])
+    def test_shards_require_distributed_at_entrypoint(self, skew_graph, backend, shards):
+        with pytest.raises(ValueError, match="shards requires backend 'distributed'"):
+            count_triangles_lotus(skew_graph, backend=backend, shards=shards)
+
 
 class TestPartitionerResolution:
     def test_degree_alias(self):

@@ -325,10 +325,36 @@ class TestKeySet:
 
     def test_filter_sized_per_key_up_to_the_cap(self, monkeypatch):
         keys = np.arange(1000, dtype=np.int64) * 7
-        # 16 slots per key, rounded up to a power of two
-        assert KeySet(keys).filter.nbytes == 16384
+        # 16 slots per key, rounded up to a power of two: 16,384 slots,
+        # one bit each
+        assert KeySet(keys).filter.nbytes == 2048
+        # the cap bounds the slots (the build-time byte table): 512 slots
         monkeypatch.setattr(intersect_mod, "_FILTER_CAP", 1000)
-        assert KeySet(keys).filter.nbytes == 512
+        assert KeySet(keys).filter.nbytes == 64
+
+    @given(keys_and_queries, st.sampled_from([None, 1, 64, 1000]))
+    @settings(max_examples=80, deadline=None)
+    def test_packed_filter_passes_what_a_byte_table_passes(self, case, cap):
+        raw_keys, small, wide = case
+        keys = np.unique(np.array(raw_keys + small[::2], dtype=np.int64))
+        query = np.array(small + wide, dtype=np.int64)
+        cap = cap or intersect_mod._FILTER_CAP
+        # the slots as specified: 16 per key up to a power of two, at
+        # most ``cap``, hashed by the top bits of key * _HASH_MULT
+        bits = min((max(16 * keys.size, 1) - 1).bit_length(), cap.bit_length() - 1)
+
+        def slots(k):
+            return (k.view(np.uint64) * intersect_mod._HASH_MULT) >> np.uint64(64 - bits)
+
+        table = np.zeros(1 << bits, dtype=bool)
+        table[slots(keys)] = True
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intersect_mod, "_FILTER_CAP", cap)
+            keyset = KeySet(keys)
+        np.testing.assert_array_equal(keyset._passes(query), table[slots(query)])
+        # so the filter lets through exactly the queries a byte table did
+        keyset.count(query)
+        assert keyset.verified == int(table[slots(query)].sum())
 
     @pytest.mark.parametrize("cap", [1, 64, 1024])
     def test_forced_collisions_keep_phase_counts(self, cap, monkeypatch):
