@@ -72,8 +72,9 @@ BACKENDS = ("sequential", "distributed")
 
 # bitset byte budget: the paper's 256 MB ceiling for H2H at 64 K hubs
 _BITSET_BUDGET = 256 << 20
-# words gathered per side per popcount pass: 2^14 rows at 2048 hubs
-_ARC_CHUNK_WORDS = 1 << 19
+# words gathered per side per popcount pass: 2^11 rows at 2048 hubs, so
+# a pass's two 512 KB operands stay in a 2 MB L2
+_ARC_CHUNK_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)

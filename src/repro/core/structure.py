@@ -165,7 +165,8 @@ def build_lotus_graph(
             )
 
         if span.enabled:
-            span.set("arcs_relabeled", int(graph.indices.size))
+            # split_oriented relabels one arc per edge
+            span.set("arcs_relabeled", he.num_edges + nhe.num_edges)
             span.set("hub_count", hub_count)
             span.set("he_edges", he.num_edges)
             span.set("nhe_edges", nhe.num_edges)

@@ -368,12 +368,20 @@ def popcount_pairs(
 
     ``left`` / ``right`` index rows of ``bits``; each pass gathers at
     most ``chunk_words`` words per side (and always at least one pair).
+    Each row is gathered as one fixed-width ``np.void`` item, so NumPy
+    takes its one-dimensional gather (one item copy per row) instead of
+    the slower 2-D fancy index, and the gathered block is viewed back as
+    ``uint64`` for the AND.
     """
-    step = max(1, int(chunk_words) // max(bits.shape[1], 1))
+    words = bits.shape[1]
+    if not words:  # zero-word rows: every intersection is empty
+        return 0
+    rows = np.ascontiguousarray(bits).view(np.dtype((np.void, 8 * words))).ravel()
+    step = max(1, int(chunk_words) // words)
     total = 0
     for lo in range(0, left.size, step):
-        both = bits[left[lo : lo + step]]
-        both &= bits[right[lo : lo + step]]
+        both = rows[left[lo : lo + step]].view(np.uint64)
+        both &= rows[right[lo : lo + step]].view(np.uint64)
         total += int(np.bitwise_count(both).sum())
     return total
 

@@ -17,6 +17,7 @@ from repro.graph import (
     powerlaw_chung_lu,
     star_graph,
 )
+from repro.obs import use_registry
 from repro.util.arrays import sort_arcs
 
 
@@ -178,3 +179,13 @@ class TestSplitOriented:
             assert part.indices.dtype == indices.dtype
             np.testing.assert_array_equal(part.indptr, indptr)
             np.testing.assert_array_equal(part.indices, indices)
+
+    @pytest.mark.parametrize("kind", sorted(_BUILDERS))
+    def test_preprocess_span_counts_one_arc_per_edge(self, kind):
+        graph = _BUILDERS[kind](40, 3)
+        with use_registry() as reg:
+            lotus = build_lotus_graph(graph)
+        attrs = reg.find_span("preprocess").attrs
+        assert attrs["arcs_relabeled"] == graph.num_edges
+        assert attrs["arcs_relabeled"] == attrs["he_edges"] + attrs["nhe_edges"]
+        assert attrs["he_edges"] == lotus.hub_edges

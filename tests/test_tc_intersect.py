@@ -251,6 +251,57 @@ class TestBitsetKernels:
         np.testing.assert_array_equal(bits[:, 1], [1, 0])
         assert bitset_nbytes(indptr, 65) == bits.nbytes
 
+    @given(
+        st.integers(0, 40),
+        st.sampled_from([1, 2, 3, 5, 32, 33]),
+        st.sampled_from(["dense", "sparse", "full"]),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=60),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_popcount_matches_per_arc_bit_count(
+        self, rows, words, density, seed, arcs, chunk_pick
+    ):
+        rng = np.random.default_rng(seed)
+
+        def draw_bits(shape):
+            if density == "full":
+                return np.full(shape, np.iinfo(np.uint64).max, dtype=np.uint64)
+            out = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+            if density == "sparse":  # about one bit in eight set
+                out &= rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+                out &= rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+            return out
+
+        bits = draw_bits((rows, words))
+        # repeated arcs, and arcs repeated as their own reverse
+        pairs = [(a % rows, b % rows) for a, b in arcs] if rows else []
+        pairs += pairs[: len(pairs) // 3] + [(b, a) for a, b in pairs[:3]]
+        left = np.array([a for a, _ in pairs], dtype=np.int64)
+        right = np.array([b for _, b in pairs], dtype=np.int64)
+        expected = sum(
+            (int(x) & int(y)).bit_count()
+            for a, b in pairs
+            for x, y in zip(bits[a], bits[b])
+        )
+        chunk_words = [1, words - 1, words, 7, 1 << 16][chunk_pick]
+        assert popcount_pairs(bits, left, right, chunk_words) == expected
+        assert popcount_pairs(np.asfortranarray(bits), left, right, chunk_words) == expected
+        # the same rows as a slice of a larger matrix
+        padded = np.concatenate([draw_bits((3, words)), bits, draw_bits((2, words))])
+        view = padded[3 : 3 + rows]
+        assert view.base is not None
+        assert popcount_pairs(view, left, right, chunk_words) == expected
+
+    def test_popcount_empty_cases(self):
+        none = np.array([], dtype=np.int64)
+        assert popcount_pairs(np.zeros((0, 0), dtype=np.uint64), none, none, 7) == 0
+        assert popcount_pairs(np.ones((4, 2), dtype=np.uint64), none, none, 7) == 0
+        # zero-word rows intersect in nothing
+        arcs = np.array([0, 1, 2, 2], dtype=np.int64)
+        assert popcount_pairs(np.zeros((3, 0), dtype=np.uint64), arcs, arcs, 7) == 0
+
 
 class TestWedgeKernels:
     @given(
