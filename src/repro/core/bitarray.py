@@ -37,7 +37,12 @@ class TriangularBitArray:
             raise ValueError("n must be >= 0")
         self.n = int(n)
         self.num_bits = self.n * (self.n - 1) // 2
-        self.data = np.zeros((self.num_bits + 7) // 8, dtype=np.uint8)
+        self.data = np.zeros(self.bytes_for(self.n), dtype=np.uint8)
+
+    @staticmethod
+    def bytes_for(n: int) -> int:
+        """Bytes of the bit array over ``n`` items, without allocating it."""
+        return (n * (n - 1) // 2 + 7) // 8
 
     # -- core bit operations (vectorised) ----------------------------------
     def _indices(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:

@@ -5,10 +5,10 @@ Three phases, each with a bespoke data structure for its random accesses
 over arcs:
 
 1. **HHH & HHN** — the paper keeps the hub sub-graph as bits (H2H); here
-   every HE row becomes a packed hub-neighbour bitset, built per count
-   call, so ``Σ_{HE arcs (v, h)} popcount(bits[v] & bits[h])`` counts
-   each pair of hub neighbours of ``v`` that H2H would find adjacent.
-   Cutting the arc list at ``v < hub_count`` splits HHH from HHN;
+   every HE row becomes a packed hub-neighbour bitset, so
+   ``Σ_{HE arcs (v, h)} popcount(bits[v] & bits[h])`` counts each pair
+   of hub neighbours of ``v`` that H2H would find adjacent.  Cutting the
+   arc list at ``v < hub_count`` splits HHH from HHN;
 2. **HNN** — the same popcount over NHE arcs ``(v, u)``: the common
    *hub* neighbours of two non-hubs;
 3. **NNN** — every wedge ``(b > c)`` of an NHE row is one int64 key
@@ -16,6 +16,11 @@ over arcs:
    hash filter rejects most wedges and only its hits reach the exact
    ``searchsorted``; hub edges are never touched (the Section 3.3
    pruning).
+
+The bitsets, the live popcount operand pairs of phases 1-2 and the NNN
+key set form the structure's :class:`KernelState`: a cold count builds
+a transient one per call, a structure-cache entry keeps one so that a
+cache hit runs only the kernels.
 
 The bitsets cost ``⌈H/64⌉`` words per row with hub neighbours.  Above
 :data:`_BITSET_BUDGET` bytes (checked before allocating) phases 1 and 2
@@ -35,12 +40,13 @@ breakdown; :func:`count_triangles_lotus` is the end-to-end entry point
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.structure import LotusConfig, LotusGraph, build_lotus_graph
 from repro.graph.csr import CSRGraph, OrientedGraph
-from repro.obs import root_span, timed_phase
+from repro.obs import get_registry, root_span, timed_phase
 from repro.tc.intersect import (
     KeySet,
     arc_keys,
@@ -57,6 +63,8 @@ from repro.util.timer import PhaseTimer
 __all__ = [
     "BACKENDS",
     "LotusCounts",
+    "KernelState",
+    "PopcountPairs",
     "hub_bitsets",
     "common_hub_counts",
     "count_hhh_hhn",
@@ -114,6 +122,50 @@ def hub_bitsets(he: OrientedGraph, hub_count: int) -> Bitsets | None:
     return pack_row_bitsets(he.indptr, he.indices, hub_count)
 
 
+class PopcountPairs(NamedTuple):
+    """The live popcount operands of a run of arcs: ``left[k]`` and
+    ``right[k]`` are the bitset rows of the two endpoints of the ``k``-th
+    arc whose endpoints both have hub neighbours, and the first ``split``
+    pairs come from arcs before the run's cut."""
+
+    left: np.ndarray
+    right: np.ndarray
+    split: int
+
+
+def _popcount_operands(
+    slot: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    apex_ids: np.ndarray,
+    split: int,
+) -> PopcountPairs:
+    """The :class:`PopcountPairs` of the arcs ``(v, u)`` of a compact CSR
+    aligned with ``apex_ids``, cut at arc offset ``split``.
+
+    An arc with an endpoint that has no hub neighbour (``slot == -1``)
+    has an empty intersection and gets no pair.  The row slots are stored
+    as ``int32``: the bitset budget bounds the rows far below ``2^31``.
+    """
+    slot = slot.astype(np.int32)  # one vertex-sized cast: the gathers are int32
+    left = np.repeat(slot[apex_ids], np.diff(indptr))
+    right = slot[indices]
+    live = (left >= 0) & (right >= 0)
+    return PopcountPairs(
+        left[live], right[live], int(np.count_nonzero(live[:split]))
+    )
+
+
+def _popcount_split(bits: np.ndarray, pairs: PopcountPairs) -> tuple[int, int]:
+    """``Σ popcount(bits[left] & bits[right])`` over the pairs before and
+    after ``pairs.split``."""
+    cut = pairs.split
+    return (
+        popcount_pairs(bits, pairs.left[:cut], pairs.right[:cut], _ARC_CHUNK_WORDS),
+        popcount_pairs(bits, pairs.left[cut:], pairs.right[cut:], _ARC_CHUNK_WORDS),
+    )
+
+
 def common_hub_counts(
     he: OrientedGraph,
     bitsets: Bitsets | None,
@@ -134,29 +186,142 @@ def common_hub_counts(
     ``(before, after, arcs_popcounted)``; an arc with an endpoint that
     has no hub neighbour has an empty intersection and is skipped.
     """
-    deg = np.diff(indptr)
-    parts = (slice(0, split), slice(split, None))
     if bitsets is None:
-        src = np.repeat(np.asarray(apex_ids, dtype=np.int64), deg)
+        src = np.repeat(np.asarray(apex_ids, dtype=np.int64), np.diff(indptr))
         dst = indices.astype(np.int64, copy=False)
         before, after = (
             batch_pairwise_counts(
                 he.indptr, he.indices, he.indptr, he.indices, src[part], dst[part]
             )
-            for part in parts
+            for part in (slice(0, split), slice(split, None))
         )
         return before, after, 0
     bits, slot = bitsets
-    left = np.repeat(slot[apex_ids], deg)
-    right = slot[indices]
-    live = (left >= 0) & (right >= 0)
-    before, after = (
-        popcount_pairs(
-            bits, left[part][live[part]], right[part][live[part]], _ARC_CHUNK_WORDS
+    pairs = _popcount_operands(slot, indptr, indices, apex_ids, split)
+    return (*_popcount_split(bits, pairs), pairs.left.size)
+
+
+def _hub_phase_arcs(lotus: LotusGraph, phase: str) -> tuple[OrientedGraph, int]:
+    """The arcs a hub phase popcounts and their cut: phase 1 runs over
+    HE, cut after the hub rows' arcs (HHH before HHN); HNN over NHE,
+    uncut."""
+    if phase == "hhh+hhn":
+        return lotus.he, lotus.h2h_edges
+    return lotus.nhe, 0
+
+
+class KernelState:
+    """What the fused kernels derive from one :class:`LotusGraph`.
+
+    The parts, each built on first use:
+
+    * HE's :func:`hub_bitsets` with their row slots — ``None`` past
+      :data:`_BITSET_BUDGET`, checked before allocating, and then phases
+      1-2 take the probe fallback;
+    * the live :class:`PopcountPairs` of phase 1 (every HE arc, split at
+      ``hub_count``: HHH before HHN) and of HNN (every NHE arc);
+    * the NHE arc keys' :class:`~repro.tc.intersect.KeySet`, which NNN
+      probes.
+
+    A *retained* state keeps every part it builds, so a count that reuses
+    it runs only the kernels: the structure cache holds one per entry
+    (:meth:`build` fills it).  A transient state, the one a cold count
+    builds, keeps only the bitsets, which serve both hub phases, and
+    :meth:`release` frees them before NNN allocates its arc keys.  No
+    part depends on a count, so concurrent counts can share a built
+    state.
+    """
+
+    def __init__(self, lotus: LotusGraph, retain: bool = False) -> None:
+        self.lotus = lotus
+        self.retain = retain
+        self._packed = False
+        self._bitsets: Bitsets | None = None
+        self._pairs: dict[str, PopcountPairs] = {}
+        self._keyset: KeySet | None = None
+
+    def bitsets(self) -> Bitsets | None:
+        """HE's hub bitsets, packed on the first call."""
+        if not self._packed:
+            self._bitsets = hub_bitsets(self.lotus.he, self.lotus.hub_count)
+            self._packed = True
+        return self._bitsets
+
+    def pairs(self, phase: str) -> PopcountPairs | None:
+        """The live popcount operands of ``phase`` (``"hhh+hhn"`` or
+        ``"hnn"``); ``None`` without bitsets."""
+        pairs = self._pairs.get(phase)
+        if pairs is not None:
+            return pairs
+        bitsets = self.bitsets()
+        if bitsets is None:
+            return None
+        csr, split = _hub_phase_arcs(self.lotus, phase)
+        pairs = _popcount_operands(
+            bitsets[1], csr.indptr, csr.indices, np.arange(self.lotus.num_vertices), split
         )
-        for part in parts
-    )
-    return before, after, int(np.count_nonzero(live))
+        if self.retain:
+            self._pairs[phase] = pairs
+        return pairs
+
+    def keyset(self) -> KeySet:
+        """The NHE arc keys' :class:`~repro.tc.intersect.KeySet`."""
+        keyset = self._keyset
+        if keyset is None:
+            nhe = self.lotus.nhe
+            n = self.lotus.num_vertices
+            keyset = KeySet(arc_keys(np.arange(n), nhe.indptr, nhe.indices, n))
+            if self.retain:
+                self._keyset = keyset
+        return keyset
+
+    def build(self) -> "KernelState":
+        """Build every part (a retained state then keeps them all)."""
+        for phase in ("hhh+hhn", "hnn"):
+            self.pairs(phase)
+        self.keyset()
+        return self
+
+    def release(self) -> None:
+        """Free a transient state's bitsets; a retained state keeps them."""
+        if not self.retain:
+            self._bitsets = None
+            self._packed = False
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the parts held: bitsets, row slots, operand pairs and
+        the key set."""
+        total = sum(int(a.nbytes) for a in self._bitsets or ())
+        for pairs in self._pairs.values():
+            total += int(pairs.left.nbytes + pairs.right.nbytes)
+        if self._keyset is not None:
+            total += self._keyset.nbytes
+        return total
+
+
+def _hub_counts(lotus: LotusGraph, state: KernelState, phase: str) -> tuple[int, int, int]:
+    """``(before, after, arcs_popcounted)`` of a hub phase: popcounts
+    over the state's operand pairs, or the probe fallback without
+    bitsets."""
+    pairs = state.pairs(phase)
+    if pairs is None:
+        csr, split = _hub_phase_arcs(lotus, phase)
+        return common_hub_counts(
+            lotus.he, None, csr.indptr, csr.indices, np.arange(lotus.num_vertices), split
+        )
+    return (*_popcount_split(state.bitsets()[0], pairs), pairs.left.size)
+
+
+def _phase1(lotus: LotusGraph, state: KernelState) -> tuple[int, int, int]:
+    """``(hhh, hhn, arcs_popcounted)`` over every HE arc."""
+    return _hub_counts(lotus, state, "hhh+hhn")
+
+
+def _hnn(lotus: LotusGraph, state: KernelState) -> tuple[int, int]:
+    """``(hnn, arcs_popcounted)`` over every NHE arc."""
+    _, hnn, arcs = _hub_counts(lotus, state, "hnn")
+    return hnn, arcs
 
 
 def _h2h_probes(lotus: LotusGraph) -> tuple[int, int]:
@@ -174,35 +339,17 @@ def _h2h_probes(lotus: LotusGraph) -> tuple[int, int]:
     return at_hub, at_non_hub
 
 
-def _phase1(lotus: LotusGraph, bitsets: Bitsets | None) -> tuple[int, int, int]:
-    """``(hhh, hhn, arcs_popcounted)`` over every HE arc."""
-    he = lotus.he
-    n = lotus.num_vertices
-    split = int(he.indptr[min(lotus.hub_count, n)])
-    return common_hub_counts(he, bitsets, he.indptr, he.indices, np.arange(n), split)
-
-
-def _hnn(lotus: LotusGraph, bitsets: Bitsets | None) -> tuple[int, int]:
-    """``(hnn, arcs_popcounted)`` over every NHE arc."""
-    nhe = lotus.nhe
-    _, hnn, arcs = common_hub_counts(
-        lotus.he, bitsets, nhe.indptr, nhe.indices, np.arange(lotus.num_vertices), 0
-    )
-    return hnn, arcs
-
-
-def _nnn(lotus: LotusGraph) -> tuple[int, KeySet]:
-    """``(nnn, keyset)``: every NHE wedge tested against the NHE arc
-    keys' :class:`~repro.tc.intersect.KeySet` (which keeps the work
-    counters)."""
+def _nnn(lotus: LotusGraph, keyset: KeySet) -> tuple[int, int]:
+    """``(nnn, keys_verified)``: every NHE wedge tested against the NHE
+    arc keys' ``keyset``, and how many passed its filter."""
     nhe = lotus.nhe
     n = lotus.num_vertices
-    rows = np.arange(n, dtype=np.int64)
-    keyset = KeySet(arc_keys(rows, nhe.indptr, nhe.indices, n))
-    total = 0
-    for _, b, c in wedge_chunks(nhe.indptr, nhe.indices, rows):
-        total += keyset.count(b * n + c)
-    return total, keyset
+    total = verified = 0
+    for _, b, c in wedge_chunks(nhe.indptr, nhe.indices, np.arange(n, dtype=np.int64)):
+        found, passed = keyset.count(b * n + c)
+        total += found
+        verified += passed
+    return total, verified
 
 
 def count_hhh_hhn(lotus: LotusGraph, fused: bool = True) -> tuple[int, int]:
@@ -216,10 +363,9 @@ def count_hhh_hhn(lotus: LotusGraph, fused: bool = True) -> tuple[int, int]:
     when the bitsets are over budget); ``fused=False`` runs the literal
     H2H probes instead.
     """
-    he = lotus.he
     if not fused:
         return _h2h_probes(lotus)
-    hhh, hhn, _ = _phase1(lotus, hub_bitsets(he, lotus.hub_count))
+    hhh, hhn, _ = _phase1(lotus, KernelState(lotus))
     return hhh, hhn
 
 
@@ -233,7 +379,7 @@ def count_hnn(lotus: LotusGraph, fused: bool = True) -> int:
     literal per-vertex loop.
     """
     if fused:
-        return _hnn(lotus, hub_bitsets(lotus.he, lotus.hub_count))[0]
+        return _hnn(lotus, KernelState(lotus))[0]
     he_indptr = lotus.he.indptr
     he_indices = lotus.he.indices
     nhe_indptr = lotus.nhe.indptr
@@ -262,7 +408,7 @@ def count_nnn(lotus: LotusGraph, fused: bool = True) -> int:
     intersections.
     """
     if fused:
-        return _nnn(lotus)[0]
+        return _nnn(lotus, KernelState(lotus).keyset())[0]
     indptr = lotus.nhe.indptr
     indices = lotus.nhe.indices
     total = 0
@@ -274,35 +420,41 @@ def count_nnn(lotus: LotusGraph, fused: bool = True) -> int:
 
 
 def lotus_count_from_structure(
-    lotus: LotusGraph, timer: PhaseTimer | None = None
+    lotus: LotusGraph,
+    timer: PhaseTimer | None = None,
+    state: KernelState | None = None,
 ) -> LotusCounts:
     """Run the three counting phases on a prebuilt structure, in-process.
 
-    The hub bitsets are built once and serve phase 1 and HNN; they are
-    freed before NNN allocates its arc keys.
+    ``state`` is the structure's :class:`KernelState`, built by an
+    earlier count and reused, so the phases run only their kernels.
+    Without one the count builds a transient state: the hub bitsets are
+    packed once and serve phase 1 and HNN, and they are freed before NNN
+    allocates its arc keys.
     """
     timer = timer or PhaseTimer()
+    state = state or KernelState(lotus)
+    work = lotus.phase_pairs() if get_registry().enabled else {}
     with timed_phase(timer, "hhh+hhn") as span:
-        bitsets = hub_bitsets(lotus.he, lotus.hub_count)
-        hhh, hhn, arcs = _phase1(lotus, bitsets)
+        hhh, hhn, arcs = _phase1(lotus, state)
         if span.enabled:
-            deg = lotus.he.degrees()
-            span.set("pairs_tested", int((deg * (deg - 1) // 2).sum()))
-            _set_kernel_attrs(span, lotus, bitsets, arcs, lotus.he)
+            span.set("pairs_tested", work["hhh+hhn"])
+            _set_kernel_attrs(span, lotus, state.bitsets(), arcs, lotus.he)
             span.set("hhh", hhh)
             span.set("hhn", hhn)
     with timed_phase(timer, "hnn") as span:
-        hnn, arcs = _hnn(lotus, bitsets)
+        hnn, arcs = _hnn(lotus, state)
         if span.enabled:
-            _set_kernel_attrs(span, lotus, bitsets, arcs, lotus.nhe)
+            span.set("pairs_tested", work["hnn"])
+            _set_kernel_attrs(span, lotus, state.bitsets(), arcs, lotus.nhe)
             span.set("hnn", hnn)
-    del bitsets  # freed before NNN allocates its arc keys
+    state.release()  # a transient state's bitsets go before NNN's arc keys
     with timed_phase(timer, "nnn") as span:
-        nnn, keyset = _nnn(lotus)
+        keyset = state.keyset()
+        nnn, verified = _nnn(lotus, keyset)
         if span.enabled:
-            deg = lotus.nhe.degrees()
-            span.set("wedges_probed", int((deg * (deg - 1) // 2).sum()))
-            span.set("keys_verified", keyset.verified)
+            span.set("wedges_probed", work["nnn"])
+            span.set("keys_verified", verified)
             span.set("filter_bytes", int(keyset.filter.nbytes))
             # NHE IDs plus the arc keys and their filter
             span.set("bytes_touched", int(lotus.nhe.indices.nbytes + keyset.nbytes))

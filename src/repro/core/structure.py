@@ -19,6 +19,7 @@ by degree (hubs first), preserving the original order elsewhere
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,11 +63,11 @@ class LotusGraph:
     ``he`` and ``nhe`` are oriented CSX structures over the *relabeled*
     vertex IDs; ``he.indices`` is ``uint16`` when ``hub_count <= 2^16``.
     ``ra`` maps original ID -> new ID for answering queries about the
-    input graph.
+    input graph.  :attr:`h2h` is packed from HE on first use: the fused
+    count never reads it.
     """
 
     hub_count: int
-    h2h: TriangularBitArray
     he: OrientedGraph
     nhe: OrientedGraph
     ra: np.ndarray
@@ -89,6 +90,31 @@ class LotusGraph:
         total = self.hub_edges + self.non_hub_edges
         return self.hub_edges / total if total else 0.0
 
+    @property
+    def h2h_edges(self) -> int:
+        """Hub-hub edges: the HE arcs of the hub rows, the bits H2H sets."""
+        return int(self.he.indptr[min(self.hub_count, self.num_vertices)])
+
+    @cached_property
+    def h2h(self) -> TriangularBitArray:
+        """The H2H bit array, packed from the hub rows of HE on first use
+        (the literal phase-1 probes, :meth:`validate`, memsim and the
+        experiments read it)."""
+        hub_rows = min(self.hub_count, self.num_vertices)
+        arcs = self.h2h_edges
+        h2h = TriangularBitArray(self.hub_count)
+        if arcs:
+            rows = np.arange(hub_rows, dtype=np.int64)
+            h2h.set_pairs(
+                np.repeat(rows, self.he.degrees()[:hub_rows]), self.he.indices[:arcs]
+            )
+        return h2h
+
+    @property
+    def h2h_nbytes(self) -> int:
+        """Bytes of :attr:`h2h`, without building it."""
+        return TriangularBitArray.bytes_for(self.hub_count)
+
     def nbytes_lotus(self) -> int:
         """Total topology bytes of the Lotus structure (Table 7):
         two index arrays of 8(|V|+1) bytes, the H2H bit array, 2 bytes per
@@ -96,10 +122,24 @@ class LotusGraph:
         index_bytes = 2 * 8 * (self.num_vertices + 1)
         return (
             index_bytes
-            + self.h2h.nbytes
+            + self.h2h_nbytes
             + self.he.indices.dtype.itemsize * self.he.num_edges
             + self.nhe.indices.dtype.itemsize * self.nhe.num_edges
         )
+
+    def phase_pairs(self) -> dict[str, int]:
+        """The work model: pairs each counting phase tests, from the
+        degree arrays alone.  ``hhh+hhn`` pairs the hub neighbours of a
+        vertex (Σ C(d_he, 2)), ``hnn`` a hub with a non-hub neighbour
+        (Σ d_he·d_nhe) and ``nnn`` two non-hub neighbours, the NHE wedges
+        (Σ C(d_nhe, 2))."""
+        d_he = self.he.degrees().astype(np.int64, copy=False)
+        d_nhe = self.nhe.degrees().astype(np.int64, copy=False)
+        return {
+            "hhh+hhn": int((d_he * (d_he - 1) // 2).sum()),
+            "hnn": int((d_he * d_nhe).sum()),
+            "nnn": int((d_nhe * (d_nhe - 1) // 2).sum()),
+        }
 
     def validate(self) -> None:
         """Structural invariants: HE rows contain only hub IDs < v, NHE rows
@@ -142,8 +182,8 @@ def build_lotus_graph(
     """Lotus preprocessing (Algorithm 2), vectorised.
 
     Steps: build the relabeling array; relabel, orient and split the
-    arcs into HE and NHE (:func:`split_oriented`); populate H2H from the
-    hub-hub subset.
+    arcs into HE and NHE (:func:`split_oriented`).  H2H, the hub-hub
+    subset as bits, is packed on first use (:attr:`LotusGraph.h2h`).
     """
     config = config or LotusConfig()
     timer = timer or PhaseTimer()
@@ -153,16 +193,15 @@ def build_lotus_graph(
     with timed_phase(timer, "preprocess") as span:
         ra = lotus_relabeling_array(graph, config.head_fraction)
         he, nhe = split_oriented(graph, ra, hub_count)
-
-        # the hub-hub arcs are the HE rows of the hubs themselves
-        hub_rows = min(hub_count, n)
-        h2h_arcs = int(he.indptr[hub_rows])
-        h2h = TriangularBitArray(hub_count)
-        if h2h_arcs:
-            h2h.set_pairs(
-                np.repeat(np.arange(hub_rows, dtype=np.int64), he.degrees()[:hub_rows]),
-                he.indices[:h2h_arcs],
-            )
+        lotus = LotusGraph(
+            hub_count=hub_count,
+            he=he,
+            nhe=nhe,
+            ra=ra,
+            num_vertices=n,
+            num_edges=graph.num_edges,
+            config=config,
+        )
 
         if span.enabled:
             # split_oriented relabels one arc per edge
@@ -170,26 +209,17 @@ def build_lotus_graph(
             span.set("hub_count", hub_count)
             span.set("he_edges", he.num_edges)
             span.set("nhe_edges", nhe.num_edges)
-            span.set("h2h_edges", h2h_arcs)
+            span.set("h2h_edges", lotus.h2h_edges)
             span.set(
                 "bytes_built",
                 int(
-                    h2h.nbytes
+                    lotus.h2h_nbytes
                     + he.indices.nbytes + he.indptr.nbytes
                     + nhe.indices.nbytes + nhe.indptr.nbytes
                 ),
             )
 
-    return LotusGraph(
-        hub_count=hub_count,
-        h2h=h2h,
-        he=he,
-        nhe=nhe,
-        ra=ra,
-        num_vertices=n,
-        num_edges=graph.num_edges,
-        config=config,
-    )
+    return lotus
 
 
 def split_oriented(

@@ -207,20 +207,22 @@ def _enumerate_shard(payload: dict, registry, root_span):
     query_parts: list[list[np.ndarray]] = [[] for _ in range(payload["workers"])]
 
     with registry.span("enumerate", parent=root_span, shard=shard) as span:
-        wedges = 0
+        wedges = verified = 0
         for _, b, c in wedge_chunks(indptr, indices, apexes):
             wedges += b.size
             target = owner[b]
             keys = b * n + c
             local = target == shard
             local_checks += int(np.count_nonzero(local))
-            nnn += own_keys.count(keys[local])
+            found, passed = own_keys.count(keys[local])
+            nnn += found
+            verified += passed
             remote = ~local
             for t in np.unique(target[remote]):
                 query_parts[t].append(keys[remote & (target == t)])
         span.set("wedges", wedges)
         span.set("local_checks", local_checks)
-        span.set("keys_verified", own_keys.verified)
+        span.set("keys_verified", verified)
 
     queries = {
         t: np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)

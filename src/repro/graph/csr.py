@@ -46,7 +46,9 @@ class CSRGraph:
     stored in both directions.
     """
 
-    __slots__ = ("indptr", "indices")
+    # weak-referenceable, so a memo can recognise a graph without keeping
+    # it alive
+    __slots__ = ("indptr", "indices", "__weakref__")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)

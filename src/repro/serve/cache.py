@@ -24,25 +24,41 @@ outcomes, so the ``serve.cache.hit`` + ``serve.cache.miss`` +
 
 ``serve.cache.evicted_entries`` separately counts the entries removed
 (one insert can evict several).
+
+An entry holds the structure and, from its first lotus count on, its
+:class:`~repro.core.count.KernelState` (hub bitsets, popcount operand
+pairs, NNN key set), so a cache hit runs only the counting kernels.  The
+state's bytes join the entry's :attr:`CacheEntry.nbytes` when it is
+built; attaching it can evict LRU entries like an insert does, and the
+state is freed with its entry.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.core.count import KernelState
 from repro.core.structure import LotusConfig, LotusGraph, build_lotus_graph
 from repro.graph.csr import CSRGraph
 from repro.obs import get_registry
 from repro.obs.ledger import config_hash, dataset_fingerprint
 from repro.util.timer import clock
 
-__all__ = ["CacheEntry", "StructureCache", "structure_key", "DEFAULT_CACHE_BYTES"]
+__all__ = [
+    "CacheEntry", "StructureCache", "csr_hash", "structure_key", "DEFAULT_CACHE_BYTES",
+]
 
 DEFAULT_CACHE_BYTES = 256 << 20
 DEFAULT_CACHE_ENTRIES = 8
+
+
+def csr_hash(graph: CSRGraph) -> str:
+    """The ``edge_hash`` half of a cache key: a SHA-256 over the CSR bytes."""
+    return dataset_fingerprint(graph)["edge_hash"]
 
 
 def structure_key(
@@ -50,6 +66,7 @@ def structure_key(
     config: LotusConfig | None = None,
     *,
     version: int | None = None,
+    edge_hash: str | None = None,
 ) -> str:
     """``<edge_hash>/<config_hash>`` cache key for one (graph, config).
 
@@ -59,24 +76,26 @@ def structure_key(
     keeps (fingerprint, version) explicit in the key so entries read as
     snapshot entries in stats and logs, and so a graph that returns to a
     previous byte-identical state still keys the same entry per version.
+    ``edge_hash`` is the graph's :func:`csr_hash` when the caller holds
+    it already, so the CSR bytes are not hashed again.
     """
     config = config or LotusConfig()
-    fp = dataset_fingerprint(graph)
     cfg = config_hash(
         {"hub_count": config.hub_count, "head_fraction": config.head_fraction}
     )
-    key = f"{fp['edge_hash']}/{cfg}"
+    key = f"{edge_hash or csr_hash(graph)}/{cfg}"
     if version is not None:
         key = f"{key}@v{version}"
     return key
 
 
 def _entry_nbytes(graph: CSRGraph, lotus: LotusGraph) -> int:
-    """Resident bytes of one entry: the CSR plus every Lotus array."""
+    """Bytes of one entry's structure: the CSR plus every Lotus array
+    (H2H at its packed size, whether or not it was packed yet)."""
     return int(
         graph.indptr.nbytes
         + graph.indices.nbytes
-        + lotus.h2h.data.nbytes
+        + lotus.h2h_nbytes
         + lotus.he.indptr.nbytes
         + lotus.he.indices.nbytes
         + lotus.nhe.indptr.nbytes
@@ -87,7 +106,9 @@ def _entry_nbytes(graph: CSRGraph, lotus: LotusGraph) -> int:
 
 @dataclass
 class CacheEntry:
-    """One resident structure: the graph, its Lotus build, bookkeeping."""
+    """One resident structure: the graph, its Lotus build, its kernel
+    state once a lotus count built it, bookkeeping.  ``nbytes`` covers
+    the structure plus the state."""
 
     key: str
     graph: CSRGraph
@@ -99,6 +120,23 @@ class CacheEntry:
     version: int | None = None  # dynamic-session snapshot version
     pins: int = 0  # in-flight queries holding this entry (never evicted)
     meta: dict[str, Any] = field(default_factory=dict)
+    state: KernelState | None = None
+    # the owning cache, held weakly: a dropped cache frees its entries at
+    # once instead of waiting for the cycle collector
+    owner: "weakref.ref[StructureCache] | None" = field(default=None, repr=False)
+
+    def kernel_state(self) -> KernelState:
+        """The structure's retained :class:`KernelState`, built on the
+        first call and counted against the owning cache's byte budget
+        (:meth:`StructureCache.attach_state`); an entry that outlived its
+        cache builds it uncounted."""
+        if self.state is None:
+            cache = self.owner() if self.owner is not None else None
+            if cache is None:
+                self.state = KernelState(self.lotus, retain=True).build()
+            else:
+                cache.attach_state(self)
+        return self.state
 
 
 class StructureCache:
@@ -185,6 +223,7 @@ class StructureCache:
                 dataset=dataset,
                 build_seconds=clock() - started,
                 version=version,
+                owner=weakref.ref(self),
             )
             self._entries[key] = entry
             evicted = self._evict_over_budget()
@@ -198,14 +237,37 @@ class StructureCache:
             self._export_gauges(registry)
             return entry, outcome
 
-    def _evict_over_budget(self) -> int:
+    def attach_state(self, entry: CacheEntry) -> None:
+        """Build ``entry``'s kernel state once and add its bytes to the
+        entry's size, evicting LRU entries past the byte budget — never
+        the newest, a pinned one or ``entry`` itself.
+
+        The build runs under the cache lock, as structure builds do, so
+        concurrent counts of one entry build its state once.  An entry
+        evicted before its first count still gets a state, which is freed
+        with it and never counted.
+        """
+        registry = get_registry()
+        with self._lock:
+            if entry.state is not None:
+                return
+            with registry.span("kernel_state") as span:
+                entry.state = KernelState(entry.lotus, retain=True).build()
+                span.set("state_bytes", entry.state.nbytes)
+            if self._entries.get(entry.key) is not entry:
+                return
+            entry.nbytes += entry.state.nbytes
+            self._evict_over_budget(keep=entry.key)
+            self._export_gauges(registry)
+
+    def _evict_over_budget(self, keep: str | None = None) -> int:
         """Pop LRU entries until under both budgets; returns count evicted.
 
         Pinned entries are snapshot versions held by in-flight queries —
         skipping them is what makes reads snapshot-isolated: an update
         can supersede a pinned version but the structure survives until
         the last reader unpins.  The newest entry is likewise never
-        evicted (it is the one being served right now).
+        evicted (it is the one being served right now), nor ``keep``.
         """
         registry = get_registry()
         evicted = 0
@@ -215,7 +277,7 @@ class StructureCache:
             if len(self._entries) <= self.max_entries and total <= self.max_bytes:
                 break
             victim = self._entries[key]
-            if victim.pins > 0:
+            if victim.pins > 0 or key == keep:
                 continue
             del self._entries[key]
             total -= victim.nbytes

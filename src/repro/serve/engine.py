@@ -73,13 +73,14 @@ from __future__ import annotations
 import os
 import queue as queue_mod
 import threading
+import weakref
 from typing import Any, Callable
 
 from repro.core.count import check_backend, lotus_count_from_structure
 from repro.core.structure import LotusConfig
 from repro.obs import get_registry
 from repro.obs.telemetry import get_bus
-from repro.serve.cache import CacheEntry, StructureCache, structure_key
+from repro.serve.cache import CacheEntry, StructureCache, csr_hash, structure_key
 from repro.serve.request import (
     UPDATE_OPS,
     EngineStoppedError,
@@ -194,6 +195,8 @@ class QueryEngine:
         # dynamic sessions by graph_key(); dispatcher-thread-only, so the
         # order of updates vs. snapshot reads is the dispatch order
         self._dynamic: dict[tuple, Any] = {}
+        # graph_key() -> (weak ref to the graph last hashed, its csr_hash)
+        self._csr_hashes: dict[tuple, tuple[weakref.ref, str]] = {}
 
     # -- telemetry ---------------------------------------------------------
     @staticmethod
@@ -374,7 +377,9 @@ class QueryEngine:
             if request0.hub_count
             else LotusConfig()
         )
-        key = structure_key(graph, config, version=version)
+        key = structure_key(
+            graph, config, version=version, edge_hash=self._csr_hash(request0, graph)
+        )
 
         with registry.span(
             "serve:dispatch", source=request0.source_label(), batch=len(live)
@@ -596,6 +601,28 @@ class QueryEngine:
                 self._finish(ticket, "stopped", error="engine stopped")
 
     # -- graph resolution --------------------------------------------------
+    def _csr_hash(self, request: QueryRequest, graph) -> str:
+        """``graph``'s :func:`~repro.serve.cache.csr_hash`, memoised per
+        source while the source resolves to the same graph object.
+
+        A registry dataset, a loaded file and a dynamic session's
+        snapshot of one version are each one immutable object, so they
+        are hashed once; a new version, a reloaded file or a regenerated
+        dataset is a new object and is hashed again.  The memo holds a
+        weak reference: it never keeps a superseded graph alive.  A
+        caller's in-memory graph may be mutated in place between
+        requests, so it is hashed every time.
+        """
+        if request.graph is not None:
+            return csr_hash(graph)
+        source = request.graph_key()
+        memo = self._csr_hashes.get(source)
+        if memo is not None and memo[0]() is graph:
+            return memo[1]
+        digest = csr_hash(graph)
+        self._csr_hashes[source] = (weakref.ref(graph), digest)
+        return digest
+
     def _resolve_graph(self, request: QueryRequest):
         if request.graph is not None:
             return request.graph
@@ -635,9 +662,11 @@ def _default_executor(
 ) -> dict:
     """Run one computation against a cached structure.
 
-    Lotus queries reuse the prebuilt :class:`LotusGraph`; every other
-    algorithm runs on the cached CSR.  Returns a plain payload dict so
-    coalesced requests can share one execution.
+    Lotus queries reuse the prebuilt :class:`LotusGraph` and its kernel
+    state (built by the entry's first lotus count), so a hit runs only
+    the counting kernels; every other algorithm runs on the cached CSR.
+    Returns a plain payload dict so coalesced requests can share one
+    execution.
 
     ``backend == "distributed"`` dispatches the cached graph to the
     sharded runtime (``workers`` shards) with the request's timeout as
@@ -659,7 +688,7 @@ def _default_executor(
             )
             counts = run.counts
         else:
-            counts = lotus_count_from_structure(entry.lotus)
+            counts = lotus_count_from_structure(entry.lotus, state=entry.kernel_state())
         return {
             "triangles": counts.total,
             "counts": {

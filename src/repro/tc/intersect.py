@@ -457,14 +457,15 @@ class KeySet:
     Every key sets the bit at its multiplicative-hash slot of
     :attr:`filter`, so a query whose slot is clear is absent; only the
     queries that hit a set slot reach :func:`match_keys`, and
-    :attr:`verified` counts them.  The filter has about
+    :meth:`count` reports how many did.  The filter has about
     :data:`_FILTER_SLOTS_PER_KEY` slots per key, rounded up to a power
     of two.  It is built as a one-byte-per-slot table, capped at
     :data:`_FILTER_CAP` bytes and sized before it is allocated, then
     packed to one bit per slot (slot ``s`` is bit ``s & 7`` of byte
     ``s >> 3``), so the table the probes read is an eighth of that.
     Past the cap more queries are verified and the answers are
-    unchanged.
+    unchanged.  Probes never modify the set, so one set can serve
+    concurrent counts.
     """
 
     def __init__(self, sorted_keys: np.ndarray):
@@ -475,7 +476,6 @@ class KeySet:
         table = np.zeros(1 << bits, dtype=bool)
         table[self._slots(self.keys)] = True
         self.filter = np.packbits(table, bitorder="little")
-        self.verified = 0
 
     @property
     def nbytes(self) -> int:
@@ -504,17 +504,18 @@ class KeySet:
         """Boolean mask: is each query key in the set?"""
         query = np.asarray(query, dtype=np.int64)
         hit = np.flatnonzero(self._passes(query))
-        self.verified += hit.size
         # verify in key order: sorted probes walk the keys cache-friendly
         hit = hit[np.argsort(query[hit])]
         out = np.zeros(query.size, dtype=bool)
         out[hit] = match_keys(self.keys, query[hit])
         return out
 
-    def count(self, query: np.ndarray) -> int:
-        """How many query keys are in the set (repeats count each time)."""
+    def count(self, query: np.ndarray) -> tuple[int, int]:
+        """``(found, verified)``: how many query keys are in the set
+        (repeats count each time), and how many passed the filter to the
+        exact search."""
         query = np.asarray(query, dtype=np.int64)
         # no positions to keep: sort the candidates themselves
         candidates = np.sort(query[self._passes(query)])
-        self.verified += candidates.size
-        return int(np.count_nonzero(match_keys(self.keys, candidates)))
+        found = int(np.count_nonzero(match_keys(self.keys, candidates)))
+        return found, int(candidates.size)

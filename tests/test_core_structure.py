@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LotusConfig, build_lotus_graph
+from repro.core import LotusConfig, build_lotus_graph, lotus_count_from_structure
 from repro.core.structure import PAPER_HUB_COUNT, split_oriented
 from repro.dist.plan import degree_rank
 from repro.graph import (
@@ -110,6 +110,27 @@ class TestByteAccounting:
             + 4 * lotus.non_hub_edges
         )
         assert lotus.nbytes_lotus() == expected
+
+    def test_h2h_packed_on_first_use(self, powerlaw_small):
+        """Building and counting never pack H2H; its byte and edge
+        figures come from HE, and the array packed later matches them."""
+        with use_registry() as reg:
+            lotus = build_lotus_graph(powerlaw_small, LotusConfig(hub_count=40))
+            lotus_count_from_structure(lotus)
+            nbytes = lotus.nbytes_lotus()
+        assert "h2h" not in vars(lotus)
+        span = reg.find_span("preprocess").attrs
+        h2h = lotus.h2h
+        assert lotus.h2h is h2h  # packed once
+        assert span["h2h_edges"] == lotus.h2h_edges == h2h.count_set() > 0
+        assert lotus.h2h_nbytes == h2h.nbytes
+        assert span["bytes_built"] == int(
+            h2h.nbytes
+            + lotus.he.indices.nbytes + lotus.he.indptr.nbytes
+            + lotus.nhe.indices.nbytes + lotus.nhe.indptr.nbytes
+        )
+        assert lotus.nbytes_lotus() == nbytes
+        lotus.validate()
 
     def test_he_saves_bytes_vs_csx(self, powerlaw_medium):
         """HE stores 2 bytes/edge vs 4 in CSX — hub-heavy graphs shrink

@@ -2,7 +2,9 @@
 engine's batching / deadline / lifecycle behaviour, and the acceptance
 check that a warm-cache query never rebuilds the structure."""
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.serve import (
     StructureCache,
     structure_key,
 )
+from repro.serve import engine as engine_mod
 from repro.tc import count_triangles_forward
 
 
@@ -390,6 +393,71 @@ class TestMaintainedReads:
             np.concatenate([g1.edges(), fresh]), num_vertices=g1.num_vertices
         )
         assert lotus.triangles == count_triangles_forward(effective).triangles
+
+
+class TestCsrHashMemo:
+    """A source's CSR is hashed once per graph object it resolves to."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        """Weak references to every graph the engine hashes."""
+        calls = []
+        real = engine_mod.csr_hash
+
+        def spy(graph):
+            calls.append(weakref.ref(graph))
+            return real(graph)
+
+        monkeypatch.setattr(engine_mod, "csr_hash", spy)
+        return calls
+
+    @pytest.fixture
+    def dataset(self, g1, monkeypatch):
+        """Make the registry's ``LJGrp`` resolve to ``current["graph"]``."""
+        import repro.graph as graph_mod
+
+        current = {"graph": g1}
+        monkeypatch.setattr(graph_mod, "load_dataset", lambda name: current["graph"])
+        return current
+
+    def test_dataset_hashed_once_per_graph_object(self, hashed, dataset):
+        with QueryEngine(StructureCache()) as engine:
+            results = [
+                engine.query(QueryRequest(dataset="LJGrp"), 60) for _ in range(3)
+            ]
+            assert len(hashed) == 1
+            # a regenerated dataset is a new object: hashed again, once for
+            # every config, and its bytes key the same entry
+            dataset["graph"] = erdos_renyi(150, 0.08, seed=11)
+            other = engine.query(QueryRequest(dataset="LJGrp", hub_count=4), 60)
+            again = engine.query(QueryRequest(dataset="LJGrp"), 60)
+        assert len(hashed) == 2
+        assert [r.cache for r in results] == ["miss", "hit", "hit"]
+        assert (other.cache, again.cache) == ("miss", "hit")
+
+    def test_snapshot_hashed_once_per_version(self, g1, hashed, dataset):
+        fresh = [
+            [u, v] for u in range(20) for v in range(u + 1, 20)
+            if not g1.has_edge(u, v)
+        ][:2]
+        with QueryEngine(StructureCache(max_entries=1)) as engine:
+            engine.query(QueryRequest(dataset="LJGrp"), 60)
+            for edge in fresh:
+                engine.query(QueryRequest(dataset="LJGrp", op="insert", edges=[edge]), 60)
+                reads = [engine.query(QueryRequest(dataset="LJGrp"), 60) for _ in range(2)]
+                assert [r.cache for r in reads] == ["eviction", "hit"]
+            assert len(hashed) == 3  # the base, then versions 1 and 2
+            # the memo holds no graph: version 1's snapshot, superseded and
+            # evicted, is freed
+            gc.collect()
+            assert hashed[0]() is g1 and hashed[1]() is None
+            assert hashed[2]() is not None
+
+    def test_in_memory_graph_hashed_every_request(self, g1, hashed):
+        with QueryEngine(StructureCache()) as engine:
+            results = [engine.query(QueryRequest(graph=g1), 60) for _ in range(3)]
+        assert [r.cache for r in results] == ["miss", "hit", "hit"]
+        assert len(hashed) == 3
 
 
 class TestQueryResultProjection:

@@ -361,18 +361,20 @@ class TestKeySet:
         keyset = KeySet(keys)
         expected = np.isin(query, keys)
         np.testing.assert_array_equal(keyset.contains(query), expected)
-        assert keyset.count(query) == int(expected.sum())
-        assert keyset.count(query[:0]) == 0
+        found, verified = keyset.count(query)
+        assert found == int(expected.sum())
+        assert keyset.count(query[:0]) == (0, 0)
         assert keyset.contains(query[:0]).size == 0
-        # every member passes the filter on both calls
-        assert 2 * int(expected.sum()) <= keyset.verified <= 2 * query.size
+        # every member passes the filter, and each call reports only its
+        # own queries: the set keeps no tally between calls
+        assert int(expected.sum()) <= verified <= query.size
+        assert keyset.count(query) == (found, verified)
 
     def test_empty_key_set_verifies_nothing(self):
         keyset = KeySet(np.zeros(0, dtype=np.int64))
         query = np.array([0, 5, 5, -1], dtype=np.int64)
         assert keyset.contains(query).tolist() == [False] * 4
-        assert keyset.count(query) == 0
-        assert keyset.verified == 0
+        assert keyset.count(query) == (0, 0)
 
     def test_filter_sized_per_key_up_to_the_cap(self, monkeypatch):
         keys = np.arange(1000, dtype=np.int64) * 7
@@ -404,8 +406,7 @@ class TestKeySet:
             keyset = KeySet(keys)
         np.testing.assert_array_equal(keyset._passes(query), table[slots(query)])
         # so the filter lets through exactly the queries a byte table did
-        keyset.count(query)
-        assert keyset.verified == int(table[slots(query)].sum())
+        assert keyset.count(query)[1] == int(table[slots(query)].sum())
 
     @pytest.mark.parametrize("cap", [1, 64, 1024])
     def test_forced_collisions_keep_phase_counts(self, cap, monkeypatch):
