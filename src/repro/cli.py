@@ -898,7 +898,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
             dyn = DynamicGraph(
                 graph,
                 kernel=args.kernel,
-                track_hubs=args.track_hubs,
                 auto_compact_fraction=None if args.compact_every else 0.25,
             )
             base_triangles = dyn.triangles
@@ -938,12 +937,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 f"{recount:,} after replay"
             )
         print(f"verified: incremental count equals full recount ({recount:,})")
-        if args.track_hubs:
-            dyn.hubs.validate()
-            print(
-                f"verified: H2H patched exactly "
-                f"({dyn.hubs.rethresholds} rethreshold(s))"
-            )
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report.to_json_dict(), fh, indent=2)
@@ -1235,9 +1228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default="binary",
                    help="intersect kernel for per-edge deltas "
                         "(default: binary)")
-    p.add_argument("--track-hubs", action="store_true",
-                   help="incrementally patch the LOTUS hub set + H2H bit "
-                        "array during the replay")
     p.add_argument("--verify", action="store_true",
                    help="recount the final graph from scratch and fail "
                         "unless it matches the incremental count")

@@ -61,18 +61,6 @@ class TriangularBitArray:
         idx = self._indices(h1, h2)
         np.bitwise_or.at(self.data, idx >> 3, np.uint8(1) << (idx & 7).astype(np.uint8))
 
-    def clear_pairs(self, h1: np.ndarray, h2: np.ndarray) -> None:
-        """Clear the bits for pairs ``(h1[i], h2[i])``; requires ``h1 > h2``.
-
-        The counting phases never unset bits, but the dynamic-graph layer
-        (:mod:`repro.dynamic`) patches the resident H2H structure in place
-        when a hub-to-hub edge is deleted instead of rebuilding it.
-        """
-        idx = self._indices(h1, h2)
-        np.bitwise_and.at(
-            self.data, idx >> 3, ~(np.uint8(1) << (idx & 7).astype(np.uint8))
-        )
-
     def test_pairs(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
         """Boolean array: is the bit set for each pair?  Requires ``h1 > h2``."""
         idx = self._indices(h1, h2)
@@ -82,11 +70,6 @@ class TriangularBitArray:
         """Scalar convenience wrapper around :meth:`set_pairs`; accepts any order."""
         a, b = (h1, h2) if h1 > h2 else (h2, h1)
         self.set_pairs(np.asarray([a]), np.asarray([b]))
-
-    def clear(self, h1: int, h2: int) -> None:
-        """Scalar convenience wrapper around :meth:`clear_pairs`; accepts any order."""
-        a, b = (h1, h2) if h1 > h2 else (h2, h1)
-        self.clear_pairs(np.asarray([a]), np.asarray([b]))
 
     def is_set(self, h1: int, h2: int) -> bool:
         """Scalar adjacency test (Algorithm 3 line 5); accepts any order."""

@@ -26,11 +26,17 @@ import numpy as np
 from repro.core.bitarray import TriangularBitArray
 from repro.graph.csr import CSRGraph, OrientedGraph
 from repro.graph.reorder import lotus_relabeling_array
-from repro.obs import timed_phase
-from repro.util.arrays import sort_arcs
+from repro.obs import get_registry, timed_phase
+from repro.util.arrays import patch_sorted_rows, sort_arcs
 from repro.util.timer import PhaseTimer
 
-__all__ = ["LotusConfig", "LotusGraph", "build_lotus_graph", "split_oriented"]
+__all__ = [
+    "LotusConfig",
+    "LotusGraph",
+    "build_lotus_graph",
+    "patch_lotus_graph",
+    "split_oriented",
+]
 
 PAPER_HUB_COUNT = 1 << 16  # 64 K hubs (Section 4.2)
 
@@ -261,6 +267,55 @@ def split_oriented(
         OrientedGraph(
             _rows_to_indptr(src[cut:] - n, n), dst[cut:].astype(np.uint32)
         ),
+    )
+
+
+def patch_lotus_graph(
+    prev: LotusGraph, inserted: np.ndarray, deleted: np.ndarray
+) -> LotusGraph:
+    """``prev`` with the edges ``inserted`` added and ``deleted``
+    removed, under ``prev``'s relabeling and hub count: the patch twin
+    of :func:`split_oriented`.
+
+    The edges are ``(k, 2)`` arrays of original vertex IDs, each edge
+    once.  They are relabeled through ``prev.ra``, oriented from the
+    higher new ID to the lower and cut at ``prev.hub_count``; HE and NHE
+    then take one :func:`~repro.util.arrays.patch_sorted_rows` each.  The
+    result is byte-identical to ``split_oriented(graph, prev.ra,
+    prev.hub_count)`` of the changed graph, dtypes included.  LOTUS
+    counts exactly under any bijective relabeling, so the total equals a
+    rebuild's; the per-phase split is that of ``prev``'s hubs, where a
+    rebuild would re-rank by the new degrees.  Runs under a ``patch``
+    span with ``edges_patched`` and the ``he_arcs`` / ``nhe_arcs`` it
+    patched.
+    """
+    hub_count = prev.hub_count
+
+    def arcs(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a, b = prev.ra[edges[:, 0]], prev.ra[edges[:, 1]]
+        oriented = np.column_stack([np.maximum(a, b), np.minimum(a, b)])
+        hub = oriented[:, 1] < hub_count
+        return oriented[hub], oriented[~hub]
+
+    with get_registry().span("patch") as span:
+        (he_in, nhe_in), (he_out, nhe_out) = arcs(inserted), arcs(deleted)
+        he = OrientedGraph(
+            *patch_sorted_rows(prev.he.indptr, prev.he.indices, he_in, he_out)
+        )
+        nhe = OrientedGraph(
+            *patch_sorted_rows(prev.nhe.indptr, prev.nhe.indices, nhe_in, nhe_out)
+        )
+        span.set("edges_patched", len(inserted) + len(deleted))
+        span.set("he_arcs", len(he_in) + len(he_out))
+        span.set("nhe_arcs", len(nhe_in) + len(nhe_out))
+    return LotusGraph(
+        hub_count=hub_count,
+        he=he,
+        nhe=nhe,
+        ra=prev.ra,
+        num_vertices=prev.num_vertices,
+        num_edges=prev.num_edges + len(inserted) - len(deleted),
+        config=prev.config,
     )
 
 

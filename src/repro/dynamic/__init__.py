@@ -1,8 +1,7 @@
 """Dynamic graphs: CSR + delta overlays with exact incremental triangle
 maintenance, versioned snapshots and update-stream replay.
 
-See :mod:`repro.dynamic.graph` for the mutable layer,
-:mod:`repro.dynamic.hubs` for incremental LOTUS hub/H2H patching, and
+See :mod:`repro.dynamic.graph` for the mutable layer and
 :mod:`repro.dynamic.replay` for streaming edge files through it.
 Protocol and policy live in ``docs/dynamic.md``.
 """
@@ -13,7 +12,6 @@ from repro.dynamic.graph import (
     GraphSnapshot,
     UpdateResult,
 )
-from repro.dynamic.hubs import HubTracker
 from repro.dynamic.replay import (
     ReplayReport,
     parse_stream,
@@ -27,7 +25,6 @@ __all__ = [
     "DEFAULT_KERNEL",
     "DynamicGraph",
     "GraphSnapshot",
-    "HubTracker",
     "ReplayReport",
     "UpdateResult",
     "parse_stream",

@@ -30,12 +30,15 @@ count; later updates *supersede* a snapshot but can never mutate it,
 which is what gives the query service its snapshot-isolated reads
 (docs/dynamic.md).  A new version is not rebuilt from an edge list: the
 CSR last materialised is *patched* with the edges toggled since then —
-one ``np.delete`` and one ``np.insert`` on ``indices`` plus an
-``indptr`` taken from the maintained degrees — so every update costs
+one ``np.delete`` and one ``np.insert`` on ``indices``
+(:func:`~repro.util.arrays.patch_sorted_rows`) — so every update costs
 O(edges changed) and every snapshot at most one vectorised pass over
 the CSR.  The patched CSR is byte-identical to a ``from_edges`` rebuild
 of the effective edge set, so structure-cache fingerprints do not
-depend on how a version was reached.
+depend on how a version was reached.  Each snapshot also carries the
+version it was patched from and the edges toggled since, so a LOTUS
+structure of that version can be patched the same way
+(:func:`~repro.core.structure.patch_lotus_graph`).
 
 The ``dynamic.*`` metric family (exported through the active
 :class:`~repro.obs.registry.MetricsRegistry`):
@@ -46,7 +49,6 @@ The ``dynamic.*`` metric family (exported through the active
 ``dynamic.updates_rejected``         counter    self-loops / dupes / absent
 ``dynamic.update_batches``           counter    batches processed
 ``dynamic.compactions``              counter    overlay folds
-``dynamic.hub.rethresholds``         counter    hub-set recomputations
 ``dynamic.batch.size``               histogram  requested batch sizes
 ``dynamic.delta.size``               histogram  |triangle delta| per batch
 ``dynamic.update_seconds``           histogram  per-batch apply latency
@@ -60,13 +62,13 @@ The ``dynamic.*`` metric family (exported through the active
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph, neighbor_dtype_for
 from repro.obs import get_registry
-from repro.util.arrays import rows_searchsorted
+from repro.util.arrays import patch_sorted_rows
 
 __all__ = [
     "DynamicGraph",
@@ -103,7 +105,11 @@ class UpdateResult:
     triangles: int
 
 
-@dataclass(frozen=True)
+def _no_edges() -> np.ndarray:
+    return np.empty((0, 2), dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
 class GraphSnapshot:
     """One immutable, versioned view of the effective graph.
 
@@ -111,11 +117,20 @@ class GraphSnapshot:
     kernel, structure builder or cache while the owning
     :class:`DynamicGraph` keeps mutating.  Updates supersede snapshots;
     they never invalidate one.
+
+    ``parent`` is the version of the snapshot this one was patched from,
+    and ``inserted`` / ``deleted`` are the ``(k, 2)`` edges (``u < v``)
+    toggled since then.  ``parent`` is ``None``, with no delta, for the
+    base and for the first version after a compaction: a structure built
+    for it ranks its vertices afresh.
     """
 
     version: int
     graph: CSRGraph
     triangles: int
+    parent: int | None = None
+    inserted: np.ndarray = field(default_factory=_no_edges)
+    deleted: np.ndarray = field(default_factory=_no_edges)
 
 
 class DynamicGraph:
@@ -129,8 +144,6 @@ class DynamicGraph:
     self-test relies on this).  ``auto_compact_fraction`` folds overlays
     back into the base once they exceed that fraction of the base edge
     count (``None`` disables; :meth:`compact` always works explicitly).
-    With ``track_hubs=True`` a :class:`~repro.dynamic.hubs.HubTracker`
-    incrementally patches the LOTUS hub set + H2H bit array per update.
     """
 
     def __init__(
@@ -140,8 +153,6 @@ class DynamicGraph:
         triangles: int | None = None,
         kernel: str = DEFAULT_KERNEL,
         auto_compact_fraction: float | None = 0.25,
-        track_hubs: bool = False,
-        hub_config=None,
     ) -> None:
         from repro.tc.intersect import INTERSECT_KERNELS
 
@@ -162,6 +173,8 @@ class DynamicGraph:
         # edges flipped since ``self._snap.graph`` was materialised, as
         # ``u * n + v`` (u < v) -> present now; the next snapshot patches them
         self._toggled: dict[int, bool] = {}
+        # the next snapshot's ``parent``: None after a compaction
+        self._parent: int | None = 0
         self._lock = threading.RLock()
         self.version = 0
         self.compactions = 0
@@ -171,11 +184,6 @@ class DynamicGraph:
             triangles = count_triangles_lotus(base).triangles
         self.triangles = int(triangles)
         self._snap = GraphSnapshot(version=0, graph=base, triangles=self.triangles)
-        self.hubs = None
-        if track_hubs:
-            from repro.dynamic.hubs import HubTracker
-
-            self.hubs = HubTracker(self, config=hub_config)
 
     # -- read side ----------------------------------------------------------
     @property
@@ -300,8 +308,6 @@ class DynamicGraph:
                 self._flip(u, v, inserting)
                 delta += d if inserting else -d
                 applied += 1
-                if self.hubs is not None:
-                    self.hubs.on_update(u, v, inserted=inserting)
             self.triangles += delta
             if applied:
                 self.version += 1
@@ -369,34 +375,23 @@ class DynamicGraph:
             self._toggled[key] = inserting
 
     # -- materialisation ----------------------------------------------------
-    def _patch(self, csr: CSRGraph) -> CSRGraph:
-        """``csr`` with every edge in ``self._toggled`` flipped.
-
-        Both arcs of each toggled edge are located in ``csr``'s sorted
-        rows; deleted arcs go in one ``np.delete``, inserted ones in one
-        ``np.insert`` whose positions are shifted left by the deletions
-        ahead of them.  ``indptr`` is the prefix sum of the maintained
-        degrees.  The result is byte-identical to ``from_edges`` of the
-        effective edge list.
+    def _patch(
+        self, csr: CSRGraph, inserted: np.ndarray, deleted: np.ndarray
+    ) -> CSRGraph:
+        """``csr`` with the edges ``inserted`` added and ``deleted``
+        removed: both arcs of each, through one
+        :func:`~repro.util.arrays.patch_sorted_rows`.  The result is
+        byte-identical to ``from_edges`` of the effective edge list.
         """
-        n = self.num_vertices
-        count = len(self._toggled)
-        keys = np.fromiter(self._toggled.keys(), dtype=np.int64, count=count)
-        present = np.fromiter(self._toggled.values(), dtype=bool, count=count)
-        lo, hi = np.divmod(keys, n)
-        rows = np.concatenate([lo, hi])
-        cols = np.concatenate([hi, lo])
-        adds = np.concatenate([present, present])
-        order = np.lexsort((cols, rows))
-        rows, cols, adds = rows[order], cols[order], adds[order]
-        starts = csr.indptr[rows]
-        pos = starts + rows_searchsorted(csr.indices, starts, csr.indptr[rows + 1], cols)
-        gone = pos[~adds]  # strictly increasing: arcs are in CSR order
-        at = pos[adds] - np.searchsorted(gone, pos[adds])
-        indices = np.insert(np.delete(csr.indices, gone), at, cols[adds])
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self._deg, out=indptr[1:])
-        return CSRGraph(indptr, indices.astype(neighbor_dtype_for(n), copy=False))
+        indptr, indices = patch_sorted_rows(
+            csr.indptr,
+            csr.indices,
+            np.concatenate([inserted, inserted[:, ::-1]]),
+            np.concatenate([deleted, deleted[:, ::-1]]),
+        )
+        return CSRGraph(
+            indptr, indices.astype(neighbor_dtype_for(self.num_vertices), copy=False)
+        )
 
     def snapshot(self) -> GraphSnapshot:
         """The current version as an immutable :class:`GraphSnapshot`.
@@ -404,19 +399,33 @@ class DynamicGraph:
         Repeated calls at the same version return the same (cached)
         snapshot.  Until the first update, and right after a compaction,
         the graph is the base CSR itself (zero-copy).  A new version
-        patches the previous snapshot's CSR; the returned graph is never
-        mutated by later updates.
+        patches the previous snapshot's CSR and records that snapshot's
+        version and the delta, unless a compaction came between them;
+        the returned graph is never mutated by later updates.
         """
         with self._lock:
             snap = self._snap
             if snap.version == self.version:
                 return snap
-            graph = self._patch(snap.graph) if self._toggled else snap.graph
+            count = len(self._toggled)
+            keys = np.fromiter(self._toggled.keys(), dtype=np.int64, count=count)
+            present = np.fromiter(self._toggled.values(), dtype=bool, count=count)
+            edges = np.column_stack(np.divmod(keys, self.num_vertices))
+            inserted, deleted = edges[present], edges[~present]
+            graph = self._patch(snap.graph, inserted, deleted) if count else snap.graph
             self._toggled.clear()
+            if self._parent is None:  # a compaction came between: no delta
+                inserted = deleted = _no_edges()
             snap = GraphSnapshot(
-                version=self.version, graph=graph, triangles=self.triangles
+                version=self.version,
+                graph=graph,
+                triangles=self.triangles,
+                parent=self._parent,
+                inserted=inserted,
+                deleted=deleted,
             )
             self._snap = snap
+            self._parent = snap.version
             return snap
 
     def compact(self) -> int:
@@ -425,7 +434,8 @@ class DynamicGraph:
         The effective graph, maintained count and version are all
         unchanged — compaction is a representation change only: the new
         base *is* the current snapshot's CSR, so structure-cache keys
-        survive a compaction.
+        survive a compaction.  The next version's snapshot carries no
+        delta, so a structure built for it ranks its vertices afresh.
         """
         registry = get_registry()
         with self._lock, registry.span("dynamic:compact") as span:
@@ -437,6 +447,7 @@ class DynamicGraph:
                 return 0
             started = clock()
             self._base = self.snapshot().graph
+            self._parent = None
             self._added.clear()
             self._removed.clear()
             self._rows.clear()

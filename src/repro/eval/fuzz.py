@@ -19,9 +19,11 @@ pairs a seeded base graph with a random insert/delete/compact/query
 interleaving, applies it through :class:`repro.dynamic.DynamicGraph` in
 batches, and checks after every batch that the incrementally-maintained
 count equals a full ``count_triangles_forward`` recount of the snapshot,
-that the snapshot's edge set equals a pure-Python shadow simulation, and
-that the applied/rejected accounting matches the shadow exactly.
-Failing op sequences are ddmin-minimised before reporting.
+that the snapshot's edge set equals a pure-Python shadow simulation,
+that the applied/rejected accounting matches the shadow exactly, and
+that a LOTUS structure patched from version to version stays
+byte-identical to a fresh split under its frozen ranks.  Failing op
+sequences are ddmin-minimised before reporting.
 """
 
 from __future__ import annotations
@@ -452,30 +454,65 @@ def check_dynamic_case(case: DynamicFuzzCase, batch: int = 8) -> list[str]:
     * maintained count == full forward recount of the current snapshot;
     * snapshot edge set == a pure-Python shadow simulation of the ops;
     * per-batch applied/rejected == the shadow's sequential accounting;
-    * compaction changes neither count, version nor effective edges.
+    * compaction changes neither count, version nor effective edges;
+    * a LOTUS structure (a quarter of the vertices as hubs) carried from
+      version to version — patched with each snapshot's delta
+      (:func:`~repro.core.structure.patch_lotus_graph`), rebuilt after a
+      compaction — is byte-identical, dtypes included, to
+      ``split_oriented`` of the snapshot under its ranks and hub count,
+      counts the same per phase as that split, and totals the maintained
+      count.
 
-    The final state is additionally checked against :func:`dense_oracle`
-    and, when hub tracking is on, the incrementally-patched H2H bit
-    array is validated bit-for-bit.
+    The final state is additionally checked against :func:`dense_oracle`.
     """
+    from repro.core import LotusConfig, build_lotus_graph, lotus_count_from_structure
+    from repro.core.structure import patch_lotus_graph, split_oriented
     from repro.dynamic import DynamicGraph
     from repro.tc.forward import count_triangles_forward
 
     try:
-        dyn = DynamicGraph(
-            case.graph(),
-            track_hubs=case.num_vertices >= 2,
-            auto_compact_fraction=None,
-        )
+        dyn = DynamicGraph(case.graph(), auto_compact_fraction=None)
     except Exception as exc:
         return [f"construct: raised {type(exc).__name__}: {exc}"]
+    config = LotusConfig(hub_count=max(1, case.num_vertices // 4))
+    version, lotus = 0, build_lotus_graph(dyn.snapshot().graph, config)
     shadow = {
         (int(u), int(v)) for u, v in dyn.snapshot().graph.edges()
     }
     mismatches: list[str] = []
 
+    def structure_check(label: str, snap) -> None:
+        nonlocal version, lotus
+        if snap.version == version:
+            return
+        if snap.parent == version:
+            lotus = patch_lotus_graph(lotus, snap.inserted, snap.deleted)
+        else:
+            lotus = build_lotus_graph(snap.graph, config)
+        version = snap.version
+        he, nhe = split_oriented(snap.graph, lotus.ra, lotus.hub_count)
+        for part, got, want in (("HE", lotus.he, he), ("NHE", lotus.nhe, nhe)):
+            if not (
+                got.indices.dtype == want.indices.dtype
+                and np.array_equal(got.indptr, want.indptr)
+                and np.array_equal(got.indices, want.indices)
+            ):
+                mismatches.append(
+                    f"{label}: patched {part} differs from the split of "
+                    f"v{snap.version} under its ranks"
+                )
+                return
+        counts = lotus_count_from_structure(lotus)
+        fresh = lotus_count_from_structure(replace(lotus, he=he, nhe=nhe))
+        if counts != fresh or counts.total != dyn.triangles:
+            mismatches.append(
+                f"{label}: patched structure counts {counts}, its split "
+                f"{fresh}, maintained {dyn.triangles}"
+            )
+
     def recount_check(label: str) -> None:
         snap = dyn.snapshot()
+        structure_check(label, snap)
         recount = int(count_triangles_forward(snap.graph).triangles)
         if dyn.triangles != recount:
             mismatches.append(
@@ -541,11 +578,6 @@ def check_dynamic_case(case: DynamicFuzzCase, batch: int = 8) -> list[str]:
             mismatches.append(
                 f"final: maintained {dyn.triangles}, dense oracle says {expected}"
             )
-        if dyn.hubs is not None:
-            try:
-                dyn.hubs.validate()
-            except AssertionError as exc:
-                mismatches.append(f"final: hub tracker invalid: {exc}")
     return mismatches
 
 

@@ -25,6 +25,14 @@ outcomes, so the ``serve.cache.hit`` + ``serve.cache.miss`` +
 ``serve.cache.evicted_entries`` separately counts the entries removed
 (one insert can evict several).
 
+A lookup may name a **predecessor**: the entry of a dynamic session's
+previous version under the same source and config.  While it is
+resident, a miss patches its structure (counted by
+``serve.cache.patched``, a subset of the miss and eviction outcomes)
+and the new entry replaces it before any LRU eviction, since a
+superseded version is never looked up again; a pinned predecessor is
+left to LRU.
+
 An entry holds the structure and, from its first lotus count on, its
 :class:`~repro.core.count.KernelState` (hub bitsets, popcount operand
 pairs, NNN key set), so a cache hit runs only the counting kernels.  The
@@ -166,6 +174,7 @@ class StructureCache:
         self.misses = 0
         self.evicting_misses = 0
         self.evicted_entries = 0
+        self.patched = 0
 
     # -- sizing -----------------------------------------------------------
     @property
@@ -190,6 +199,7 @@ class StructureCache:
         dataset: str | None = None,
         version: int | None = None,
         builder: Callable[[CSRGraph, LotusConfig | None], LotusGraph] | None = None,
+        patch: tuple[str, Callable[[LotusGraph], LotusGraph]] | None = None,
     ) -> tuple[CacheEntry, str]:
         """Return ``(entry, outcome)`` with outcome in hit/miss/eviction.
 
@@ -197,7 +207,10 @@ class StructureCache:
         re-hashing the CSR bytes when classifying many requests of one
         micro-batch.  ``builder`` overrides
         :func:`~repro.core.structure.build_lotus_graph` (tests inject
-        slow or crashing builders).
+        slow or crashing builders).  ``patch`` is ``(predecessor key,
+        patcher)``: while that entry is resident, a miss builds the
+        structure as ``patcher(predecessor.lotus)`` and the new entry
+        replaces the predecessor unless it is pinned.
         """
         config = config or LotusConfig()
         if key is None:
@@ -213,8 +226,12 @@ class StructureCache:
                 return entry, "hit"
 
             started = clock()
-            build = builder or (lambda g, c: build_lotus_graph(g, c))
-            lotus = build(graph, config)
+            prev = self._entries.get(patch[0]) if patch is not None else None
+            if prev is not None:
+                lotus = patch[1](prev.lotus)
+            else:
+                build = builder or (lambda g, c: build_lotus_graph(g, c))
+                lotus = build(graph, config)
             entry = CacheEntry(
                 key=key,
                 graph=graph,
@@ -226,6 +243,11 @@ class StructureCache:
                 owner=weakref.ref(self),
             )
             self._entries[key] = entry
+            if prev is not None:
+                self.patched += 1
+                registry.counter("serve.cache.patched").add(1)
+                if prev.pins == 0:
+                    del self._entries[patch[0]]
             evicted = self._evict_over_budget()
             outcome = "eviction" if evicted else "miss"
             if evicted:
@@ -326,6 +348,7 @@ class StructureCache:
                 "misses": self.misses,
                 "evicting_misses": self.evicting_misses,
                 "evicted_entries": self.evicted_entries,
+                "patched": self.patched,
             }
 
     def __enter__(self) -> "StructureCache":

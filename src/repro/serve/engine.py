@@ -33,6 +33,7 @@ The ``serve.*`` metric family (exported through the active
 ===============================  ==========  =================================
 ``serve.cache.hit/miss/eviction``  counter   disjoint per-request cache outcome
 ``serve.cache.evicted_entries``    counter   entries removed by LRU pressure
+``serve.cache.patched``            counter   misses built by patching a version
 ``serve.cache.bytes/entries``      gauge     cache residency
 ``serve.requests.submitted``       counter   admitted requests
 ``serve.requests.rejected``        counter   admission-control rejections
@@ -55,10 +56,13 @@ source are served from the session's current *snapshot* — an immutable
 versioned CSR, patched from the previous one in O(edges changed),
 cached under a ``(fingerprint, version)``-tagged structure key and
 pinned while any in-flight query reads it (updates supersede snapshots,
-never invalidate a pinned one).  The ``maintained`` pseudo-algorithm
-answers straight from the session's incrementally-maintained count and
-version in O(1): a batch of only maintained reads never materialises a
-snapshot or touches the cache.  See docs/dynamic.md.
+never invalidate a pinned one); a miss patches the previous version's
+structure while its entry is cached, and replaces that entry
+(:func:`~repro.core.structure.patch_lotus_graph`).  The ``maintained``
+pseudo-algorithm answers straight from the session's
+incrementally-maintained count and version in O(1): a batch of only
+maintained reads never materialises a snapshot or touches the cache.
+See docs/dynamic.md.
 
 When a :class:`~repro.obs.telemetry.TelemetryBus` is active the engine
 also streams events *during* the session: every counter increment is
@@ -77,7 +81,7 @@ import weakref
 from typing import Any, Callable
 
 from repro.core.count import check_backend, lotus_count_from_structure
-from repro.core.structure import LotusConfig
+from repro.core.structure import LotusConfig, patch_lotus_graph
 from repro.obs import get_registry
 from repro.obs.telemetry import get_bus
 from repro.serve.cache import CacheEntry, StructureCache, csr_hash, structure_key
@@ -197,6 +201,9 @@ class QueryEngine:
         self._dynamic: dict[tuple, Any] = {}
         # graph_key() -> (weak ref to the graph last hashed, its csr_hash)
         self._csr_hashes: dict[tuple, tuple[weakref.ref, str]] = {}
+        # source_key() of a session read -> (version, cache key) of the
+        # entry it last resolved: the predecessor the next version patches
+        self._chains: dict[tuple, tuple[int, str]] = {}
 
     # -- telemetry ---------------------------------------------------------
     @staticmethod
@@ -368,10 +375,17 @@ class QueryEngine:
         # from its current snapshot: an immutable versioned CSR that later
         # updates supersede but never mutate (snapshot-isolated reads)
         version: int | None = None
+        patch = None
         if session is not None:
             snap = session.snapshot()
             graph = snap.graph
             version = snap.version
+            chain = self._chains.get(request0.source_key())
+            if chain is not None and chain[0] == snap.parent:
+                patch = (
+                    chain[1],
+                    lambda lotus: patch_lotus_graph(lotus, snap.inserted, snap.deleted),
+                )
         config = (
             LotusConfig(hub_count=request0.hub_count)
             if request0.hub_count
@@ -407,6 +421,7 @@ class QueryEngine:
                         dataset=request0.dataset,
                         version=version,
                         builder=self._builder,
+                        patch=patch,
                     )
                     outcomes[id(t)] = outcome
                 except Exception as exc:
@@ -414,6 +429,8 @@ class QueryEngine:
                     return
             assert entry is not None
             dispatch_span.set("cache", outcomes[id(live[0])])
+            if version is not None:
+                self._chains[request0.source_key()] = (version, key)
 
             # the build may have consumed a request's whole deadline
             still_live = []
@@ -468,7 +485,8 @@ class QueryEngine:
         resolved graph becomes the version-0 base and its triangle count
         is established once (by a LOTUS count) so every later delta is
         exact.  Updates never touch resident cache entries — the next
-        count simply keys a new snapshot version.
+        count keys a new snapshot version, patched from its predecessor's
+        entry while that is cached.
         """
         import numpy as np
 

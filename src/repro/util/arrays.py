@@ -15,6 +15,7 @@ __all__ = [
     "group_ids",
     "segment_sums",
     "rows_searchsorted",
+    "patch_sorted_rows",
     "sort_arcs",
 ]
 
@@ -49,6 +50,40 @@ def rows_searchsorted(
         lo[go_right] = mid[go_right] + 1
         hi[go_left] = mid[go_left]
     return lo - start64
+
+
+def patch_sorted_rows(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    inserted: np.ndarray,
+    deleted: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR ``(indptr, indices)``, whose rows are sorted, with the
+    ``(row, col)`` entries ``inserted`` added and ``deleted`` removed.
+
+    Both are ``(k, 2)`` integer arrays; every deleted entry must be
+    present, every inserted one absent, and no entry may repeat.  Each
+    entry is located in its row with one vectorised binary search
+    (:func:`rows_searchsorted`); the deletions leave in one
+    ``np.delete`` and the insertions enter in one ``np.insert``, each
+    position shifted left by the deletions ahead of it, so the rows stay
+    sorted.  Returns new arrays: an ``int64`` ``indptr`` and ``indices``
+    in its own dtype.
+    """
+    entries = np.concatenate([inserted, deleted]).astype(np.int64, copy=False)
+    adds = np.arange(entries.shape[0]) < len(inserted)
+    order = np.lexsort((entries[:, 1], entries[:, 0]))
+    rows, cols, adds = entries[order, 0], entries[order, 1], adds[order]
+    starts = indptr[rows]
+    pos = starts + rows_searchsorted(indices, starts, indptr[rows + 1], cols)
+    gone = pos[~adds]  # strictly increasing: entries are in CSR order
+    at = pos[adds] - np.searchsorted(gone, pos[adds])
+    patched = np.insert(np.delete(indices, gone), at, cols[adds])
+    n = indptr.size - 1
+    shift = np.bincount(rows[adds], minlength=n) - np.bincount(rows[~adds], minlength=n)
+    patched_indptr = indptr.astype(np.int64)
+    patched_indptr[1:] += np.cumsum(shift)
+    return patched_indptr, patched
 
 
 def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -1,11 +1,11 @@
-"""Unit tests for ``repro.dynamic``: graph layer, hub tracker, replay,
-``dynamic.*`` metrics and the dynamic-differential fuzz mode.
+"""Unit tests for ``repro.dynamic``: graph layer, replay, ``dynamic.*``
+metrics and the dynamic-differential fuzz mode.
 
 The hypothesis-driven behavioural properties live in
 ``test_dynamic_property.py``; this module pins the concrete contracts —
 snapshot immutability, compaction invariants, stream parsing shapes,
 trajectory accounting, and that the fuzzer both passes on healthy code
-and catches a deliberately broken intersect kernel.
+and catches a deliberately broken intersect kernel or structure patch.
 """
 
 import numpy as np
@@ -118,31 +118,6 @@ class TestDynamicGraph:
         assert dyn.triangles == count_triangles_forward(
             dyn.snapshot().graph
         ).triangles
-
-
-class TestHubTracker:
-    def test_tracks_and_validates_through_mixed_stream(self, graph):
-        dyn = DynamicGraph(graph, track_hubs=True)
-        stream = synthesize_stream(graph, 200, seed=11)
-        replay_stream(dyn, stream, batch=32, compact_every=3)
-        dyn.hubs.validate()
-        assert dyn.triangles == count_triangles_forward(
-            dyn.snapshot().graph
-        ).triangles
-
-    def test_degree_drift_forces_rethreshold(self):
-        base = erdos_renyi(200, 0.03, seed=21)
-        dyn = DynamicGraph(base, track_hubs=True)
-        # promote two previously-quiet vertices far past the hub threshold
-        quiet = np.argsort(base.degrees(), kind="stable")[:2]
-        batch = []
-        for q in quiet:
-            for v in range(60):
-                if v != q and not dyn.has_edge(int(q), v):
-                    batch.append((int(q), v))
-        dyn.insert_edges(np.array(batch, dtype=np.int64))
-        assert dyn.hubs.rethresholds >= 1
-        dyn.hubs.validate()
 
 
 class TestMetrics:
@@ -268,6 +243,32 @@ class TestDynamicFuzz:
 
         case = random_dynamic_case(failure["seed"], num_ops=40)
         assert check_dynamic_case(case) == []
+
+    def test_catches_off_by_one_structure_patch(self, monkeypatch):
+        """An ``np.insert`` position one too far in the LOTUS structure
+        patch alone: the snapshot CSR and every count stay right, so only
+        the carried structure's check can catch it."""
+        import repro.core.structure as structure
+        from repro.eval.fuzz import run_dynamic_fuzz
+        from repro.util.arrays import patch_sorted_rows
+
+        insert = np.insert
+
+        def off_by_one(*args):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(
+                    np, "insert",
+                    lambda arr, at, values: insert(
+                        arr, np.minimum(at + 1, arr.size), values
+                    ),
+                )
+                return patch_sorted_rows(*args)
+
+        monkeypatch.setattr(structure, "patch_sorted_rows", off_by_one)
+        failure = run_dynamic_fuzz(40, seed=0, ops_per_case=40)["failure"]
+        assert failure is not None
+        assert failure["shrunk_ops"] <= 5
+        assert all("differs from the split" in m for m in failure["mismatches"])
 
     def test_case_generation_is_deterministic(self):
         from repro.eval.fuzz import random_dynamic_case

@@ -18,14 +18,24 @@ property is checked against full recounts or pure set semantics:
   re-insert batches, snapshots, explicit compactions and
   auto-compactions, every snapshot is byte-identical to a ``from_edges``
   rebuild of a reference edge set, stays so after later updates, and
-  ``overlay_edges`` equals a recount of the overlays.
+  ``overlay_edges`` equals a recount of the overlays;
+* **patched structures** — a LOTUS structure carried from snapshot to
+  snapshot by ``patch_lotus_graph`` is byte-identical to
+  ``split_oriented`` of the snapshot under the frozen ranks, counts the
+  same per phase as that split and totals the maintained count; the
+  first version after a compaction ranks afresh.
 """
 
-import numpy as np
-from hypothesis import given, settings, strategies as st
+from dataclasses import replace
 
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from repro.core import LotusConfig, build_lotus_graph, lotus_count_from_structure
+from repro.core.structure import patch_lotus_graph, split_oriented
 from repro.dynamic import DynamicGraph
 from repro.graph import CSRGraph, erdos_renyi, from_edges, powerlaw_chung_lu
+from repro.graph.reorder import lotus_relabeling_array
 from repro.tc import count_triangles_forward
 
 graph_params = st.tuples(
@@ -337,3 +347,109 @@ class TestPatchedSnapshots:
         for got, want in taken:
             assert np.array_equal(got.indices, want.indices)
             assert np.array_equal(got.indptr, want.indptr)
+
+
+class TestPatchedStructures:
+    @given(
+        params=graph_params,
+        hub_count=st.integers(min_value=1, max_value=100),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["insert", "delete", "reinsert", "isolate", "toggle", "read",
+                     "compact"]
+                ),
+                st.integers(min_value=1, max_value=24),
+                st.integers(min_value=0, max_value=10_000),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    # a row that empties out, then gains its first arc again; an empty
+    # delta; several versions read only by ``maintained``; a compaction
+    @example(
+        params=("er", 40, 6, 3), hub_count=10,
+        steps=[("read", 1, 0), ("isolate", 1, 3), ("read", 1, 0),
+               ("reinsert", 24, 0), ("read", 1, 0)],
+    )
+    @example(
+        params=("pl", 60, 4, 5), hub_count=63,
+        steps=[("toggle", 5, 1), ("read", 1, 0), ("insert", 4, 2),
+               ("delete", 4, 3), ("toggle", 3, 4), ("read", 1, 0),
+               ("compact", 1, 0), ("insert", 3, 5), ("read", 1, 0)],
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_patched_structure_is_the_frozen_rank_split(
+        self, params, hub_count, steps
+    ):
+        graph = _make_graph(params)
+        n = graph.num_vertices
+        dyn = DynamicGraph(graph, auto_compact_fraction=None)
+        config = LotusConfig(hub_count=hub_count)
+        version, lotus = 0, build_lotus_graph(graph, config)
+        # the edge set, kept here: only ``read`` and ``compact`` may
+        # materialise a snapshot, so unread versions pile up into one delta
+        edges = _edge_set(graph)
+        deleted: list[tuple[int, int]] = []
+
+        def read():
+            nonlocal version, lotus
+            snap = dyn.snapshot()
+            prev = lotus
+            if snap.version == version:
+                return
+            if snap.parent is None:  # first version after a compaction
+                lotus = build_lotus_graph(snap.graph, config)
+                assert np.array_equal(lotus.ra, lotus_relabeling_array(snap.graph))
+            else:
+                assert snap.parent == version
+                lotus = patch_lotus_graph(prev, snap.inserted, snap.deleted)
+                he, nhe = split_oriented(snap.graph, prev.ra, prev.hub_count)
+                for got, want, dtype in (
+                    (lotus.he, he, np.uint16), (lotus.nhe, nhe, np.uint32),
+                ):
+                    assert got.indptr.dtype == want.indptr.dtype == np.int64
+                    assert got.indices.dtype == want.indices.dtype == dtype
+                    assert np.array_equal(got.indptr, want.indptr)
+                    assert np.array_equal(got.indices, want.indices)
+                fresh = lotus_count_from_structure(replace(lotus, he=he, nhe=nhe))
+                assert lotus_count_from_structure(lotus) == fresh
+                assert fresh.total == dyn.triangles
+            version = snap.version
+
+        def apply(op, pairs):
+            if pairs:
+                batch = np.array(pairs, dtype=np.int64)
+                if op == "delete":
+                    dyn.delete_edges(batch)
+                    edges.difference_update(pairs)
+                    deleted.extend(pairs)
+                else:
+                    dyn.insert_edges(batch)
+                    edges.update(pairs)
+
+        for op, size, seed in steps:
+            rng = np.random.default_rng(seed)
+            if op == "read":
+                read()
+            elif op == "compact":
+                dyn.compact()
+            elif op == "delete":
+                live = sorted(edges)
+                apply(op, [live[i] for i in rng.permutation(len(live))[:size]])
+            elif op == "isolate":  # empty every row of one vertex
+                apply("delete", [p for p in sorted(edges) if seed % n in p])
+            elif op == "reinsert":  # arcs return to rows, some of them empty
+                apply(op, [p for p in dict.fromkeys(deleted[-size:]) if p not in edges])
+            else:  # insert, or toggle: insert and delete again, no net delta
+                pairs = [
+                    (min(u, v), max(u, v))
+                    for u, v in rng.integers(n, size=(size, 2)).tolist()
+                    if u != v
+                ]
+                pairs = [p for p in dict.fromkeys(pairs) if p not in edges]
+                apply("insert", pairs)
+                if op == "toggle":
+                    apply("delete", pairs)
+        read()

@@ -14,6 +14,7 @@ together.  Invariants checked:
 """
 
 import random
+import sys
 import threading
 
 import pytest
@@ -247,6 +248,73 @@ def test_snapshot_isolated_reads_under_streaming_writer():
         assert expected[shadow.version] == count_triangles_forward(
             shadow.snapshot().graph
         ).triangles
+
+
+def test_engines_sharing_a_cache_patch_their_own_sessions():
+    """Four engines share one 3-entry cache at a 1 µs switch interval,
+    each streaming writes to its own graph and reading every version
+    back.  Patched entries replace their predecessors while LRU evicts
+    the other engines' entries, yet every read equals the count its
+    version's update reported and the outcomes still partition the
+    lookups."""
+    graphs = [erdos_renyi(120, 0.06, seed=500 + k) for k in range(4)]
+    versions = 10
+    cache = StructureCache(max_entries=3)
+    errors: list = []
+
+    def drive(engine, graph, seed):
+        rng = random.Random(seed)
+        present = {tuple(map(int, e)) for e in graph.edges()}
+        try:
+            for _ in range(versions):
+                fresh = set()
+                while len(fresh) < 3:
+                    u, v = sorted(rng.sample(range(graph.num_vertices), 2))
+                    if (u, v) not in present:
+                        fresh.add((u, v))
+                present |= fresh
+                update = engine.query(
+                    QueryRequest(graph=graph, op="insert", edges=sorted(fresh)),
+                    wait_timeout=GLOBAL_TIMEOUT,
+                )
+                read = engine.query(
+                    QueryRequest(graph=graph), wait_timeout=GLOBAL_TIMEOUT
+                )
+                if not read.ok or (read.version, read.triangles) != (
+                    update.version, update.triangles,
+                ):
+                    errors.append((read.version, read.triangles, update.triangles))
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with use_registry() as reg:
+            engines = [QueryEngine(cache).start() for _ in graphs]
+            threads = [
+                threading.Thread(target=drive, args=(e, g, k), daemon=True)
+                for k, (e, g) in enumerate(zip(engines, graphs))
+            ]
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=GLOBAL_TIMEOUT)
+                    assert not t.is_alive(), "thread hung: engine deadlocked"
+            finally:
+                for e in engines:
+                    e.stop()
+            counters = reg.family("serve")["counters"]
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    stats = cache.stats()
+    lookups = len(graphs) * versions
+    assert stats["hits"] + stats["misses"] + stats["evicting_misses"] == lookups
+    assert 0 < stats["patched"] <= stats["misses"] + stats["evicting_misses"]
+    assert counters["serve.cache.patched"] == stats["patched"]
+    assert len(cache) <= cache.max_entries
 
 
 def test_concurrent_submitters_respect_admission_control(graphs):

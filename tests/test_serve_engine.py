@@ -442,13 +442,15 @@ class TestCsrHashMemo:
         ][:2]
         with QueryEngine(StructureCache(max_entries=1)) as engine:
             engine.query(QueryRequest(dataset="LJGrp"), 60)
-            for edge in fresh:
+            # version 1 evicts the session-less entry; version 2 replaces
+            # its predecessor, version 1, without an eviction
+            for edge, outcome in zip(fresh, ["eviction", "miss"]):
                 engine.query(QueryRequest(dataset="LJGrp", op="insert", edges=[edge]), 60)
                 reads = [engine.query(QueryRequest(dataset="LJGrp"), 60) for _ in range(2)]
-                assert [r.cache for r in reads] == ["eviction", "hit"]
+                assert [r.cache for r in reads] == [outcome, "hit"]
             assert len(hashed) == 3  # the base, then versions 1 and 2
             # the memo holds no graph: version 1's snapshot, superseded and
-            # evicted, is freed
+            # replaced, is freed
             gc.collect()
             assert hashed[0]() is g1 and hashed[1]() is None
             assert hashed[2]() is not None
@@ -458,6 +460,110 @@ class TestCsrHashMemo:
             results = [engine.query(QueryRequest(graph=g1), 60) for _ in range(3)]
         assert [r.cache for r in results] == ["miss", "hit", "hit"]
         assert len(hashed) == 3
+
+
+class TestPatchedEntries:
+    """A session version's entry is patched from its predecessor's while
+    that is cached under the same source and config, and replaces it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every entry a cache lookup returns, in lookup order."""
+        entries = []
+        real = StructureCache.get_or_build
+
+        def spy(self, *args, **kwargs):
+            entry, outcome = real(self, *args, **kwargs)
+            entries.append(entry)
+            return entry, outcome
+
+        monkeypatch.setattr(StructureCache, "get_or_build", spy)
+        return entries
+
+    @staticmethod
+    def _fresh(graph, count):
+        return [
+            [u, v] for u in range(30) for v in range(u + 1, 30)
+            if not graph.has_edge(u, v)
+        ][:count]
+
+    def _write_then_read(self, engine, graph, edges):
+        update = engine.query(QueryRequest(graph=graph, op="insert", edges=edges), 60)
+        result = engine.query(QueryRequest(graph=graph), 60)
+        assert result.ok and (result.version, result.triangles) == (
+            update.version, update.triangles,
+        )
+        return result
+
+    def test_new_entry_replaces_its_predecessor(self, g1, built):
+        fresh = self._fresh(g1, 3)
+        with use_registry() as reg, QueryEngine(StructureCache()) as engine:
+            first = self._write_then_read(engine, g1, fresh[:1])
+            second = self._write_then_read(engine, g1, fresh[1:])
+        # version 1 has no cached predecessor and builds; version 2 patches
+        assert (first.cache, second.cache) == ("miss", "miss")
+        v1, v2 = built
+        assert engine.cache.keys() == [v2.key]
+        assert v2.lotus.ra is v1.lotus.ra
+        stats = engine.cache.stats()
+        assert (stats["patched"], stats["evicted_entries"]) == (1, 0)
+        counters = reg.family("serve")["counters"]
+        assert counters["serve.cache.patched"] == 1
+        assert counters["serve.cache.miss"] == 2
+        assert "serve.cache.eviction" not in counters
+        build, patch = (
+            s for s in reg.iter_spans() if s.name == "serve:dispatch"
+        )
+        assert build.find("preprocess") is not None and build.find("patch") is None
+        span = patch.find("patch")
+        assert patch.find("preprocess") is None
+        assert span.attrs["edges_patched"] == 2
+        assert span.attrs["he_arcs"] + span.attrs["nhe_arcs"] == 2
+
+    def test_pinned_predecessor_survives(self, g1, built):
+        fresh = self._fresh(g1, 2)
+        with QueryEngine(StructureCache()) as engine:
+            self._write_then_read(engine, g1, fresh[:1])
+            engine.cache.pin(built[0].key)  # a reader of version 1 elsewhere
+            self._write_then_read(engine, g1, fresh[1:])
+            assert engine.cache.keys() == [built[0].key, built[1].key]
+            engine.cache.unpin(built[0].key)
+            assert engine.cache.stats()["patched"] == 1
+
+    def test_each_config_patches_its_own_chain(self, g1, built):
+        with QueryEngine(StructureCache()) as engine:
+            for edge in self._fresh(g1, 3):
+                result = self._write_then_read(engine, g1, [edge])
+                other = engine.query(QueryRequest(graph=g1, hub_count=8), 60)
+                assert (other.version, other.triangles) == (
+                    result.version, result.triangles,
+                )
+            assert engine.cache.stats()["patched"] == 4
+            assert len(engine.cache) == 2
+        default, eight = built[0::2], built[1::2]
+        assert [e.lotus.hub_count for e in eight] == [8] * 3
+        assert len({e.lotus.hub_count for e in default}) == 1
+        for chain in (default, eight):
+            assert all(e.lotus.ra is chain[0].lotus.ra for e in chain)
+        assert default[0].lotus.ra is not eight[0].lotus.ra
+
+    def test_first_read_after_a_compaction_rebuilds(self, g1, built):
+        from repro.graph.reorder import lotus_relabeling_array
+
+        fresh = self._fresh(g1, 3)
+        with QueryEngine(StructureCache()) as engine:
+            self._write_then_read(engine, g1, fresh[:1])
+            self._write_then_read(engine, g1, fresh[1:2])
+            assert engine.query(QueryRequest(graph=g1, op="compact"), 60).ok
+            self._write_then_read(engine, g1, fresh[2:])
+            assert engine.cache.stats()["patched"] == 1
+        effective = from_edges(
+            np.concatenate([g1.edges(), fresh]), num_vertices=g1.num_vertices
+        )
+        rebuilt = built[-1].lotus
+        assert np.array_equal(built[-1].graph.indices, effective.indices)
+        assert rebuilt.ra is not built[-2].lotus.ra
+        assert np.array_equal(rebuilt.ra, lotus_relabeling_array(effective))
 
 
 class TestQueryResultProjection:
