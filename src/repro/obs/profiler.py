@@ -29,10 +29,12 @@ Three integration points:
   registry counters (picked up by the Prometheus exposers) and publishes
   a ``profile`` event on the :class:`~repro.obs.telemetry.TelemetryBus`.
 
-Overhead is self-measured: ``scripts/bench_trajectory.py
---profiler-overhead`` records ``profiler.EU15.overhead_ratio``, gated by
-:mod:`repro.obs.regress` against an absolute ceiling (target <= 1.10 at
-the 10 ms default interval).
+Overhead is self-measured: the trajectory's ``profiler`` spec
+(:data:`repro.obs.trajectory.SPECS`, run by
+``scripts/bench_trajectory.py``) records ``profiler.EU15.overhead_ratio``
+as the median of paired off/on rounds, gated by :mod:`repro.obs.regress`
+against an absolute ceiling (target <= 1.10 at the 10 ms default
+interval).
 
 Only one sampler is *active* per process (module-level, like the
 registry and the bus): :meth:`SamplingProfiler.start` installs it so the

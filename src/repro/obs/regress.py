@@ -12,7 +12,7 @@ when any tracked metric *regresses* beyond its tolerance:
   claim of its own: misses silently migrating between regions is a
   regression even when totals hold);
 * ``*.overhead_ratio`` — ceiling: the telemetry self-measurement
-  (:func:`repro.obs.trajectory.build_telemetry_overhead_measurements`)
+  (the ``telemetry`` spec of :data:`repro.obs.trajectory.SPECS`)
   must stay under an *absolute* ceiling (``--overhead-ceiling``,
   default 1.25 to absorb shared-CI noise; the design target is <= 1.05
   on EU15).  ``profiler.*`` ratios (the sampling profiler measuring

@@ -2,198 +2,197 @@
 
 GraphChallenge-style methodology (arXiv:2003.09269): performance claims
 are only trustworthy when normalized, attributed measurements are
-recorded per change and compared against a baseline.  This module builds
-one ``BENCH_<date>.json`` artifact from a *pinned quick suite* — a fixed
-set of fig4/fig6-scale graphs replayed on every machine model — holding:
+recorded per change and compared against a baseline.  :data:`SPECS` is
+the one registry of those measurements.  Each :class:`Spec` pins a name,
+its dataset(s) and a ``measure(dataset) -> (metrics, info)`` function;
+the spec's constants (machine models, request, op and round counts,
+stream seed, shard counts) are bound in its registry entry:
 
-* triangle counts per dataset (correctness canary, compared exactly);
-* simulated miss totals per dataset × machine × algorithm (deterministic
-  — the datasets are seeded generators and the replay is exact);
-* per-region LLC/DTLB miss shares from the attributed replay (the
-  locality claims themselves).
+* ``memsim`` — triangle counts (correctness canary) plus simulated miss
+  totals per machine × algorithm and per-region LLC/DTLB miss shares
+  from the attributed replay (the locality claims themselves);
+* ``scaling`` — phase-1 hits and simulated squared-tiling speedups
+  (:func:`repro.eval.experiments.scaling`);
+* ``serve`` — a scripted warm/cold serve session;
+* ``telemetry`` / ``profiler`` — self-measured overhead ratios;
+* ``dynamic`` — a seeded update stream's final count and its
+  update-vs-recount speedup;
+* ``dist`` — a real sharded count: exact total, deterministic traffic
+  and the simulated shard-scaling trend.
 
-Wall-clock timings are recorded under ``info`` and never compared — only
-the deterministic simulation metrics gate regressions
-(:mod:`repro.obs.regress`).  The artifact is written by
+The metric kinds come from :data:`repro.obs.regress.METRIC_KIND_RULES`.
+Wall-clock seconds ride along under ``info`` and are never compared.
+Only ratios of two timings are gated: the update-vs-recount speedup, and
+the overhead ratios, each the median of paired rounds that alternate
+its two sides in one process.  The artifact's ``specs`` header maps
+each measured spec to its datasets.  It is written by
 ``scripts/bench_trajectory.py``; the committed baseline lives in
-``benchmarks/trajectory/``.
+``benchmarks/trajectory/``, and its header must equal the registry.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime
+import functools
 import json
 import pathlib
+import statistics
 import time
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 __all__ = [
     "TRAJECTORY_SCHEMA_VERSION",
-    "QUICK_SUITE",
-    "DEFAULT_SUITE",
-    "ALL_MACHINES",
-    "SCALING_DATASET",
-    "SCALING_WORKERS",
-    "SERVE_DATASET",
-    "SERVE_REQUESTS",
-    "TELEMETRY_DATASET",
-    "TELEMETRY_REPEATS",
-    "PROFILER_DATASET",
-    "PROFILER_REPEATS",
-    "DYNAMIC_DATASET",
-    "DYNAMIC_OPS",
-    "DYNAMIC_BATCH",
-    "DYNAMIC_SEED",
-    "DIST_DATASET",
-    "DIST_SHARDS",
-    "DIST_PARTITIONER",
-    "DIST_SIM_SHARDS",
-    "DIST_REPEATS",
-    "build_dist_measurements",
-    "build_scaling_measurements",
-    "build_serve_measurements",
-    "build_telemetry_overhead_measurements",
-    "build_profiler_overhead_measurements",
-    "build_dynamic_measurements",
+    "Spec",
+    "SPECS",
     "build_trajectory_artifact",
     "write_trajectory_artifact",
 ]
 
 TRAJECTORY_SCHEMA_VERSION = 1
 
-# Pinned suites: QUICK is what CI and the committed baseline use; the
-# default adds the two slower fig4/fig6 outliers (low-skew Friendster,
-# web-graph SK).  Changing either set invalidates the baseline — bump it
-# in the same commit.
-QUICK_SUITE: tuple[str, ...] = ("LJGrp", "Twtr10")
-DEFAULT_SUITE: tuple[str, ...] = ("LJGrp", "Twtr10", "Frndstr", "SK")
-ALL_MACHINES: tuple[str, ...] = ("SkyLakeX", "Haswell", "Epyc")
-
-# Pinned multi-worker scaling run: the largest stand-in's phase 1 over
-# squared-edge tiles.  The gated metrics are the phase-1 hit count and
-# the *simulated* work-stealing speedup over the exact tile costs
-# (deterministic on any host).
-SCALING_DATASET = "EU15"
-SCALING_WORKERS: tuple[int, ...] = (1, 2, 4)
-
-# Pinned serve session: repeated queries over one cached structure.  All
-# resulting keys carry the ``serve.`` prefix, which the regression gate
-# maps to the ``timing`` kind — recorded for trend lines, never gated
-# (latencies depend on machine load; the hit *mix* depends only on the
-# request plan but rides along under the same never-gate rule).
-SERVE_DATASET = "LJGrp"
-SERVE_REQUESTS = 12
-
-# Pinned telemetry-overhead run: one LOTUS count with observability fully
-# off versus fully on (metrics registry + telemetry bus + both live
-# exporters).  The gated metric is the on/off wall-time ratio — the one
-# timing-derived number the gate *does* check, because it is a ratio of
-# two runs on the same host in the same process and so cancels machine
-# speed.  The regression gate holds it under a documented ceiling
-# (:data:`repro.obs.regress.DEFAULT_OVERHEAD_CEILING`); the design
-# target is <= 1.05 on EU15.
-TELEMETRY_DATASET = "EU15"
-TELEMETRY_REPEATS = 3
-
-# Pinned profiler-overhead run: the same ratio methodology as the
-# telemetry gate, but the "on" side runs the sampling profiler
-# (:class:`repro.obs.profiler.SamplingProfiler`) at its default 10 ms
-# interval over an observed count.  Gated against the tighter
-# :data:`repro.obs.regress.DEFAULT_PROFILER_CEILING` (<= 1.10).
-PROFILER_DATASET = "EU15"
-PROFILER_REPEATS = 3
-
-# Pinned dynamic-graph replay: a seeded mixed insert/delete stream
-# against the largest stand-in.  The gated metric is the amortised
-# per-update cost versus a per-update full forward recount, expressed as
-# a speedup (``*_speedup`` -> floor kind: a drop regresses).  The
-# acceptance floor is 10x; the committed baseline pins exactly that
-# policy value rather than a measured number (measurements land 2-3
-# orders of magnitude higher and would make the floor gate meaninglessly
-# tight under the 2% tolerance).  The final triangle count of the seeded
-# stream is deterministic and gated exactly.
-DYNAMIC_DATASET = "EU15"
-DYNAMIC_OPS = 1024
-DYNAMIC_BATCH = 128
-DYNAMIC_SEED = 7
-
-# Pinned distributed run: one real sharded count on the largest stand-in
-# plus a simulated shard-scaling sweep.  The gated metrics are the exact
-# triangle count (the distributed backend must agree with the baseline
-# bit-for-bit) and the deterministic traffic numbers — boundary edges,
-# bytes exchanged, and the simulator's predictions across shard counts.
-# The build itself asserts the differential contract: the simulator's
-# predicted ``bytes_exchanged`` must equal the measured wire traffic
-# exactly, because runtime and simulator share ``repro.dist.plan``.
-# Measured wall time lands in ``info`` (IPC speed is machine-dependent).
-DIST_DATASET = "EU15"
-DIST_SHARDS = 2
-DIST_PARTITIONER = "hash"
-DIST_SIM_SHARDS: tuple[int, ...] = (2, 4, 8)
-DIST_REPEATS = 3
+Measurements = tuple[dict[str, float], dict[str, Any]]
 
 
-def _best_of(run: Callable[[], Any], repeats: int) -> tuple[float, Any]:
-    """``(seconds, result)`` of the fastest of ``repeats`` calls of ``run``."""
-    best = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = run()
-        seconds = time.perf_counter() - started
-        if best is None or seconds < best[0]:
-            best = (seconds, result)
-    return best
+@dataclass(frozen=True)
+class Spec:
+    """One pinned measurement: ``measure(dataset)`` returns
+    ``(metrics, info)`` for each of ``datasets``."""
+
+    name: str
+    datasets: tuple[str, ...]
+    measure: Callable[[str], Measurements]
 
 
-def build_scaling_measurements(
-    dataset: str = SCALING_DATASET,
-    workers: Iterable[int] = SCALING_WORKERS,
-) -> tuple[dict[str, float], dict[str, Any]]:
-    """Phase-1 scaling metrics for one dataset across worker counts.
+def _paired_rounds(a, b, rounds: int):
+    """Time side ``a`` against side ``b`` over ``rounds`` paired rounds.
 
-    Returns ``(metrics, info)``: gated metrics are the phase-1 hit count
-    and per-worker-count simulated speedups of the squared-edge tiling
-    (``*_speedup`` keys — gated as a floor: a drop regresses).  ``info``
-    is empty; it keeps the shape of the other builders.
+    A side is a ``(context, run)`` pair: ``run()`` is timed inside a
+    fresh ``context()``, so set-up and tear-down stay off the clock.
+    Each round runs both sides once and alternates which goes first, so
+    warm-up and drift hit both alike.  Returns ``(ratio, runs_a,
+    runs_b)``: the median of the per-round ``a / b`` wall-time ratios
+    and each side's ``(seconds, result)`` runs.
     """
-    from repro.core.count import count_hhh_hhn
-    from repro.core.structure import build_lotus_graph
-    from repro.core.tiling import tiles_for_phase1
-    from repro.graph import load_dataset
-    from repro.parallel.scheduler import simulate_schedule
+    runs: tuple[list, list] = ([], [])
+    for i in range(rounds):
+        for side in ((0, 1), (1, 0))[i % 2]:
+            context, run = (a, b)[side]
+            with context():
+                started = time.perf_counter()
+                result = run()
+                seconds = time.perf_counter() - started
+            runs[side].append((seconds, result))
+    ratio = statistics.median(sa / sb for (sa, _), (sb, _) in zip(*runs))
+    return ratio, runs[0], runs[1]
 
-    lotus = build_lotus_graph(load_dataset(dataset))
-    metrics: dict[str, float] = {
-        f"{dataset}.phase1.hits": int(sum(count_hhh_hhn(lotus)))
+
+def _median_seconds(runs) -> float:
+    return round(statistics.median(seconds for seconds, _ in runs), 4)
+
+
+def _lotus_counter(dataset: str):
+    """``(graph, count)``: ``count()`` is one LOTUS count of ``dataset``,
+    checked against a warm-up count (the correctness canary)."""
+    from repro.core import count_triangles_lotus
+    from repro.graph import load_dataset
+
+    graph = load_dataset(dataset)
+    expected = count_triangles_lotus(graph).triangles
+
+    def count():
+        result = count_triangles_lotus(graph)
+        if result.triangles != expected:  # pragma: no cover - canary
+            raise AssertionError(
+                f"LOTUS count diverged on {dataset}: "
+                f"{result.triangles} != {expected}"
+            )
+        return result
+
+    return graph, count
+
+
+def _memsim(dataset: str, *, machines: tuple[str, ...]) -> Measurements:
+    """The triangle count plus the attributed replay of Forward and LOTUS
+    on every machine model, at the dataset's cache scale."""
+    # imported lazily: this module is reachable from `repro.obs` tooling
+    # and must not drag the full pipeline in at import time
+    from repro.core import build_lotus_graph, count_triangles_lotus
+    from repro.eval.experiments import cache_scale_for
+    from repro.graph import load_dataset
+    from repro.graph.reorder import apply_degree_ordering
+    from repro.memsim import (
+        MACHINES,
+        MemoryHierarchy,
+        REGION_OTHER,
+        forward_layout,
+        forward_trace,
+        lotus_trace,
+    )
+    from repro.memsim.trace import lotus_layout
+
+    graph = load_dataset(dataset)
+    result = count_triangles_lotus(graph)
+    scale = cache_scale_for(dataset)
+    metrics: dict[str, float] = {f"{dataset}.triangles": int(result.triangles)}
+    info = {
+        f"{dataset}.lotus_seconds": float(result.elapsed),
+        f"{dataset}.cache_scale": int(scale),
     }
+    oriented = apply_degree_ordering(graph)[0].orient_lower()
+    lotus = build_lotus_graph(graph)
+    fwd_layout = forward_layout(oriented)
+    traces = (
+        ("forward", forward_trace(oriented, fwd_layout), fwd_layout),
+        ("lotus", lotus_trace(lotus), lotus_layout(lotus)),
+    )
+    for machine_name in machines:
+        machine = MACHINES[machine_name].scaled(scale)
+        for algorithm, trace, layout in traces:
+            attributed = MemoryHierarchy(machine).access_lines_attributed(
+                trace, layout
+            )
+            totals = attributed.totals()
+            base = f"{dataset}.{machine_name}.{algorithm}"
+            for total in ("accesses", "l1_misses", "l2_misses", "llc_misses",
+                          "dtlb_misses"):
+                metrics[f"{base}.{total}"] = getattr(totals, total)
+            for level in ("llc", "dtlb"):
+                for region, share in attributed.miss_shares(level).items():
+                    if region != REGION_OTHER:
+                        metrics[f"{base}.region.{region}.{level}_share"] = round(
+                            share, 6
+                        )
+    return metrics, info
+
+
+def _scaling(dataset: str, *, workers: tuple[int, ...]) -> Measurements:
+    """Phase-1 hits and the simulated work-stealing speedup of the
+    squared-edge tiling per worker count, from
+    :func:`repro.eval.experiments.scaling`."""
+    from repro.eval.experiments import scaling
+
+    (row,) = scaling((dataset,), workers).rows
+    metrics: dict[str, float] = {f"{dataset}.phase1.hits": int(row["phase1 hits"])}
     for w in workers:
-        tiles = tiles_for_phase1(lotus.he, partitions=2 * w)
-        sim = simulate_schedule(tiles, w)
-        metrics[f"{dataset}.phase1.workers{w}_sim_speedup"] = round(sim.speedup, 4)
+        metrics[f"{dataset}.phase1.workers{w}_sim_speedup"] = round(
+            row[f"sim speedup w={w}"], 4
+        )
     return metrics, {}
 
 
-def build_serve_measurements(
-    dataset: str = SERVE_DATASET,
-    requests: int = SERVE_REQUESTS,
-) -> tuple[dict[str, float], dict[str, Any]]:
-    """One scripted warm/cold serve session over ``dataset``.
+def _serve(dataset: str, *, requests: int) -> Measurements:
+    """One scripted serve session: a cold query, then warm cache hits.
 
-    Returns ``(metrics, info)``: every metric key is ``serve.``-prefixed,
-    which :func:`repro.obs.regress.metric_kind` classifies as ``timing``
-    — reported in diffs, never a gate.  The correctness canary (all
-    responses equal, warm responses are cache hits) is asserted here so a
-    broken serving path fails the measurement loudly instead of writing
-    garbage trend data.
+    The correctness canary (all responses equal, warm responses are
+    cache hits) is asserted here, so a broken serving path fails the
+    measurement loudly instead of writing garbage trend data.
     """
     from repro.obs import use_registry
     from repro.obs.report import histogram_quantile
     from repro.serve import QueryEngine, QueryRequest, StructureCache
 
-    if requests < 2:
-        raise ValueError("requests must be >= 2 (one cold + warm remainder)")
-    metrics: dict[str, float] = {}
-    info: dict[str, Any] = {}
     with use_registry() as registry:
         with QueryEngine(StructureCache()) as engine:
             answers = []
@@ -218,44 +217,40 @@ def build_serve_measurements(
                 f"expected {requests - 1} warm hits, saw {hits}"
             )
         hist = registry.family("serve")["histograms"]["serve.latency_seconds"]
-        metrics[f"serve.{dataset}.hit_rate"] = round(hits / requests, 4)
-        metrics[f"serve.{dataset}.latency_p50_seconds"] = round(
+    metrics = {
+        f"serve.{dataset}.hit_rate": round(hits / requests, 4),
+        f"serve.{dataset}.latency_p50_seconds": round(
             histogram_quantile(hist, 0.5), 6
-        )
-        metrics[f"serve.{dataset}.latency_p95_seconds"] = round(
+        ),
+        f"serve.{dataset}.latency_p95_seconds": round(
             histogram_quantile(hist, 0.95), 6
-        )
-        info[f"serve.{dataset}.requests"] = requests
-        info[f"serve.{dataset}.cold_ms"] = round(latencies[0], 3)
-        info[f"serve.{dataset}.warm_mean_ms"] = round(
+        ),
+    }
+    info: dict[str, Any] = {
+        f"serve.{dataset}.requests": requests,
+        f"serve.{dataset}.cold_ms": round(latencies[0], 3),
+        f"serve.{dataset}.warm_mean_ms": round(
             sum(latencies[1:]) / (requests - 1), 3
-        )
+        ),
+    }
     return metrics, info
 
 
-def build_telemetry_overhead_measurements(
-    dataset: str = TELEMETRY_DATASET,
-    repeats: int = TELEMETRY_REPEATS,
-) -> tuple[dict[str, float], dict[str, Any]]:
-    """Self-measured telemetry overhead: count with obs off versus on.
+def _telemetry(dataset: str, *, rounds: int) -> Measurements:
+    """Telemetry overhead: one LOTUS count with observability fully on
+    against fully off.
 
-    The "on" configuration is the full live pipeline a serve session
-    would run: an enabled :class:`~repro.obs.registry.MetricsRegistry`,
-    a :class:`~repro.obs.telemetry.TelemetryBus` streaming every span
-    open/close to a JSONL exporter, and a background
-    :class:`~repro.obs.telemetry.PrometheusFileExporter` re-exporting
-    the registry.  Both sides take the best of ``repeats`` runs so the
-    ratio compares steady-state floors, not scheduler noise.  Returns
-    ``(metrics, info)`` where the single gated metric is
-    ``telemetry.<dataset>.overhead_ratio``; ``info`` also keeps the
-    per-phase wall time of the best telemetry-off run as
-    ``perf.<dataset>.<phase>.seconds`` (preprocess, hhh+hhn, hnn, nnn).
+    "On" is the full live pipeline a serve session runs: an enabled
+    :class:`~repro.obs.registry.MetricsRegistry`, a
+    :class:`~repro.obs.telemetry.TelemetryBus` streaming every span to a
+    JSONL exporter, and a background
+    :class:`~repro.obs.telemetry.PrometheusFileExporter`.  ``info``
+    keeps each side's median seconds and the per-phase seconds of the
+    fastest "off" count as ``perf.<dataset>.<phase>.seconds``.
     """
     import os
     import tempfile
 
-    from repro.core import count_triangles_lotus
-    from repro.graph import load_dataset
     from repro.obs import use_registry
     from repro.obs.telemetry import (
         JsonlExporter,
@@ -264,145 +259,103 @@ def build_telemetry_overhead_measurements(
         use_bus,
     )
 
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    graph = load_dataset(dataset)
-    expected = count_triangles_lotus(graph).triangles  # warm-up + canary
-
-    def count():
-        result = count_triangles_lotus(graph)
-        if result.triangles != expected:  # pragma: no cover - canary
-            raise AssertionError(
-                f"telemetry bench diverged on {dataset}: "
-                f"{result.triangles} != {expected}"
-            )
-        return result
-
-    off_s, off_result = _best_of(count, repeats)
-    events = 0
+    _, count = _lotus_counter(dataset)
     with tempfile.TemporaryDirectory(prefix="repro-telemetry-") as tmp:
         jsonl = JsonlExporter(os.path.join(tmp, "events.jsonl"))
-        with use_registry() as registry:
-            exposer = PrometheusFileExporter(
-                registry, os.path.join(tmp, "live.prom"), interval_s=0.25
-            )
-            try:
-                with use_bus(TelemetryBus((jsonl,))):
-                    on_s, _ = _best_of(count, repeats)
-            finally:
-                exposer.close()
-            events = jsonl.events_written
-    ratio = on_s / off_s if off_s > 0 else 1.0
-    metrics = {f"telemetry.{dataset}.overhead_ratio": round(ratio, 4)}
+
+        @contextlib.contextmanager
+        def observed():
+            with use_registry() as registry:
+                exposer = PrometheusFileExporter(
+                    registry, os.path.join(tmp, "live.prom"), interval_s=0.25
+                )
+                try:
+                    with use_bus(TelemetryBus((jsonl,))):
+                        yield
+                finally:
+                    exposer.close()
+
+        ratio, on, off = _paired_rounds(
+            (observed, count), (contextlib.nullcontext, count), rounds
+        )
+        jsonl.close()
     info: dict[str, Any] = {
-        f"telemetry.{dataset}.off_seconds": round(off_s, 4),
-        f"telemetry.{dataset}.on_seconds": round(on_s, 4),
-        f"telemetry.{dataset}.repeats": repeats,
-        f"telemetry.{dataset}.events": events,
+        f"telemetry.{dataset}.off_seconds": _median_seconds(off),
+        f"telemetry.{dataset}.on_seconds": _median_seconds(on),
+        f"telemetry.{dataset}.rounds": rounds,
+        f"telemetry.{dataset}.events": jsonl.events_written,
     }
-    for phase, seconds in off_result.phases.items():
+    _, fastest = min(off, key=lambda run: run[0])
+    for phase, seconds in fastest.phases.items():
         info[f"perf.{dataset}.{phase}.seconds"] = round(seconds, 4)
-    return metrics, info
+    return {f"telemetry.{dataset}.overhead_ratio": round(ratio, 4)}, info
 
 
-def build_profiler_overhead_measurements(
-    dataset: str = PROFILER_DATASET,
-    repeats: int = PROFILER_REPEATS,
-    interval_ms: float = 10.0,
-) -> tuple[dict[str, float], dict[str, Any]]:
-    """Self-measured sampling-profiler overhead on an observed count.
+def _profiler(dataset: str, *, rounds: int, interval_ms: float) -> Measurements:
+    """Sampling-profiler overhead on an observed count.
 
     Both sides run under an enabled registry (span attribution is the
-    profiler's whole point, so the registry's own cost — already gated by
-    the telemetry measurement — is held constant); the "on" side adds a
+    profiler's whole point, and the registry's own cost is the telemetry
+    spec's to gate); the "on" side adds a
     :class:`~repro.obs.profiler.SamplingProfiler` at ``interval_ms``.
-    Best-of-``repeats`` on each side; the single gated metric is
-    ``profiler.<dataset>.overhead_ratio`` (ceiling kind, tighter
-    :data:`repro.obs.regress.DEFAULT_PROFILER_CEILING`).
     """
-    from repro.core import count_triangles_lotus
-    from repro.graph import load_dataset
     from repro.obs import use_registry
     from repro.obs.profiler import SamplingProfiler
 
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if interval_ms <= 0:
-        raise ValueError("interval_ms must be positive")
-    graph = load_dataset(dataset)
-    expected = count_triangles_lotus(graph).triangles  # warm-up + canary
-
-    def count():
-        result = count_triangles_lotus(graph)
-        if result.triangles != expected:  # pragma: no cover - canary
-            raise AssertionError(
-                f"profiler bench diverged on {dataset}: "
-                f"{result.triangles} != {expected}"
-            )
-        return result
-
-    with use_registry():
-        off_s, _ = _best_of(count, repeats)
+    _, count = _lotus_counter(dataset)
     samples = dropped = 0
-    with use_registry():
-        with SamplingProfiler(interval_s=interval_ms / 1000.0) as profiler:
-            on_s, _ = _best_of(count, repeats)
-        samples = profiler.profile.samples
-        dropped = profiler.profile.dropped
+
+    @contextlib.contextmanager
+    def profiled():
+        nonlocal samples, dropped
+        with use_registry():
+            with SamplingProfiler(interval_s=interval_ms / 1000.0) as profiler:
+                yield
+        samples += profiler.profile.samples
+        dropped += profiler.profile.dropped
+
+    ratio, on, off = _paired_rounds(
+        (profiled, count), (use_registry, count), rounds
+    )
     if samples <= 0:  # pragma: no cover - canary
         raise AssertionError("profiler bench recorded zero samples")
-    ratio = on_s / off_s if off_s > 0 else 1.0
-    metrics = {f"profiler.{dataset}.overhead_ratio": round(ratio, 4)}
     info: dict[str, Any] = {
-        f"profiler.{dataset}.off_seconds": round(off_s, 4),
-        f"profiler.{dataset}.on_seconds": round(on_s, 4),
-        f"profiler.{dataset}.repeats": repeats,
+        f"profiler.{dataset}.off_seconds": _median_seconds(off),
+        f"profiler.{dataset}.on_seconds": _median_seconds(on),
+        f"profiler.{dataset}.rounds": rounds,
         f"profiler.{dataset}.interval_ms": interval_ms,
         f"profiler.{dataset}.samples": samples,
         f"profiler.{dataset}.dropped": dropped,
     }
-    return metrics, info
+    return {f"profiler.{dataset}.overhead_ratio": round(ratio, 4)}, info
 
 
-def build_dynamic_measurements(
-    dataset: str = DYNAMIC_DATASET,
-    ops: int = DYNAMIC_OPS,
-    batch: int = DYNAMIC_BATCH,
-    seed: int = DYNAMIC_SEED,
-) -> tuple[dict[str, float], dict[str, Any]]:
-    """Amortised incremental-update cost versus naive per-update recount.
+def _dynamic(dataset: str, *, ops: int, batch: int, seed: int) -> Measurements:
+    """Amortised incremental-update cost against a per-update recount.
 
     Replays a seeded mixed insert/delete stream through a
     :class:`~repro.dynamic.graph.DynamicGraph` (which counts its base
-    once with LOTUS) and times (a) the whole replay, amortised per
-    applied update, and (b) one full ``count_triangles_forward`` recount
-    of the final graph — the cost a naive serving layer would pay *per
-    update*.  Returns ``(metrics, info)``: the gated metrics are
-    ``dynamic.<dataset>.update_speedup`` (floor kind) and
-    ``dynamic.<dataset>.triangles`` (exact — the seeded stream is
-    deterministic).  The correctness canary asserts the incrementally
-    maintained count equals the independent Forward recount exactly.
+    once with LOTUS), then recounts the final graph once with
+    ``count_triangles_forward`` — the cost a naive serving layer would
+    pay *per update*, and the independent exactness canary.  The
+    speedup is the recount's seconds over the amortised seconds per
+    applied update.
     """
     from repro.dynamic import DynamicGraph, replay_stream, synthesize_stream
     from repro.graph import load_dataset
     from repro.tc.forward import count_triangles_forward
 
-    if ops < 1:
-        raise ValueError("ops must be >= 1")
     graph = load_dataset(dataset)
-    stream = synthesize_stream(graph, ops, seed=seed)
     dyn = DynamicGraph(graph)
-    report = replay_stream(dyn, stream, batch=batch)
-    started = time.perf_counter()
+    report = replay_stream(dyn, synthesize_stream(graph, ops, seed=seed), batch=batch)
     recount = count_triangles_forward(dyn.snapshot().graph)
-    recount_s = time.perf_counter() - started
     if int(recount.triangles) != dyn.triangles:  # pragma: no cover - canary
         raise AssertionError(
             f"dynamic bench diverged on {dataset}: incremental "
             f"{dyn.triangles} != recount {int(recount.triangles)}"
         )
     per_update = report.per_update_seconds
-    speedup = recount_s / per_update if per_update > 0 else float(ops)
+    speedup = recount.elapsed / per_update if per_update > 0 else float(ops)
     metrics = {
         f"dynamic.{dataset}.update_speedup": round(speedup, 4),
         f"dynamic.{dataset}.triangles": dyn.triangles,
@@ -412,62 +365,59 @@ def build_dynamic_measurements(
         f"dynamic.{dataset}.applied": report.applied,
         f"dynamic.{dataset}.batch": batch,
         f"dynamic.{dataset}.per_update_us": round(per_update * 1e6, 2),
-        f"dynamic.{dataset}.recount_seconds": round(recount_s, 4),
+        f"dynamic.{dataset}.recount_seconds": round(recount.elapsed, 4),
         f"dynamic.{dataset}.replay_seconds": round(report.elapsed_seconds, 4),
         f"dynamic.{dataset}.compactions": report.compactions,
     }
     return metrics, info
 
 
-def build_dist_measurements(
-    dataset: str = DIST_DATASET,
-    shards: int = DIST_SHARDS,
-    partitioner: str = DIST_PARTITIONER,
-    sim_shards: Iterable[int] = DIST_SIM_SHARDS,
-) -> tuple[dict[str, float], dict[str, Any]]:
+def _dist(
+    dataset: str,
+    *,
+    shards: int,
+    partitioner: str,
+    sim_shards: tuple[int, ...],
+    rounds: int,
+) -> Measurements:
     """Real sharded counts plus the simulated shard-scaling sweep.
 
-    Runs :func:`repro.dist.runtime.run_distributed_count` on ``dataset``
-    and simulates the same partitioner and hub count across
-    ``sim_shards``.  Returns ``(metrics, info)``: gated metrics are
-    ``dist.<dataset>.triangles`` (exact), the measured traffic
-    (``boundary_edges`` / ``bytes_exchanged`` / ``replicated_bytes`` —
-    deterministic functions of the partition), and the per-shard-count
-    simulated traffic trend.  ``info`` keeps ``run_seconds``, the best of
-    :data:`DIST_REPEATS` sharded runs, and ``vs_sequential``, its ratio
-    to the best of as many sequential LOTUS counts in the same process.
-    Two canaries run in-build: the simulator must predict the measured
-    wire and replication bytes *exactly* (runtime and simulator share
-    :mod:`repro.dist.plan`), and the simulated and sequential triangle
-    totals must match the distributed run.
+    The metrics are the exact total and the measured traffic (boundary
+    edges, bytes exchanged, replicated bytes: deterministic functions of
+    the partition), then the simulator's traffic at each of
+    ``sim_shards``.  ``info`` keeps the sharded run's median seconds and
+    ``vs_sequential``, its paired ratio to sequential LOTUS counts.  The
+    canaries: every count agrees, and the simulator predicts the
+    measured wire and replication bytes *exactly* (runtime and simulator
+    share :mod:`repro.dist.plan`).
     """
-    from repro.core import count_triangles_lotus
-    from repro.core.structure import LotusConfig
     from repro.dist import (
         PARTITIONERS,
         lotus_rank,
         run_distributed_count,
         simulate_distributed_tc,
     )
-    from repro.graph import load_dataset
 
-    graph = load_dataset(dataset)
-    config = LotusConfig()
-    run_s, run = _best_of(
-        lambda: run_distributed_count(
-            graph, config=config, shards=shards, partitioner=partitioner
+    graph, count = _lotus_counter(dataset)
+    vs_sequential, sharded, sequential = _paired_rounds(
+        (
+            contextlib.nullcontext,
+            lambda: run_distributed_count(
+                graph, shards=shards, partitioner=partitioner
+            ),
         ),
-        DIST_REPEATS,
+        (contextlib.nullcontext, count),
+        rounds,
     )
-    seq_s, seq = _best_of(
-        lambda: count_triangles_lotus(graph, config), DIST_REPEATS
-    )
-    if seq.triangles != run.counts.total:  # pragma: no cover - canary
+    run = sharded[-1][1]
+    expected = sequential[-1][1].triangles
+    totals = {result.counts.total for _, result in sharded}
+    if totals != {expected}:  # pragma: no cover - canary
         raise AssertionError(
-            f"dist bench diverged on {dataset}: sequential {seq.triangles} "
-            f"!= distributed {run.counts.total}"
+            f"dist bench diverged on {dataset}: sequential {expected} "
+            f"!= distributed {sorted(totals)}"
         )
-    rank, hub_count = lotus_rank(graph, config)
+    rank, hub_count = lotus_rank(graph)
     metrics: dict[str, float] = {
         f"dist.{dataset}.triangles": int(run.counts.total),
         f"dist.{dataset}.boundary_edges": int(run.boundary_edges),
@@ -477,8 +427,8 @@ def build_dist_measurements(
     info: dict[str, Any] = {
         f"dist.{dataset}.shards": shards,
         f"dist.{dataset}.partitioner": partitioner,
-        f"dist.{dataset}.run_seconds": round(run_s, 4),
-        f"dist.{dataset}.vs_sequential": round(run_s / seq_s, 4),
+        f"dist.{dataset}.run_seconds": _median_seconds(sharded),
+        f"dist.{dataset}.vs_sequential": round(vs_sequential, 4),
         f"dist.{dataset}.boundary_edge_ratio": round(run.boundary_edge_ratio, 6),
     }
     for s in sim_shards:
@@ -486,10 +436,10 @@ def build_dist_measurements(
         sim = simulate_distributed_tc(
             graph, owner, s, rank=rank, hub_count=hub_count
         )
-        if sim.triangles != run.counts.total:  # pragma: no cover - canary
+        if sim.triangles != expected:  # pragma: no cover - canary
             raise AssertionError(
                 f"dist bench diverged on {dataset}: simulated "
-                f"{sim.triangles} != distributed {run.counts.total}"
+                f"{sim.triangles} != distributed {expected}"
             )
         predicted = (sim.bytes_exchanged, sim.replicated_bytes)
         measured = (run.bytes_exchanged, run.replicated_bytes)
@@ -510,116 +460,47 @@ def build_dist_measurements(
     return metrics, info
 
 
-def build_trajectory_artifact(
-    suite: Iterable[str] = DEFAULT_SUITE,
-    machines: Iterable[str] = ALL_MACHINES,
-    generated: str | None = None,
-    scaling: str | None = None,
-    serve: str | None = None,
-    telemetry_overhead: str | None = None,
-    profiler_overhead: str | None = None,
-    dynamic: str | None = None,
-    dist: str | None = None,
-) -> dict[str, Any]:
-    """Measure the pinned suite and return the artifact as a plain dict.
+# In artifact order.  A change to a spec's datasets or constants can
+# move its pinned metrics: re-pin the baseline in the same commit.
+SPECS: dict[str, Spec] = {
+    spec.name: spec
+    for spec in (
+        Spec("memsim", ("LJGrp", "Twtr10"), functools.partial(
+            _memsim, machines=("SkyLakeX", "Haswell", "Epyc"))),
+        Spec("scaling", ("EU15",), functools.partial(_scaling, workers=(1, 2, 4))),
+        Spec("serve", ("LJGrp",), functools.partial(_serve, requests=12)),
+        Spec("telemetry", ("EU15",), functools.partial(_telemetry, rounds=7)),
+        Spec("profiler", ("EU15",), functools.partial(
+            _profiler, rounds=7, interval_ms=10.0)),
+        Spec("dynamic", ("EU15",), functools.partial(
+            _dynamic, ops=1024, batch=128, seed=7)),
+        Spec("dist", ("EU15",), functools.partial(
+            _dist, shards=2, partitioner="hash", sim_shards=(2, 4, 8), rounds=7)),
+    )
+}
+
+
+def build_trajectory_artifact(specs: Iterable[str] | None = None) -> dict[str, Any]:
+    """Run the named specs (default: all of :data:`SPECS`) on their
+    datasets and return the artifact as a plain dict.
 
     ``metrics`` is a flat ``key -> number`` map (the unit of comparison
     for :mod:`repro.obs.regress`); ``info`` carries non-deterministic
     context (timings) that is recorded but never gated.
     """
-    # imported lazily: this module is reachable from `repro.obs` tooling
-    # and must not drag the full pipeline in at import time
-    from repro.core import build_lotus_graph, count_triangles_lotus
-    from repro.eval.experiments import cache_scale_for
-    from repro.graph import load_dataset
-    from repro.graph.reorder import apply_degree_ordering
-    from repro.memsim import (
-        MACHINES,
-        MemoryHierarchy,
-        REGION_OTHER,
-        forward_layout,
-        forward_trace,
-        lotus_trace,
-    )
-    from repro.memsim.trace import lotus_layout
-
-    suite = tuple(suite)
-    machines = tuple(machines)
+    selected = [SPECS[name] for name in (SPECS if specs is None else specs)]
     metrics: dict[str, float] = {}
     info: dict[str, Any] = {}
-    for name in suite:
-        graph = load_dataset(name)
-        result = count_triangles_lotus(graph)
-        metrics[f"{name}.triangles"] = int(result.triangles)
-        info[f"{name}.lotus_seconds"] = float(result.elapsed)
-        scale = cache_scale_for(name)
-        info[f"{name}.cache_scale"] = int(scale)
-        oriented = apply_degree_ordering(graph)[0].orient_lower()
-        lotus = build_lotus_graph(graph)
-        fwd_layout = forward_layout(oriented)
-        traces = (
-            ("forward", forward_trace(oriented, fwd_layout), fwd_layout),
-            ("lotus", lotus_trace(lotus), lotus_layout(lotus)),
-        )
-        for machine_name in machines:
-            machine = MACHINES[machine_name].scaled(scale)
-            for algorithm, trace, layout in traces:
-                hierarchy = MemoryHierarchy(machine)
-                attributed = hierarchy.access_lines_attributed(trace, layout)
-                totals = attributed.totals()
-                base = f"{name}.{machine_name}.{algorithm}"
-                metrics[f"{base}.accesses"] = totals.accesses
-                metrics[f"{base}.l1_misses"] = totals.l1_misses
-                metrics[f"{base}.l2_misses"] = totals.l2_misses
-                metrics[f"{base}.llc_misses"] = totals.llc_misses
-                metrics[f"{base}.dtlb_misses"] = totals.dtlb_misses
-                for level in ("llc", "dtlb"):
-                    for region, share in attributed.miss_shares(level).items():
-                        if region == REGION_OTHER:
-                            continue
-                        metrics[f"{base}.region.{region}.{level}_share"] = round(
-                            share, 6
-                        )
-    if scaling:
-        scaling_metrics, scaling_info = build_scaling_measurements(scaling)
-        metrics.update(scaling_metrics)
-        info.update(scaling_info)
-    if serve:
-        serve_metrics, serve_info = build_serve_measurements(serve)
-        metrics.update(serve_metrics)
-        info.update(serve_info)
-    if telemetry_overhead:
-        tel_metrics, tel_info = build_telemetry_overhead_measurements(
-            telemetry_overhead
-        )
-        metrics.update(tel_metrics)
-        info.update(tel_info)
-    if profiler_overhead:
-        prof_metrics, prof_info = build_profiler_overhead_measurements(
-            profiler_overhead
-        )
-        metrics.update(prof_metrics)
-        info.update(prof_info)
-    if dynamic:
-        dyn_metrics, dyn_info = build_dynamic_measurements(dynamic)
-        metrics.update(dyn_metrics)
-        info.update(dyn_info)
-    if dist:
-        dist_metrics, dist_info = build_dist_measurements(dist)
-        metrics.update(dist_metrics)
-        info.update(dist_info)
+    for spec in selected:
+        for dataset in spec.datasets:
+            spec_metrics, spec_info = spec.measure(dataset)
+            metrics.update(spec_metrics)
+            info.update(spec_info)
     return {
         "schema": TRAJECTORY_SCHEMA_VERSION,
         "kind": "bench-trajectory",
-        "generated": generated or datetime.date.today().isoformat(),
-        "suite": list(suite),
-        "machines": list(machines),
-        "scaling": scaling,
-        "serve": serve,
-        "telemetry_overhead": telemetry_overhead,
-        "profiler_overhead": profiler_overhead,
-        "dynamic": dynamic,
-        "dist": dist,
+        "generated": datetime.date.today().isoformat(),
+        "specs": {spec.name: list(spec.datasets) for spec in selected},
         "metrics": metrics,
         "info": info,
     }

@@ -18,7 +18,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.reorder import apply_degree_ordering
 from repro.obs import root_span, timed_phase
 from repro.tc.result import TCResult
-from repro.util.arrays import concat_ranges, segment_sums
+from repro.util.arrays import concat_ranges, rows_searchsorted, segment_sums
 from repro.util.timer import PhaseTimer
 
 __all__ = ["count_triangles_block"]
@@ -78,8 +78,8 @@ def count_triangles_block(
                         u_start = indptr[us]
                         u_end = indptr[us + 1]
                         # range restriction via per-row binary search
-                        lo = u_start + _rows_searchsorted(indices, u_start, u_end, wlo)
-                        hi = u_start + _rows_searchsorted(indices, u_start, u_end, whi)
+                        lo = u_start + rows_searchsorted(indices, u_start, u_end, wlo)
+                        hi = u_start + rows_searchsorted(indices, u_start, u_end, whi)
                         lens = hi - lo
                         gathered = indices[concat_ranges(lo, lens)]
                         pos = np.searchsorted(q, gathered)
@@ -95,22 +95,3 @@ def count_triangles_block(
         extra={"num_blocks": num_blocks},
     )
 
-
-def _rows_searchsorted(
-    indices: np.ndarray, starts: np.ndarray, ends: np.ndarray, value: int
-) -> np.ndarray:
-    """Vectorised per-row ``searchsorted``: offset of ``value`` in each
-    sorted slice ``indices[starts[i]:ends[i]]``."""
-    lo = starts.astype(np.int64).copy()
-    hi = ends.astype(np.int64).copy()
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) // 2
-        vals = indices[np.minimum(mid, indices.size - 1)].astype(np.int64, copy=False)
-        go_right = active & (vals < value)
-        go_left = active & ~go_right
-        lo[go_right] = mid[go_right] + 1
-        hi[go_left] = mid[go_left]
-    return lo - starts.astype(np.int64)

@@ -29,7 +29,12 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.util.arrays import concat_ranges, group_ids, segment_sums
+from repro.util.arrays import (
+    concat_ranges,
+    group_ids,
+    rows_searchsorted,
+    segment_sums,
+)
 
 __all__ = [
     "intersect_count_merge",
@@ -303,21 +308,11 @@ def batch_pairwise_counts(
             gathered = ix_g[concat_ranges(g_starts, g_lens)].astype(np.int64, copy=False)
             owner = group_ids(g_lens)  # index into this chunk's pairs
             p_sel = p_rows[owner]
-            lo = ip_p[p_sel].copy()
-            hi = ip_p[p_sel + 1].copy()
-            # classic vectorised per-window binary search (lower bound)
-            while True:
-                active = lo < hi
-                if not active.any():
-                    break
-                mid = (lo + hi) // 2
-                vals = ix_p[np.minimum(mid, ix_p.size - 1)].astype(np.int64, copy=False)
-                go_right = active & (vals < gathered)
-                go_left = active & ~go_right
-                lo[go_right] = mid[go_right] + 1
-                hi[go_left] = mid[go_left]
-            found = (lo < ip_p[p_sel + 1]) & (
-                ix_p[np.minimum(lo, ix_p.size - 1)] == gathered
+            p_starts = ip_p[p_sel]
+            p_ends = ip_p[p_sel + 1]
+            pos = p_starts + rows_searchsorted(ix_p, p_starts, p_ends, gathered)
+            found = (pos < p_ends) & (
+                ix_p[np.minimum(pos, ix_p.size - 1)] == gathered
             )
             total += int(np.count_nonzero(found))
     return total

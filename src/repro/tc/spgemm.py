@@ -25,7 +25,12 @@ from repro.graph.csr import CSRGraph
 from repro.graph.reorder import apply_degree_ordering
 from repro.obs import root_span, timed_phase
 from repro.tc.result import TCResult
-from repro.util.arrays import concat_ranges, group_ids, segment_sums
+from repro.util.arrays import (
+    concat_ranges,
+    group_ids,
+    rows_searchsorted,
+    segment_sums,
+)
 from repro.util.timer import PhaseTimer
 
 __all__ = ["masked_spgemm_count", "spgemm_boolean", "count_triangles_spgemm"]
@@ -67,20 +72,11 @@ def masked_spgemm_count(
         gathered = indices[concat_ranges(indptr[ks], k_lens)].astype(np.int64, copy=False)
         g_owner = owner_row[group_ids(k_lens)]
         # mask probe: is `gathered[j]` a column of row g_owner[j]?
-        lo = indptr[g_owner].copy()
-        hi = indptr[g_owner + 1].copy()
-        while True:
-            active = lo < hi
-            if not active.any():
-                break
-            mid = (lo + hi) // 2
-            vals = indices[np.minimum(mid, indices.size - 1)].astype(np.int64, copy=False)
-            go_right = active & (vals < gathered)
-            go_left = active & ~go_right
-            lo[go_right] = mid[go_right] + 1
-            hi[go_left] = mid[go_left]
-        found = (lo < indptr[g_owner + 1]) & (
-            indices[np.minimum(lo, indices.size - 1)] == gathered
+        starts = indptr[g_owner]
+        ends = indptr[g_owner + 1]
+        pos = starts + rows_searchsorted(indices, starts, ends, gathered)
+        found = (pos < ends) & (
+            indices[np.minimum(pos, indices.size - 1)] == gathered
         )
         total += int(np.count_nonzero(found))
         start = stop

@@ -32,7 +32,9 @@ def rows_searchsorted(
     needle) within the sorted slice ``values[starts[i]:ends[i]]`` (i.e.
     the count of elements ``< needle``).  One binary-search *round* per
     iteration runs over all rows simultaneously, so the Python-level loop
-    is O(log max_row_len).
+    is O(log max_row_len).  This is the one per-row binary search: the
+    paired-row counts, masked SpGEMM, BBTC, the memsim traces and op
+    counts and the sorted-row patch all call it.
     """
     values = np.asarray(values)
     lo = np.asarray(starts, dtype=np.int64).copy()

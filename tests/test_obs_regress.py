@@ -3,7 +3,7 @@
 The gate's contract: identical runs pass, injected regressions (count
 growth beyond tolerance, attribution drift, a changed triangle count, a
 vanished metric) fail with exit code 1, and improvements pass.  The
-committed baseline must itself be a valid artifact for the quick suite.
+committed baseline must itself be a valid artifact for the spec registry.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import copy
 import fnmatch
 import json
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -28,12 +29,7 @@ from repro.obs.regress import (
     metric_kind,
     regressions,
 )
-from repro.obs.trajectory import (
-    ALL_MACHINES,
-    QUICK_SUITE,
-    build_trajectory_artifact,
-    write_trajectory_artifact,
-)
+from repro.obs.trajectory import SPECS, write_trajectory_artifact
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 BASELINE = REPO / "benchmarks" / "trajectory" / "BENCH_baseline.json"
@@ -252,27 +248,24 @@ class TestMainExitCodes:
 
 class TestTrajectoryArtifact:
     def test_build_and_round_trip_tiny_suite(self, tmp_path):
-        artifact = build_trajectory_artifact(
-            suite=("LJGrp",), machines=("SkyLakeX",), generated="2026-01-01"
-        )
-        assert artifact["kind"] == "bench-trajectory"
-        assert artifact["schema"] == 1
-        metrics = artifact["metrics"]
+        metrics, info = SPECS["memsim"].measure("LJGrp")
         assert metrics["LJGrp.triangles"] > 0
+        assert info["LJGrp.lotus_seconds"] > 0
         for algorithm in ("forward", "lotus"):
             assert metrics[f"LJGrp.SkyLakeX.{algorithm}.llc_misses"] > 0
         # lotus shares present for the named regions, none for "other"
         share_keys = [k for k in metrics if k.endswith("_share")]
         assert any(".lotus.region.he." in k for k in share_keys)
         assert not any(".region.other." in k for k in share_keys)
+        artifact = _artifact(metrics)
         path = write_trajectory_artifact(artifact, tmp_path)
         assert path.name == "BENCH_2026-01-01.json"
         assert load_artifact(path)["metrics"] == metrics
-        # the same build twice is bit-identical: the gate sees no diffs
-        again = build_trajectory_artifact(
-            suite=("LJGrp",), machines=("SkyLakeX",), generated="2026-01-01"
-        )
-        assert regressions(compare_artifacts(artifact, again)) == []
+        # the replay is deterministic: the gate sees no diffs against the
+        # committed LJGrp pins
+        pinned = load_artifact(BASELINE)["metrics"]
+        baseline = _artifact({k: v for k, v in pinned.items() if k.startswith("LJGrp.")})
+        assert regressions(compare_artifacts(baseline, artifact)) == []
 
     def test_baseline_naming(self, tmp_path):
         artifact = _artifact(_METRICS)
@@ -285,9 +278,19 @@ class TestCommittedBaseline:
 
     def test_baseline_exists_and_loads(self):
         artifact = load_artifact(BASELINE)
-        assert artifact["suite"] == list(QUICK_SUITE)
-        assert artifact["machines"] == list(ALL_MACHINES)
         assert len(artifact["metrics"]) > 0
+
+    def test_specs_header_equals_the_registry(self):
+        # a spec whose datasets change must re-pin the baseline with it
+        assert load_artifact(BASELINE)["specs"] == {
+            name: list(spec.datasets) for name, spec in SPECS.items()
+        }
+
+    def test_baseline_kind_census(self):
+        kinds = Counter(metric_kind(k) for k in load_artifact(BASELINE)["metrics"])
+        assert kinds == {
+            "count": 67, "share": 51, "exact": 4, "floor": 4, "ceiling": 2
+        }
 
     def test_baseline_self_compare_is_clean(self):
         artifact = load_artifact(BASELINE)

@@ -1,42 +1,64 @@
-"""Unit tests for the benchmark-trajectory builders (repro.obs.trajectory)
-and malformed-baseline handling in the regression gate.
+"""Unit tests for the benchmark-trajectory spec registry
+(repro.obs.trajectory) and malformed-baseline handling in the regression
+gate.
 
-The builders were previously exercised only end-to-end through
-``scripts/bench_trajectory.py``; these tests pin their schemas, their
-correctness canaries and their input validation on small datasets.
+Every spec of ``SPECS`` runs once on a small registry graph; these tests
+pin each spec's schema and metric kinds, its keys against the committed
+baseline, and the paired-round timing behind the overhead ratios.
 """
 
 from __future__ import annotations
 
+import contextlib
+import datetime
 import json
+import pathlib
+import types
 
 import pytest
 
-from repro.obs import regress
+from repro.obs import regress, trajectory
 from repro.obs.trajectory import (
+    SPECS,
     TRAJECTORY_SCHEMA_VERSION,
-    build_dist_measurements,
-    build_profiler_overhead_measurements,
-    build_scaling_measurements,
-    build_serve_measurements,
-    build_telemetry_overhead_measurements,
     build_trajectory_artifact,
     write_trajectory_artifact,
 )
 
+BASELINE = (
+    pathlib.Path(__file__).resolve().parent.parent
+    / "benchmarks" / "trajectory" / "BENCH_baseline.json"
+)
+SMALL = ("LJGrp", "Twtr10")
+
+
+def _small(spec) -> str:
+    """The spec's own first dataset when it is small, else Twtr10."""
+    return spec.datasets[0] if spec.datasets[0] in SMALL else "Twtr10"
+
+
+@pytest.fixture(scope="module")
+def measured():
+    """``name -> (dataset, metrics, info)``: every spec on a small graph."""
+    return {
+        name: (_small(spec), *spec.measure(_small(spec)))
+        for name, spec in SPECS.items()
+    }
+
 
 class TestScalingMeasurements:
-    def test_metrics_and_info_schema(self):
-        metrics, info = build_scaling_measurements("Twtr10", workers=(1, 2))
+    def test_metrics_and_info_schema(self, measured):
+        dataset, metrics, info = measured["scaling"]
         assert set(metrics) == {
-            "Twtr10.phase1.hits",
-            "Twtr10.phase1.workers1_sim_speedup",
-            "Twtr10.phase1.workers2_sim_speedup",
+            f"{dataset}.phase1.hits",
+            f"{dataset}.phase1.workers1_sim_speedup",
+            f"{dataset}.phase1.workers2_sim_speedup",
+            f"{dataset}.phase1.workers4_sim_speedup",
         }
-        assert metrics["Twtr10.phase1.hits"] > 0
+        assert metrics[f"{dataset}.phase1.hits"] > 0
         # one worker has nothing to balance; two can at most double
-        assert metrics["Twtr10.phase1.workers1_sim_speedup"] == 1.0
-        assert 1.0 < metrics["Twtr10.phase1.workers2_sim_speedup"] <= 2.0
+        assert metrics[f"{dataset}.phase1.workers1_sim_speedup"] == 1.0
+        assert 1.0 < metrics[f"{dataset}.phase1.workers2_sim_speedup"] <= 2.0
         # simulation only: no measured wall-clock keys
         assert info == {}
 
@@ -46,105 +68,141 @@ class TestScalingMeasurements:
 
 
 class TestServeMeasurements:
-    def test_hit_rate_and_latency_quantiles(self):
-        metrics, info = build_serve_measurements("Twtr10", requests=4)
-        assert metrics["serve.Twtr10.hit_rate"] == pytest.approx(3 / 4)
-        assert metrics["serve.Twtr10.latency_p50_seconds"] >= 0
-        assert metrics["serve.Twtr10.latency_p95_seconds"] >= (
-            metrics["serve.Twtr10.latency_p50_seconds"]
+    def test_hit_rate_and_latency_quantiles(self, measured):
+        dataset, metrics, info = measured["serve"]
+        requests = info[f"serve.{dataset}.requests"]
+        assert metrics[f"serve.{dataset}.hit_rate"] == pytest.approx(
+            (requests - 1) / requests, abs=1e-4
         )
-        assert info["serve.Twtr10.requests"] == 4
-        assert info["serve.Twtr10.cold_ms"] > 0
+        assert metrics[f"serve.{dataset}.latency_p50_seconds"] >= 0
+        assert metrics[f"serve.{dataset}.latency_p95_seconds"] >= (
+            metrics[f"serve.{dataset}.latency_p50_seconds"]
+        )
+        assert info[f"serve.{dataset}.cold_ms"] > 0
         # every serve.* key is timing-kind: trended, never gated
         for key in metrics:
             assert regress.metric_kind(key) == "timing"
 
-    def test_too_few_requests_rejected(self):
-        with pytest.raises(ValueError):
-            build_serve_measurements("Twtr10", requests=1)
-
 
 class TestOverheadMeasurements:
-    def test_telemetry_overhead_schema(self):
-        metrics, info = build_telemetry_overhead_measurements(
-            "Twtr10", repeats=1
-        )
-        ratio = metrics["telemetry.Twtr10.overhead_ratio"]
-        assert ratio > 0
-        assert regress.metric_kind("telemetry.Twtr10.overhead_ratio") == (
+    def test_telemetry_overhead_schema(self, measured):
+        dataset, metrics, info = measured["telemetry"]
+        assert metrics[f"telemetry.{dataset}.overhead_ratio"] > 0
+        assert regress.metric_kind(f"telemetry.{dataset}.overhead_ratio") == (
             "ceiling"
         )
-        assert info["telemetry.Twtr10.events"] > 0
-        assert info["telemetry.Twtr10.off_seconds"] > 0
-        # the best telemetry-off run's phase split rides along, ungated
+        assert info[f"telemetry.{dataset}.events"] > 0
+        assert info[f"telemetry.{dataset}.off_seconds"] > 0
+        # the fastest telemetry-off count's phase split rides along, ungated
         phases = {
             k.split(".")[2]: v for k, v in info.items() if k.startswith("perf.")
         }
         assert set(phases) == {"preprocess", "hhh+hhn", "hnn", "nnn"}
         assert all(v >= 0 for v in phases.values())
-        assert sum(phases.values()) <= info["telemetry.Twtr10.off_seconds"] + 1e-3
+        assert sum(phases.values()) <= info[f"telemetry.{dataset}.off_seconds"] + 1e-3
         assert not any(k.startswith("perf.") for k in metrics)
 
-    def test_profiler_overhead_schema(self):
-        metrics, info = build_profiler_overhead_measurements(
-            "Twtr10", repeats=1, interval_ms=2.0
-        )
-        ratio = metrics["profiler.Twtr10.overhead_ratio"]
-        assert ratio > 0
-        assert regress.metric_kind("profiler.Twtr10.overhead_ratio") == (
+    def test_profiler_overhead_schema(self, measured):
+        dataset, metrics, info = measured["profiler"]
+        assert metrics[f"profiler.{dataset}.overhead_ratio"] > 0
+        assert regress.metric_kind(f"profiler.{dataset}.overhead_ratio") == (
             "ceiling"
         )
-        assert info["profiler.Twtr10.samples"] > 0
-        assert info["profiler.Twtr10.interval_ms"] == 2.0
+        assert info[f"profiler.{dataset}.samples"] > 0
+        assert info[f"profiler.{dataset}.interval_ms"] == 10.0
 
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            build_telemetry_overhead_measurements("Twtr10", repeats=0)
-        with pytest.raises(ValueError):
-            build_profiler_overhead_measurements("Twtr10", repeats=0)
-        with pytest.raises(ValueError):
-            build_profiler_overhead_measurements(
-                "Twtr10", repeats=1, interval_ms=0
-            )
+
+class TestPairedRounds:
+    """The one timing helper: alternating rounds, median per-round ratio."""
+
+    def test_alternates_sides_and_takes_the_median_ratio(self, monkeypatch):
+        now = [0.0]
+        monkeypatch.setattr(
+            trajectory, "time", types.SimpleNamespace(perf_counter=lambda: now[0])
+        )
+        order = []
+
+        @contextlib.contextmanager
+        def slow_setup():
+            now[0] += 100.0  # set-up and tear-down stay off the clock
+            yield
+            now[0] += 100.0
+
+        def side(name, costs):
+            costs = iter(costs)
+
+            def run():
+                order.append(name)
+                now[0] += next(costs)
+                return name
+
+            return slow_setup, run
+
+        ratio, runs_a, runs_b = trajectory._paired_rounds(
+            side("a", [2.0, 30.0, 3.0]), side("b", [1.0, 1.0, 1.0]), 3
+        )
+        assert order == ["a", "b", "b", "a", "a", "b"]
+        assert ratio == 3.0  # median of 2, 30 and 3: one slow round is outvoted
+        assert runs_a == [(2.0, "a"), (30.0, "a"), (3.0, "a")]
+        assert runs_b == [(1.0, "b")] * 3
 
 
 class TestDistMeasurements:
-    def test_schema_and_timing_info(self):
-        metrics, info = build_dist_measurements("LJGrp", shards=2, sim_shards=(2,))
-        assert metrics["dist.LJGrp.triangles"] > 0
+    def test_schema_and_timing_info(self, measured):
+        dataset, metrics, info = measured["dist"]
+        assert metrics[f"dist.{dataset}.triangles"] > 0
         assert (
-            metrics["dist.LJGrp.bytes_exchanged"]
-            == metrics["dist.LJGrp.sim.shards2.bytes_exchanged"]
+            metrics[f"dist.{dataset}.bytes_exchanged"]
+            == metrics[f"dist.{dataset}.sim.shards2.bytes_exchanged"]
         )
         # the wall times are info: recorded, never gated
-        assert info["dist.LJGrp.run_seconds"] > 0
-        assert info["dist.LJGrp.vs_sequential"] > 0
+        assert info[f"dist.{dataset}.run_seconds"] > 0
+        assert info[f"dist.{dataset}.vs_sequential"] > 0
         assert not any(k.endswith(("run_seconds", "vs_sequential")) for k in metrics)
+
+
+class TestBaselineParity:
+    """The registry emits exactly the committed baseline's keys."""
+
+    def test_every_spec_emits_the_baseline_keys(self, measured):
+        baseline = set(json.loads(BASELINE.read_text())["metrics"])
+        emitted: dict[str, str] = {}
+        for name, spec in SPECS.items():
+            small, metrics, _ = measured[name]
+            for dataset in spec.datasets:
+                for key in metrics:
+                    if key.startswith("serve."):
+                        continue  # timing kind: trended, never pinned
+                    pinned = key.replace(small, dataset)
+                    assert pinned in baseline, f"{name}: {pinned} not pinned"
+                    assert emitted.setdefault(pinned, name) == name, pinned
+        assert set(emitted) == baseline
 
 
 class TestTrajectoryArtifact:
     @pytest.fixture(scope="class")
     def artifact(self):
-        return build_trajectory_artifact(
-            suite=("Twtr10",), machines=("SkyLakeX",), generated="2026-01-01"
-        )
+        return build_trajectory_artifact(["serve"])
 
     def test_artifact_schema(self, artifact):
         assert artifact["schema"] == TRAJECTORY_SCHEMA_VERSION
         assert artifact["kind"] == "bench-trajectory"
-        assert artifact["generated"] == "2026-01-01"
-        assert artifact["suite"] == ["Twtr10"]
-        assert artifact["profiler_overhead"] is None  # opt-in section
-        metrics = artifact["metrics"]
-        assert metrics["Twtr10.triangles"] > 0
-        assert metrics["Twtr10.SkyLakeX.lotus.llc_misses"] > 0
-        share_keys = [k for k in metrics if k.endswith("_share")]
-        assert share_keys
-        assert artifact["info"]["Twtr10.lotus_seconds"] > 0
+        datetime.date.fromisoformat(artifact["generated"])  # the run's date
+        # the header names the measured specs and their datasets, only
+        assert artifact["specs"] == {"serve": list(SPECS["serve"].datasets)}
+        assert set(artifact["metrics"]) == {
+            f"serve.LJGrp.{m}"
+            for m in ("hit_rate", "latency_p50_seconds", "latency_p95_seconds")
+        }
+        assert artifact["info"]["serve.LJGrp.cold_ms"] > 0
+
+    def test_unknown_spec_rejected(self):
+        with pytest.raises(KeyError):
+            build_trajectory_artifact(["no-such-spec"])
 
     def test_write_and_reload_via_regress(self, artifact, tmp_path):
         path = write_trajectory_artifact(artifact, tmp_path)
-        assert path.name == "BENCH_2026-01-01.json"
+        assert path.name == f"BENCH_{artifact['generated']}.json"
         loaded = regress.load_artifact(path)
         assert loaded["metrics"] == artifact["metrics"]
         baseline_path = write_trajectory_artifact(
