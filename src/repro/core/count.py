@@ -22,6 +22,16 @@ key set form the structure's :class:`KernelState`: a cold count builds
 a transient one per call, a structure-cache entry keeps one so that a
 cache hit runs only the kernels.
 
+Phases 1-2 read only the bitsets and NNN only the NHE keys, so when both
+run long (:func:`_two_lanes`: at least 4 wedge chunks of NHE wedges and
+16 popcount passes of live bitset words) the count runs them in two
+lanes: a short-lived helper thread popcounts phases 1-2 while the
+calling thread builds the key set and probes the wedges.  The
+popcounts' gathers and ``bitwise_count`` release the GIL; NNN stays on
+the calling thread, so its working set stays in the main malloc arena.
+Shorter counts, the probe fallback, the per-phase functions and the
+``fused=False`` paths run one phase at a time.
+
 The bitsets cost ``⌈H/64⌉`` words per row with hub neighbours.  Above
 :data:`_BITSET_BUDGET` bytes (checked before allocating) phases 1 and 2
 fall back to the binary-search kernel over the same arcs, which needs
@@ -39,14 +49,16 @@ breakdown; :func:`count_triangles_lotus` is the end-to-end entry point
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.core.structure import LotusConfig, LotusGraph, build_lotus_graph
 from repro.graph.csr import CSRGraph, OrientedGraph
 from repro.obs import get_registry, root_span, timed_phase
+from repro.tc import intersect
 from repro.tc.intersect import (
     KeySet,
     arc_keys,
@@ -58,7 +70,7 @@ from repro.tc.intersect import (
     wedge_chunks,
 )
 from repro.tc.result import TCResult
-from repro.util.timer import PhaseTimer
+from repro.util.timer import PhaseTimer, clock
 
 __all__ = [
     "BACKENDS",
@@ -223,13 +235,13 @@ class KernelState:
     * the NHE arc keys' :class:`~repro.tc.intersect.KeySet`, which NNN
       probes.
 
-    A *retained* state keeps every part it builds, so a count that reuses
-    it runs only the kernels: the structure cache holds one per entry
-    (:meth:`build` fills it).  A transient state, the one a cold count
-    builds, keeps only the bitsets, which serve both hub phases, and
-    :meth:`release` frees them before NNN allocates its arc keys.  No
-    part depends on a count, so concurrent counts can share a built
-    state.
+    A *retained* state keeps every part it builds, so a count that
+    reuses it runs only the kernels: the structure cache holds one per
+    entry (:meth:`build` fills it).  A transient state, the one a cold
+    count builds, keeps its bitsets and operand pairs until both hub
+    phases are done, when :meth:`release` frees them, and hands out its
+    key set without keeping it.  No part depends on a count, so
+    concurrent counts can share a built state.
     """
 
     def __init__(self, lotus: LotusGraph, retain: bool = False) -> None:
@@ -257,11 +269,9 @@ class KernelState:
         if bitsets is None:
             return None
         csr, split = _hub_phase_arcs(self.lotus, phase)
-        pairs = _popcount_operands(
+        pairs = self._pairs[phase] = _popcount_operands(
             bitsets[1], csr.indptr, csr.indices, np.arange(self.lotus.num_vertices), split
         )
-        if self.retain:
-            self._pairs[phase] = pairs
         return pairs
 
     def keyset(self) -> KeySet:
@@ -283,10 +293,12 @@ class KernelState:
         return self
 
     def release(self) -> None:
-        """Free a transient state's bitsets; a retained state keeps them."""
+        """Free a transient state's bitsets and operand pairs; a retained
+        state keeps them."""
         if not self.retain:
             self._bitsets = None
             self._packed = False
+            self._pairs.clear()
 
     @property
     def nbytes(self) -> int:
@@ -345,8 +357,13 @@ def _nnn(lotus: LotusGraph, keyset: KeySet) -> tuple[int, int]:
     nhe = lotus.nhe
     n = lotus.num_vertices
     total = verified = 0
-    for _, b, c in wedge_chunks(nhe.indptr, nhe.indices, np.arange(n, dtype=np.int64)):
-        found, passed = keyset.count(b * n + c)
+    # a quarter chunk: a probe's few chunk-sized arrays stay in L2; the
+    # apexes go unused, so int32 ones halve their blocks
+    chunk = max(intersect._WEDGE_CHUNK >> 2, 1)
+    for _, b, c in wedge_chunks(nhe.indptr, nhe.indices, np.arange(n, dtype=np.int32), chunk):
+        b *= n  # the walk's blocks are this loop's own: key them in place
+        b += c
+        found, passed = keyset.count(b)
         total += found
         verified += passed
     return total, verified
@@ -419,6 +436,41 @@ def count_nnn(lotus: LotusGraph, fused: bool = True) -> int:
     return total
 
 
+def _two_lanes(lotus: LotusGraph, state: KernelState) -> bool:
+    """Whether the hub phases and NNN both run long enough to pay for a
+    helper thread: at least 4 wedge chunks of NHE wedges and 16 popcount
+    passes of live bitset words.  The wedges come from the NHE degrees;
+    only then are the hub operands built, which the count needs anyway,
+    and their words counted.  Over the bitset budget the probe fallback
+    keeps one lane."""
+    deg = np.diff(lotus.nhe.indptr)
+    if int((deg * (deg - 1)).sum()) // 2 < 4 * intersect._WEDGE_CHUNK:
+        return False
+    bitsets = state.bitsets()
+    if bitsets is None:
+        return False
+    live = sum(state.pairs(phase).left.size for phase in ("hhh+hhn", "hnn"))
+    return live * bitsets[0].shape[1] >= 16 * _ARC_CHUNK_WORDS
+
+
+class _Lane(threading.Thread):
+    """A helper thread that runs ``work`` once and keeps its result or
+    the exception it raised for the thread that joins it."""
+
+    def __init__(self, work: Callable[[], object]) -> None:
+        super().__init__(name="lotus-hub-lane", daemon=True)
+        self._work = work
+        self.result: object = None
+        self.error: BaseException | None = None
+
+    def run(self) -> None:
+        """Run the work once, keeping its result or its exception."""
+        try:
+            self.result = self._work()
+        except BaseException as exc:  # re-raised by the joining thread
+            self.error = exc
+
+
 def lotus_count_from_structure(
     lotus: LotusGraph,
     timer: PhaseTimer | None = None,
@@ -429,26 +481,63 @@ def lotus_count_from_structure(
     ``state`` is the structure's :class:`KernelState`, built by an
     earlier count and reused, so the phases run only their kernels.
     Without one the count builds a transient state: the hub bitsets are
-    packed once and serve phase 1 and HNN, and they are freed before NNN
-    allocates its arc keys.
+    packed once, serve phase 1 and HNN, and are freed with the operand
+    pairs once both are done.
+
+    The hub phases read only the bitsets and NNN only the NHE keys, so
+    when both run long (:func:`_two_lanes`) they run side by side: the
+    calling thread builds the hub operands, starts one helper thread for
+    the phase-1 and HNN popcounts, whose gathers and ``bitwise_count``
+    release the GIL, and meanwhile builds the NNN key set and probes the
+    wedges.  It joins the helper before returning, also on error, and
+    re-raises the helper's exception.  Both hub spans nest under the
+    span open at the call, so the span tree is the same in either
+    schedule; the ``timer`` phases then overlap in time.
     """
     timer = timer or PhaseTimer()
     state = state or KernelState(lotus)
     work = lotus.phase_pairs() if get_registry().enabled else {}
-    with timed_phase(timer, "hhh+hhn") as span:
-        hhh, hhn, arcs = _phase1(lotus, state)
-        if span.enabled:
-            span.set("pairs_tested", work["hhh+hhn"])
-            _set_kernel_attrs(span, lotus, state.bitsets(), arcs, lotus.he)
-            span.set("hhh", hhh)
-            span.set("hhn", hhn)
-    with timed_phase(timer, "hnn") as span:
-        hnn, arcs = _hnn(lotus, state)
-        if span.enabled:
-            span.set("pairs_tested", work["hnn"])
-            _set_kernel_attrs(span, lotus, state.bitsets(), arcs, lotus.nhe)
-            span.set("hnn", hnn)
-    state.release()  # a transient state's bitsets go before NNN's arc keys
+    parent = get_registry().current_span()
+
+    def hub_phases() -> tuple[int, int, int]:
+        with timed_phase(timer, "hhh+hhn", parent=parent) as span:
+            hhh, hhn, arcs = _phase1(lotus, state)
+            if span.enabled:
+                span.set("pairs_tested", work["hhh+hhn"])
+                _set_kernel_attrs(span, lotus, state.bitsets(), arcs, lotus.he)
+                span.set("hhh", hhh)
+                span.set("hhn", hhn)
+        with timed_phase(timer, "hnn", parent=parent) as span:
+            hnn, arcs = _hnn(lotus, state)
+            if span.enabled:
+                span.set("pairs_tested", work["hnn"])
+                _set_kernel_attrs(span, lotus, state.bitsets(), arcs, lotus.nhe)
+                span.set("hnn", hnn)
+        return hhh, hhn, hnn
+
+    if _two_lanes(lotus, state):
+        lane = _Lane(hub_phases)
+        lane.start()
+        try:
+            nnn = _nnn_phase(lotus, state, timer, work)
+        finally:
+            lane.join()
+        if lane.error is not None:
+            raise lane.error
+        hhh, hhn, hnn = lane.result
+        state.release()
+    else:
+        hhh, hhn, hnn = hub_phases()
+        state.release()  # a transient state's bitsets go before NNN's arc keys
+        nnn = _nnn_phase(lotus, state, timer, work)
+    return LotusCounts(hhh=hhh, hhn=hhn, hnn=hnn, nnn=nnn)
+
+
+def _nnn_phase(
+    lotus: LotusGraph, state: KernelState, timer: PhaseTimer, work: dict[str, int]
+) -> int:
+    """The ``nnn`` phase of :func:`lotus_count_from_structure`: build or
+    reuse the NHE key set and probe every NHE wedge against it."""
     with timed_phase(timer, "nnn") as span:
         keyset = state.keyset()
         nnn, verified = _nnn(lotus, keyset)
@@ -459,7 +548,7 @@ def lotus_count_from_structure(
             # NHE IDs plus the arc keys and their filter
             span.set("bytes_touched", int(lotus.nhe.indices.nbytes + keyset.nbytes))
             span.set("nnn", nnn)
-    return LotusCounts(hhh=hhh, hhn=hhn, hnn=hnn, nnn=nnn)
+    return nnn
 
 
 def _set_kernel_attrs(
@@ -493,8 +582,10 @@ def count_triangles_lotus(
 ) -> TCResult:
     """End-to-end LOTUS triangle counting: Algorithm 2 + Algorithm 3.
 
-    The returned :class:`~repro.tc.result.TCResult` carries the phase
-    breakdown (Figure 6) in ``phases`` and the per-type counts (Figure 7)
+    The returned :class:`~repro.tc.result.TCResult` carries the count's
+    wall time in ``elapsed``, each phase's own duration (Figure 6) in
+    ``phases`` (the hub phases may overlap NNN, see
+    :func:`lotus_count_from_structure`) and the per-type counts (Figure 7)
     plus the HE/NHE edge split (Figure 8) in ``extra``.  ``backend`` is
     ``None``/``"sequential"`` (in-process) or ``"distributed"``, which
     shards the whole count across ``shards`` real processes
@@ -511,6 +602,7 @@ def count_triangles_lotus(
             partitioner=partitioner,
         )
     timer = PhaseTimer()
+    started = clock()
     with root_span(
         "lotus", num_vertices=graph.num_vertices, num_edges=graph.num_edges
     ) as span:
@@ -521,7 +613,7 @@ def count_triangles_lotus(
     return TCResult(
         algorithm="lotus",
         triangles=counts.total,
-        elapsed=timer.total,
+        elapsed=clock() - started,
         phases=dict(timer.phases),
         extra={
             "counts": counts,

@@ -31,11 +31,16 @@ __all__ = ["timed_phase", "root_span", "add_count", "observe", "set_gauge"]
 
 @contextmanager
 def timed_phase(
-    timer: PhaseTimer | None, name: str, **attrs: Any
+    timer: PhaseTimer | None, name: str, parent: Span | None = None, **attrs: Any
 ) -> Iterator[Span]:
-    """Open a registry span and (optionally) a PhaseTimer phase together."""
+    """Open a registry span and (optionally) a PhaseTimer phase together.
+
+    ``parent`` is the span to nest under when the phase runs on another
+    thread than the one that opened it (see
+    :meth:`~repro.obs.registry.MetricsRegistry.span`).
+    """
     registry = get_registry()
-    with registry.span(name, **attrs) as span:
+    with registry.span(name, parent=parent, **attrs) as span:
         if timer is None:
             yield span
         else:

@@ -5,7 +5,10 @@ The cache key is ``<edge_hash>/<config_hash>``:
 * ``edge_hash`` is the run ledger's dataset fingerprint
   (:func:`repro.obs.ledger.dataset_fingerprint`) — a SHA-256 over the
   exact ``indptr`` / ``indices`` bytes, so two queries share an entry iff
-  they query the very same graph, regardless of how it was named;
+  they query the very same graph, regardless of how it was named.  A
+  dynamic snapshot patched from a version the caller has keyed is
+  keyed by that version's digest extended by the edit delta
+  (:func:`delta_hash`), never by a pass over its CSR;
 * ``config_hash`` is the ledger's canonical config hash
   (:func:`repro.obs.ledger.config_hash`) over the
   :class:`~repro.core.structure.LotusConfig` fields — a different
@@ -43,21 +46,25 @@ state is freed with its entry.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.core.count import KernelState
 from repro.core.structure import LotusConfig, LotusGraph, build_lotus_graph
 from repro.graph.csr import CSRGraph
 from repro.obs import get_registry
-from repro.obs.ledger import config_hash, dataset_fingerprint
+from repro.obs.ledger import _HASH_LEN, config_hash, dataset_fingerprint
 from repro.util.timer import clock
 
 __all__ = [
-    "CacheEntry", "StructureCache", "csr_hash", "structure_key", "DEFAULT_CACHE_BYTES",
+    "CacheEntry", "StructureCache", "csr_hash", "delta_hash", "structure_key",
+    "DEFAULT_CACHE_BYTES",
 ]
 
 DEFAULT_CACHE_BYTES = 256 << 20
@@ -67,6 +74,19 @@ DEFAULT_CACHE_ENTRIES = 8
 def csr_hash(graph: CSRGraph) -> str:
     """The ``edge_hash`` half of a cache key: a SHA-256 over the CSR bytes."""
     return dataset_fingerprint(graph)["edge_hash"]
+
+
+def delta_hash(parent_hash: str, inserted: np.ndarray, deleted: np.ndarray) -> str:
+    """The ``edge_hash`` of a dynamic snapshot patched from the version
+    whose ``edge_hash`` is ``parent_hash``: a SHA-256 over that digest
+    and the ``(k, 2)`` edges inserted and deleted since, each set in
+    sorted order, so it costs O(delta) instead of a pass over the CSR."""
+    h = hashlib.sha256(parent_hash.encode())
+    for sign, edges in ((b"+", inserted), (b"-", deleted)):
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        h.update(sign + len(edges).to_bytes(8, "little"))
+        h.update(edges[np.lexsort((edges[:, 1], edges[:, 0]))].tobytes())
+    return f"sha256:{h.hexdigest()[:_HASH_LEN]}"
 
 
 def structure_key(
@@ -79,13 +99,16 @@ def structure_key(
     """``<edge_hash>/<config_hash>`` cache key for one (graph, config).
 
     ``version`` tags snapshot entries of a dynamic session
-    (``.../<cfg>@v3``).  The fingerprint alone already distinguishes
-    snapshots — different versions have different bytes — but the tag
-    keeps (fingerprint, version) explicit in the key so entries read as
-    snapshot entries in stats and logs, and so a graph that returns to a
-    previous byte-identical state still keys the same entry per version.
-    ``edge_hash`` is the graph's :func:`csr_hash` when the caller holds
-    it already, so the CSR bytes are not hashed again.
+    (``.../<cfg>@v3``), so entries read as snapshot entries in stats and
+    logs, and a graph that returns to a previous byte-identical state
+    still keys one entry per version.  ``edge_hash`` is the caller's
+    digest of the graph, so the CSR bytes are not hashed again: its
+    :func:`csr_hash`, or, for a snapshot patched from a version whose
+    digest the caller holds, that digest extended by the delta
+    (:func:`delta_hash`).  Each version then keys one entry of its own
+    either way; the first version after a compaction carries no delta
+    and is keyed by its :func:`csr_hash`, as are non-session graphs.
+    Without ``edge_hash`` the key uses :func:`csr_hash`.
     """
     config = config or LotusConfig()
     cfg = config_hash(

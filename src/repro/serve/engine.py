@@ -84,7 +84,13 @@ from repro.core.count import check_backend, lotus_count_from_structure
 from repro.core.structure import LotusConfig, patch_lotus_graph
 from repro.obs import get_registry
 from repro.obs.telemetry import get_bus
-from repro.serve.cache import CacheEntry, StructureCache, csr_hash, structure_key
+from repro.serve.cache import (
+    CacheEntry,
+    StructureCache,
+    csr_hash,
+    delta_hash,
+    structure_key,
+)
 from repro.serve.request import (
     UPDATE_OPS,
     EngineStoppedError,
@@ -199,8 +205,9 @@ class QueryEngine:
         # dynamic sessions by graph_key(); dispatcher-thread-only, so the
         # order of updates vs. snapshot reads is the dispatch order
         self._dynamic: dict[tuple, Any] = {}
-        # graph_key() -> (weak ref to the graph last hashed, its csr_hash)
-        self._csr_hashes: dict[tuple, tuple[weakref.ref, str]] = {}
+        # graph_key() -> (weak ref to the graph last keyed, its edge_hash,
+        # its snapshot version or None)
+        self._csr_hashes: dict[tuple, tuple[weakref.ref, str, int | None]] = {}
         # source_key() of a session read -> (version, cache key) of the
         # entry it last resolved: the predecessor the next version patches
         self._chains: dict[tuple, tuple[int, str]] = {}
@@ -375,7 +382,7 @@ class QueryEngine:
         # from its current snapshot: an immutable versioned CSR that later
         # updates supersede but never mutate (snapshot-isolated reads)
         version: int | None = None
-        patch = None
+        patch = snap = None
         if session is not None:
             snap = session.snapshot()
             graph = snap.graph
@@ -392,7 +399,8 @@ class QueryEngine:
             else LotusConfig()
         )
         key = structure_key(
-            graph, config, version=version, edge_hash=self._csr_hash(request0, graph)
+            graph, config, version=version,
+            edge_hash=self._edge_hash(request0, graph, snap),
         )
 
         with registry.span(
@@ -619,26 +627,35 @@ class QueryEngine:
                 self._finish(ticket, "stopped", error="engine stopped")
 
     # -- graph resolution --------------------------------------------------
-    def _csr_hash(self, request: QueryRequest, graph) -> str:
-        """``graph``'s :func:`~repro.serve.cache.csr_hash`, memoised per
-        source while the source resolves to the same graph object.
+    def _edge_hash(self, request: QueryRequest, graph, snap=None) -> str:
+        """The ``edge_hash`` of ``graph``'s cache key, memoised per source
+        while the source resolves to the same graph object.
 
         A registry dataset, a loaded file and a dynamic session's
-        snapshot of one version are each one immutable object, so they
-        are hashed once; a new version, a reloaded file or a regenerated
-        dataset is a new object and is hashed again.  The memo holds a
-        weak reference: it never keeps a superseded graph alive.  A
-        caller's in-memory graph may be mutated in place between
-        requests, so it is hashed every time.
+        snapshot ``snap`` of one version are each one immutable object,
+        so each is keyed once.  A snapshot patched from the version the
+        memo holds is keyed by :func:`~repro.serve.cache.delta_hash` of
+        that version's digest and the edit delta; any other new object —
+        a first version after a compaction, a reloaded file, a
+        regenerated dataset — is hashed in full
+        (:func:`~repro.serve.cache.csr_hash`).  The memo holds a weak
+        reference: it never keeps a superseded graph alive.  A caller's
+        in-memory graph may be mutated in place between requests, so it
+        is hashed every time it is read without a session.
         """
-        if request.graph is not None:
+        if request.graph is not None and snap is None:
             return csr_hash(graph)
         source = request.graph_key()
         memo = self._csr_hashes.get(source)
         if memo is not None and memo[0]() is graph:
             return memo[1]
-        digest = csr_hash(graph)
-        self._csr_hashes[source] = (weakref.ref(graph), digest)
+        patched = snap is not None and snap.parent is not None
+        if patched and memo is not None and memo[2] == snap.parent:
+            digest = delta_hash(memo[1], snap.inserted, snap.deleted)
+        else:
+            digest = csr_hash(graph)
+        version = None if snap is None else snap.version
+        self._csr_hashes[source] = (weakref.ref(graph), digest, version)
         return digest
 
     def _resolve_graph(self, request: QueryRequest):

@@ -61,8 +61,7 @@ __all__ = [
 # phases, the distributed shards and the memsim replays
 _WEDGE_CHUNK = 1 << 18
 # KeySet filter: slots per key (rounded up to a power of two, ~4% false
-# positives) and the byte cap on the one-byte-per-slot table it is built
-# from, checked before that table is allocated
+# positives) and the cap on its slots, one bit each (an 8 MB filter)
 _FILTER_SLOTS_PER_KEY = 16
 _FILTER_CAP = 64 << 20
 # Fibonacci hashing: 2^64 / golden ratio, odd
@@ -400,33 +399,46 @@ def wedge_chunks(
     consecutive arcs (the first and last possibly cut), each repeated as
     ``b`` against a contiguous slice of its row as ``c`` — no Python
     loop over vertices, and rows larger than a chunk split across
-    chunks.
+    chunks.  The walk holds one per-arc array, the wedge prefix sum;
+    each chunk derives its arcs' in-row positions from it and its apexes
+    from its own row range.
     """
     chunk_pairs = chunk_pairs or _WEDGE_CHUNK
+    base = int(indptr[0])
     deg = np.diff(indptr).astype(np.int64, copy=False)
-    arc_apex = np.repeat(apex_ids, deg)
-    row_start = np.repeat(np.asarray(indptr[:-1], dtype=np.int64), deg)
-    heads = np.arange(indptr[0], indptr[-1], dtype=np.int64) - row_start
-    cum = np.cumsum(heads)
-    total = int(cum[-1]) if cum.size else 0
-    indices = indices.astype(np.int64, copy=False)
-    arcs = indices[indptr[0] : indptr[-1]]
+    rows = np.flatnonzero(deg)
+    # ends[k + 1]: the wedges headed by arcs 0 .. k.  Built in place:
+    # steps of 1 that fall back to 0 at each row's first arc, summed once
+    # into in-row positions and again into the prefix sum.
+    ends = np.ones(int(indptr[-1]) - base + 1, dtype=np.int64)
+    ends[:2] = 0
+    ends[indptr[rows[1:]] - base + 1] = 1 - deg[rows[:-1]]
+    del deg, rows
+    np.cumsum(ends, out=ends)
+    np.cumsum(ends, out=ends)
+    total = int(ends[-1])
+    apex_ids = np.asarray(apex_ids)
     for lo in range(0, total, chunk_pairs):
         hi = min(lo + chunk_pairs, total)
-        # the arcs heading wedges lo .. hi-1 and each one's share of them
-        k0 = int(np.searchsorted(cum, lo, side="right"))
-        k1 = int(np.searchsorted(cum, hi - 1, side="right")) + 1
-        first = cum[k0:k1] - heads[k0:k1]  # flat ordinal of wedge (i, 0)
-        skip = np.maximum(lo - first, 0)
-        take = np.minimum(hi - first, heads[k0:k1]) - skip
-        # wedge lo + t of arc k pairs with c at row_start[k] + lo + t - first[k]
-        c_pos = np.repeat(row_start[k0:k1] + lo - first, take)
-        c_pos += np.arange(hi - lo, dtype=np.int64)
-        yield (
-            np.repeat(arc_apex[k0:k1], take),
-            np.repeat(arcs[k0:k1], take),
-            indices[c_pos],
-        )
+        # arcs k0 .. k1-1 head wedges lo .. hi-1; arc k heads wedges
+        # ends[k] .. ends[k+1]-1 and sits at row position ends[k+1] - ends[k]
+        k0, k1 = np.searchsorted(ends, (lo, hi - 1), side="right")
+        k0 -= 1
+        first, last = ends[k0:k1], ends[k0 + 1 : k1 + 1]
+        take = np.minimum(last, hi) - np.maximum(first, lo)
+        # the rows holding those arcs, and each row's wedges in the chunk
+        r0, r1 = np.searchsorted(indptr, (base + k0, base + k1 - 1), side="right") - 1
+        row_wedges = np.diff(np.clip(ends[indptr[r0 : r1 + 2] - base], lo, hi))
+        # every b and c of the chunk lies in its rows' arcs up to arc k1
+        start = int(indptr[r0])
+        window = indices[start : base + k1].astype(np.int64)
+        k0 += base - start
+        k1 += base - start
+        # wedge w of arc k pairs with c at window position k - last[k] + w
+        c = np.repeat(np.arange(k0, k1) - last, take)
+        c += np.arange(lo, hi, dtype=np.int64)
+        c = window[c]
+        yield np.repeat(apex_ids[r0 : r1 + 1], row_wedges), np.repeat(window[k0:k1], take), c
 
 
 def match_keys(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:
@@ -443,7 +455,9 @@ def arc_keys(
 ) -> np.ndarray:
     """The arcs of a compact CSR aligned with ``apexes`` as int64 keys
     ``apex * n + col`` (sorted when ``apexes`` ascend)."""
-    return np.repeat(np.asarray(apexes, dtype=np.int64) * n, np.diff(indptr)) + indices
+    keys = np.repeat(np.asarray(apexes, dtype=np.int64) * n, np.diff(indptr))
+    keys += indices
+    return keys
 
 
 class KeySet:
@@ -454,13 +468,12 @@ class KeySet:
     queries that hit a set slot reach :func:`match_keys`, and
     :meth:`count` reports how many did.  The filter has about
     :data:`_FILTER_SLOTS_PER_KEY` slots per key, rounded up to a power
-    of two.  It is built as a one-byte-per-slot table, capped at
-    :data:`_FILTER_CAP` bytes and sized before it is allocated, then
-    packed to one bit per slot (slot ``s`` is bit ``s & 7`` of byte
-    ``s >> 3``), so the table the probes read is an eighth of that.
-    Past the cap more queries are verified and the answers are
-    unchanged.  Probes never modify the set, so one set can serve
-    concurrent counts.
+    of two and capped at :data:`_FILTER_CAP` slots, one bit each (slot
+    ``s`` is bit ``s & 7`` of byte ``s >> 3``); the build sets the bits
+    straight from the sorted slots, so it allocates the packed filter
+    and two key-sized arrays, never a byte per slot.  Past the cap more
+    queries are verified and the answers are unchanged.  Probes never
+    modify the set, so one set can serve concurrent counts.
     """
 
     def __init__(self, sorted_keys: np.ndarray):
@@ -468,9 +481,23 @@ class KeySet:
         want = max(_FILTER_SLOTS_PER_KEY * self.keys.size, 1)
         bits = min((want - 1).bit_length(), max(int(_FILTER_CAP).bit_length() - 1, 0))
         self._shift = np.uint64(64 - bits)
-        table = np.zeros(1 << bits, dtype=bool)
-        table[self._slots(self.keys)] = True
-        self.filter = np.packbits(table, bitorder="little")
+        self.filter = np.zeros(((1 << bits) + 7) >> 3, dtype=np.uint8)
+        # sort the slots by (bit in byte, byte), as int32 (the cap keeps
+        # them below 2^31): each bit's bytes are then one run, OR-ed in by
+        # one gather and scatter (a byte listed twice gets the same value)
+        high = max(bits - 3, 0)
+        slots = self._slots(self.keys)
+        order = slots.astype(np.int32)
+        order &= 7
+        order <<= high
+        slots >>= 3
+        order |= slots
+        del slots
+        order.sort()
+        cuts = np.searchsorted(order, np.arange(1, 8) << high)
+        order &= (1 << high) - 1
+        for bit, byte in enumerate(np.split(order.astype(np.intp), cuts)):
+            self.filter[byte] |= np.uint8(1 << bit)
 
     @property
     def nbytes(self) -> int:

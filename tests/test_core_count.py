@@ -1,5 +1,9 @@
 """Tests for the 3-phase Lotus counting (Algorithm 3)."""
 
+import threading
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +27,10 @@ from repro.graph import (
     empty_graph,
     erdos_renyi,
     from_edges,
+    load_dataset,
     powerlaw_chung_lu,
 )
+from repro.graph.datasets import DATASETS
 from repro.graph.degree import hub_mask_top_k
 from repro.obs import use_registry
 from repro.tc import count_triangles_matrix
@@ -245,9 +251,12 @@ class TestEndToEnd:
         for phase in ("preprocess", "hhh+hhn", "hnn", "nnn"):
             assert phase in r.phases
 
-    def test_total_time_is_sum(self, powerlaw_small):
+    def test_elapsed_is_wall_time(self, powerlaw_small):
+        started = time.perf_counter()
         r = count_triangles_lotus(powerlaw_small)
-        assert r.elapsed == pytest.approx(sum(r.phases.values()))
+        wall = time.perf_counter() - started
+        # one lane here: the phases run in turn inside the count's wall time
+        assert sum(r.phases.values()) <= r.elapsed <= wall
 
     def test_empty_graph(self):
         from repro.graph import empty_graph
@@ -284,3 +293,107 @@ class TestHubCountSensitivity:
         c = r.extra["counts"]
         assert c.hhn == c.hnn == c.nnn == 0
         assert c.hhh == count_triangles_matrix(g)
+
+
+def _forced_lanes(lotus, state):
+    """The schedule rule with both thresholds at zero: build the hub
+    operands, then run the lanes whenever there are bitsets."""
+    return state.bitsets() is not None and all(
+        state.pairs(phase) is not None for phase in ("hhh+hhn", "hnn")
+    )
+
+
+def _in_order(lotus, state):
+    """The schedule rule that never takes the lanes."""
+    return False
+
+
+@pytest.fixture(params=[_in_order, _forced_lanes])
+def schedule(request, monkeypatch):
+    """Force one schedule on every count, whatever the graph's size."""
+    monkeypatch.setattr(count_mod, "_two_lanes", request.param)
+    return request.param
+
+
+class TestTwoLanes:
+    """The hub phases beside NNN: exact per phase, no helper left behind,
+    errors from either lane raised, spans under the count."""
+
+    @pytest.mark.parametrize("name", sorted(DATASETS))
+    def test_datasets_match_the_phase_functions(self, name, monkeypatch):
+        lotus = build_lotus_graph(load_dataset(name))
+        # the per-phase functions always run one phase at a time
+        expected = (*count_hhh_hhn(lotus), count_hnn(lotus), count_nnn(lotus))
+        for rule in (_in_order, _forced_lanes):
+            monkeypatch.setattr(count_mod, "_two_lanes", rule)
+            assert kernel_phases(lotus) == expected, rule.__name__
+
+    @pytest.mark.parametrize("kind", CASE_KINDS)
+    def test_fuzz_families_match_the_literal_paths(self, kind, schedule):
+        for g in fuzz_graphs(kind):
+            lotus = build_lotus_graph(g, LotusConfig(hub_count=max(1, g.num_vertices // 4)))
+            assert kernel_phases(lotus) == literal_phases(lotus)
+
+    def test_rule_splits_the_registry_graphs(self):
+        """Only the two long graphs take the lanes; the serve graphs
+        keep one."""
+        for name, lanes in (("EU15", True), ("Frndstr", True), ("LJGrp", False),
+                            ("Twtr10", False), ("SmallWorld", False)):
+            lotus = build_lotus_graph(load_dataset(name))
+            assert count_mod._two_lanes(lotus, count_mod.KernelState(lotus)) is lanes, name
+
+    @pytest.mark.parametrize("lane", ["_popcount_split", "_nnn"])
+    def test_an_error_in_either_lane_is_raised(self, lane, powerlaw_small, monkeypatch):
+        monkeypatch.setattr(count_mod, "_two_lanes", _forced_lanes)
+
+        def fail(*args):
+            raise RuntimeError(f"{lane} failed")
+
+        monkeypatch.setattr(count_mod, lane, fail)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match=f"{lane} failed"):
+            count_triangles_lotus(powerlaw_small)
+        assert set(threading.enumerate()) == before
+
+    def test_no_helper_survives_a_count(self, powerlaw_small, monkeypatch):
+        # the sharded runtime forks right after a count: nothing may linger
+        monkeypatch.setattr(count_mod, "_two_lanes", _forced_lanes)
+        before = set(threading.enumerate())
+        count_triangles_lotus(powerlaw_small)
+        assert set(threading.enumerate()) == before
+
+    def test_spans_nest_under_the_count(self, powerlaw_small, monkeypatch):
+        monkeypatch.setattr(count_mod, "_two_lanes", _forced_lanes)
+        with use_registry() as reg:
+            started = time.perf_counter()
+            result = count_triangles_lotus(powerlaw_small)
+            wall = time.perf_counter() - started
+        assert result.elapsed <= wall
+        (root,) = reg.roots
+        assert root.name == "lotus"
+        # the lanes close their spans in either order
+        assert sorted(c.name for c in root.children) == sorted(
+            ["preprocess", "hhh+hhn", "hnn", "nnn"]
+        )
+        assert all(c.parent_id == root.span_id and not c.children for c in root.children)
+        assert {s.trace_id for s in root.iter_spans()} == {root.trace_id}
+        assert root.find("hhh+hhn").attrs["kernel"] == "bitset"
+        assert root.find("nnn").attrs["nnn"] == result.extra["counts"].nnn
+
+    def test_traced_peak_stays_near_the_in_order_peak(self, monkeypatch):
+        """A cold count's peak: the hub operands that stay alive beside
+        NNN fit in the headroom the structure build leaves."""
+        graph = load_dataset("Frndstr")
+        real = count_mod._two_lanes  # Frndstr takes the lanes under it
+
+        def peak(rule):
+            monkeypatch.setattr(count_mod, "_two_lanes", rule)
+            tracemalloc.start()
+            try:
+                count_triangles_lotus(graph)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        in_order = peak(_in_order)
+        assert peak(real) <= 1.1 * in_order

@@ -23,6 +23,7 @@ from repro.serve import (
     structure_key,
 )
 from repro.serve import engine as engine_mod
+from repro.serve.cache import csr_hash, delta_hash
 from repro.tc import count_triangles_forward
 
 
@@ -448,12 +449,71 @@ class TestCsrHashMemo:
                 engine.query(QueryRequest(dataset="LJGrp", op="insert", edges=[edge]), 60)
                 reads = [engine.query(QueryRequest(dataset="LJGrp"), 60) for _ in range(2)]
                 assert [r.cache for r in reads] == [outcome, "hit"]
-            assert len(hashed) == 3  # the base, then versions 1 and 2
+            # the base and version 1 (the first session version follows a
+            # session-less read); version 2 extends version 1's digest
+            assert len(hashed) == 2
             # the memo holds no graph: version 1's snapshot, superseded and
             # replaced, is freed
             gc.collect()
             assert hashed[0]() is g1 and hashed[1]() is None
-            assert hashed[2]() is not None
+
+    def test_patched_versions_are_keyed_by_their_delta(self, g1, hashed, dataset):
+        fresh = [
+            [u, v] for u in range(30) for v in range(u + 1, 30)
+            if not g1.has_edge(u, v)
+        ][:4]
+        batches = [
+            [("insert", fresh[:1])],
+            [("delete", fresh[:1]), ("insert", fresh[1:3])],
+            [("insert", fresh[3:])],
+        ]
+        keys, versions = [], []
+        with use_registry() as reg, QueryEngine(StructureCache()) as engine:
+            for batch in batches:
+                for op, edges in batch:
+                    engine.query(QueryRequest(dataset="LJGrp", op=op, edges=edges), 60)
+                reads = [engine.query(QueryRequest(dataset="LJGrp"), 60) for _ in range(2)]
+                assert [r.cache for r in reads] == ["miss", "hit"]
+                keys.append(engine.cache.keys()[-1])
+                versions.append(reads[0].version)
+            session = engine._dynamic[QueryRequest(dataset="LJGrp").graph_key()]
+            last = session.snapshot()
+        # one full hash, of the first session version; the rest extend it
+        assert len(hashed) == 1
+        assert len(set(keys)) == 3
+        assert all(key.endswith(f"@v{v}") for key, v in zip(keys, versions))
+        assert last.parent == versions[1]
+        digest = delta_hash(keys[1].split("/")[0], last.inserted, last.deleted)
+        assert keys[2].split("/")[0] == digest
+        counters = reg.family("serve")["counters"]
+        assert counters["serve.cache.patched"] == engine.cache.stats()["patched"] == 2
+
+    def test_delta_digest_ignores_edge_order(self):
+        ins = np.array([[1, 5], [0, 7], [0, 2]])
+        dels = np.array([[3, 4]])
+        digest = delta_hash("sha256:0123456789abcdef", ins, dels)
+        assert digest == delta_hash("sha256:0123456789abcdef", ins[::-1], dels)
+        assert len(digest) == len("sha256:0123456789abcdef")
+        # the same edges on the other side, or another parent, differ
+        assert digest != delta_hash("sha256:0123456789abcdef", dels, ins)
+        assert digest != delta_hash("sha256:fedcba9876543210", ins, dels)
+
+    def test_a_compaction_hashes_the_next_version_in_full(self, g1, hashed):
+        fresh = [
+            [u, v] for u in range(30) for v in range(u + 1, 30)
+            if not g1.has_edge(u, v)
+        ][:3]
+        with QueryEngine(StructureCache()) as engine:
+            for edge in fresh[:2]:
+                engine.query(QueryRequest(graph=g1, op="insert", edges=[edge]), 60)
+                engine.query(QueryRequest(graph=g1), 60)
+            assert len(hashed) == 1
+            assert engine.query(QueryRequest(graph=g1, op="compact"), 60).ok
+            engine.query(QueryRequest(graph=g1, op="insert", edges=fresh[2:]), 60)
+            assert engine.query(QueryRequest(graph=g1), 60).cache == "miss"
+            key = engine.cache.keys()[-1]
+        assert len(hashed) == 2
+        assert key.split("/")[0] == csr_hash(hashed[1]())
 
     def test_in_memory_graph_hashed_every_request(self, g1, hashed):
         with QueryEngine(StructureCache()) as engine:

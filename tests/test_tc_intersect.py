@@ -327,6 +327,43 @@ class TestWedgeKernels:
         assert got == expected
         assert all(b.size <= chunk for _, b, _ in wedge_chunks(indptr, indices, apex_ids, chunk))
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.just([]),
+                st.lists(st.integers(0, 200), max_size=6),
+                st.lists(st.integers(0, 200), min_size=4, max_size=12),
+            ),
+            max_size=8,
+        ),
+        st.integers(1, 3),
+        st.integers(0, 3),
+        st.sampled_from([np.uint16, np.uint32, np.int64]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_walk_equals_a_reference_enumerator(self, rows, chunk, skip, dtype):
+        """Empty rows, rows with more wedges than a chunk, chunks of 1-3
+        wedges, apexes that are not the row index and a CSR whose arcs
+        start past ``skip`` leading entries: the blocks are exactly the
+        chunked reference stream, as int64 ``b`` and ``c``."""
+        rows = [sorted(set(r)) for r in rows]
+        indptr = np.full(len(rows) + 1, skip, dtype=np.int64)
+        np.cumsum([len(r) for r in rows], out=indptr[1:])
+        indptr[1:] += skip
+        indices = np.array([7] * skip + [x for r in rows for x in r], dtype=dtype)
+        apex_ids = np.arange(len(rows), dtype=np.int64)[::-1] * 3 + 1
+        reference = [
+            (int(apex_ids[k]), r[i], r[j])
+            for k, r in enumerate(rows)
+            for i in range(len(r))
+            for j in range(i)
+        ]
+        blocks = list(wedge_chunks(indptr, indices, apex_ids, chunk))
+        expected = [reference[lo : lo + chunk] for lo in range(0, len(reference), chunk)]
+        assert [list(zip(*(x.tolist() for x in block))) for block in blocks] == expected
+        for apex, b, c in blocks:
+            assert apex.dtype == apex_ids.dtype and b.dtype == c.dtype == np.int64
+
     def test_match_keys(self):
         keys = np.array([3, 8, 20], dtype=np.int64)
         np.testing.assert_array_equal(
@@ -381,7 +418,7 @@ class TestKeySet:
         # 16 slots per key, rounded up to a power of two: 16,384 slots,
         # one bit each
         assert KeySet(keys).filter.nbytes == 2048
-        # the cap bounds the slots (the build-time byte table): 512 slots
+        # the cap bounds the slots: 512 slots
         monkeypatch.setattr(intersect_mod, "_FILTER_CAP", 1000)
         assert KeySet(keys).filter.nbytes == 64
 
