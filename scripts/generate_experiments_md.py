@@ -37,10 +37,20 @@ SECTIONS: list[tuple[str, str, str]] = [
         "Table 5 — end-to-end times for BBTC / GraphGrind / GAP / GBBS / "
         "Lotus on 3 machines. Paper average speedups: 19.3x / 5.5x / 3.8x "
         "/ 2.2x.",
-        "Reproduced in ordering: Lotus is fastest end-to-end in measured "
-        "wall-clock (BBTC and the edge iterator trail badly; "
-        "Forward-family systems sit between). Modeled machine speedups "
-        "land in the paper's 2-4x band. The Epyc-speedup-smallest "
+        "Reproduced in ordering, with wider wall-clock gaps than the "
+        "paper's: Lotus is fastest on all ten stand-ins, 1.7-15x ahead "
+        "of the GAP-style Forward (paper average 3.8x), 10-22x ahead of "
+        "the GBBS-style counter (2.2x), 3.7-47x ahead of the edge "
+        "iterator (5.5x) and 34-208x ahead of BBTC (19.3x). Every "
+        "comparator probes arc keys through the same membership kernel "
+        "as LOTUS's NNN phase, so the gaps come from the algorithms: "
+        "LOTUS answers its hub-side questions with word-parallel bitset "
+        "popcounts where the comparators probe per arc, and BBTC and the "
+        "GBBS-style counter also loop over vertices in Python. The "
+        "low-skew Friendster stand-in has the smallest lead over GAP "
+        "(1.7x), as Section 5.5 predicts. Modeled machine speedups are "
+        "2.1-4.6x on the skewed stand-ins and 0.92-1.13x on Friendster. "
+        "The Epyc-speedup-smallest "
         "observation (Section 5.2) reproduces on the social-network "
         "stand-ins; the web stand-ins sit in a capacity regime where "
         "LOTUS's hot set crosses the scaled Epyc L3 boundary and the "
@@ -51,13 +61,16 @@ SECTIONS: list[tuple[str, str, str]] = [
         "table6",
         "Table 6 — large graphs (>10B edges), GBBS vs Lotus on Epyc. "
         "Paper: Lotus 2.1x faster on average.",
-        "Reproduced in the modeled times: Lotus is 1.8-2.9x faster than "
-        "the Forward-family baseline on every large stand-in (paper: "
-        "2.1x average). The *wall-clock* column favours the GBBS-style "
-        "implementation on these R-MAT graphs — its NumPy membership-mask "
-        "kernel is unusually cheap in Python — which is precisely why the "
-        "locality claims are carried by the machine model, not "
-        "interpreter wall-clock (DESIGN.md §1).",
+        "Reproduced in wall-clock and in the model: Lotus is 8.0-10.7x "
+        "faster than the GBBS-style forward-hashed counter on every large "
+        "stand-in (paper: 2.1x average), and the Epyc model puts it "
+        "1.75-2.9x ahead. The wall-clock factor exceeds the paper's "
+        "because the GBBS-style counter loops over vertices in Python "
+        "while LOTUS runs a few whole-array kernels per phase; the "
+        "locality claims stay with the machine model (DESIGN.md §1). "
+        "This column read 0.45-0.97x when the artifacts were last "
+        "generated, before LOTUS's phases became bitset popcounts and "
+        "keyed probes.",
     ),
     (
         "table7",
@@ -116,9 +129,15 @@ SECTIONS: list[tuple[str, str, str]] = [
         "Figure 6 — execution breakdown. Paper: 19.4% preprocessing; "
         "40.4% of counting time in non-hub triangles; Friendster "
         "dominated by the non-hub phase.",
-        "Reproduced in shape: preprocessing is a minor share, and the "
-        "Friendster stand-in spends by far the largest fraction in the "
-        "NNN phase.",
+        "Partly reproduced. Averaged over the ten stand-ins, NNN takes 44% "
+        "of the counting time (paper: 40.4%), and on the Friendster "
+        "stand-in NNN is the largest phase (46% of the total, against "
+        "31% for both hub phases). Friendster is no longer the outlier, "
+        "though: with the hub phases running as bitset popcounts, the "
+        "web stand-ins (SK, WbCc, UKDls, UU, UKDmn) spend 39-49% in NNN "
+        "too. Preprocessing takes 23-41% (paper average 19.4%), because "
+        "a whole count takes only 21-207 ms. Friendster's phases overlap "
+        "on two lanes; its shares divide by the summed phase time.",
     ),
     (
         "fig7",
@@ -186,9 +205,11 @@ SECTIONS: list[tuple[str, str, str]] = [
     (
         "ext_distributed",
         "Section 6.4 (related work) — distributed TC partitioning.",
-        "Degree-balanced placement equalises per-worker work on skewed "
-        "graphs where block partitioning idles 10x; all strategies count "
-        "exactly.",
+        "Degree-balanced placement equalises per-worker work (1.03 "
+        "max/mean) on the skewed stand-in, where block partitioning "
+        "reaches 13.6x; block placement in turn communicates least (95 K "
+        "comm edges against 156 K), the trade the paper cites from "
+        "PATRIC. All strategies count exactly.",
     ),
     (
         "ext_skew_sweep",
@@ -221,12 +242,15 @@ target is each result's *shape* — who wins, by roughly what factor,
 where crossovers fall — not absolute numbers.
 
 Summary verdict: every table and figure of the evaluation section
-reproduces in shape, with three documented deviations — (1) the Epyc
+reproduces in shape, with four documented deviations — (1) the Epyc
 speedup sign flips on the *web* stand-ins (capacity-regime artefact,
 see Table 5 below); (2) the web-vs-social contrast of Table 8's
 zero-cacheline column is weaker (R-MAT lacks crawler ID locality);
 (3) DTLB/branch-miss reduction magnitudes differ from the paper's
-(model excludes C-runtime dilution). Everything else — hub dominance,
+(model excludes C-runtime dilution); (4) in Figure 6 the web stand-ins
+spend as large a share in NNN as Friendster does, now that the hub
+phases are bitset popcounts. Measured wall-clock orders the systems as
+the paper does, with wider gaps (Tables 5-6). Everything else — hub dominance,
 the 2-6x locality win, the Epyc trend on social networks, Friendster's
 outlier behaviour, squared-edge-tiling's idle-time collapse, the
 compactness and streaming-precision arguments — lands where the paper

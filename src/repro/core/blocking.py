@@ -52,14 +52,7 @@ def count_hnn_blocked(lotus: LotusGraph, block_size: int = 4096) -> int:
     src = _oriented_arcs(nhe_indptr)
     dst = lotus.nhe.indices.astype(np.int64, copy=False)
     order = blocked_arc_order(lotus, block_size)
-    return batch_pairwise_counts(
-        lotus.he.indptr,
-        lotus.he.indices,
-        lotus.he.indptr,
-        lotus.he.indices,
-        src[order],
-        dst[order],
-    )
+    return batch_pairwise_counts(lotus.he.indptr, lotus.he.indices, src[order], dst[order])
 
 
 def phase2_blocked_trace(

@@ -34,8 +34,8 @@ Shorter counts, the probe fallback, the per-phase functions and the
 
 The bitsets cost ``⌈H/64⌉`` words per row with hub neighbours.  Above
 :data:`_BITSET_BUDGET` bytes (checked before allocating) phases 1 and 2
-fall back to the binary-search kernel over the same arcs, which needs
-only HE; ``fused=False`` selects the literal paths directly (the H2H
+fall back to the keyed probe over the same arcs, which needs only HE's
+arc keys; ``fused=False`` selects the literal paths directly (the H2H
 probes of Algorithm 3 lines 3-5 and the per-vertex loops, the
 references the tests and ``memsim`` replays rely on).
 :func:`common_hub_counts` is the one entry point of the phase 1-2
@@ -61,7 +61,6 @@ from repro.obs import get_registry, root_span, timed_phase
 from repro.tc import intersect
 from repro.tc.intersect import (
     KeySet,
-    arc_keys,
     batch_intersect_counts,
     batch_pairwise_counts,
     bitset_nbytes,
@@ -70,6 +69,7 @@ from repro.tc.intersect import (
     wedge_chunks,
 )
 from repro.tc.result import TCResult
+from repro.util.arrays import arc_keys
 from repro.util.timer import PhaseTimer, clock
 
 __all__ = [
@@ -193,7 +193,7 @@ def common_hub_counts(
     :func:`~repro.tc.intersect.wedge_chunks` (row ``k`` holds the arcs of
     ``apex_ids[k]``).  Each arc costs ``popcount(bits[v] & bits[u])``
     over the :func:`hub_bitsets`, or — when ``bitsets`` is ``None`` —
-    one binary-search intersection of the two HE rows
+    one keyed probe of the smaller HE row into the other
     (:func:`~repro.tc.intersect.batch_pairwise_counts`).  Returns
     ``(before, after, arcs_popcounted)``; an arc with an endpoint that
     has no hub neighbour has an empty intersection and is skipped.
@@ -202,9 +202,7 @@ def common_hub_counts(
         src = np.repeat(np.asarray(apex_ids, dtype=np.int64), np.diff(indptr))
         dst = indices.astype(np.int64, copy=False)
         before, after = (
-            batch_pairwise_counts(
-                he.indptr, he.indices, he.indptr, he.indices, src[part], dst[part]
-            )
+            batch_pairwise_counts(he.indptr, he.indices, src[part], dst[part])
             for part in (slice(0, split), slice(split, None))
         )
         return before, after, 0
@@ -376,7 +374,7 @@ def count_hhh_hhn(lotus: LotusGraph, fused: bool = True) -> tuple[int, int]:
     ``H2H.isSet(h1, h2)``; it is HHH when ``v`` itself is a hub, HHN
     otherwise.  The fused kernel counts those pairs per HE arc
     ``(v, h2)`` as ``popcount(bits[v] & bits[h2])`` over the
-    :func:`hub_bitsets` (or intersects the two HE rows by binary search
+    :func:`hub_bitsets` (or probes one HE row into the other as arc keys
     when the bitsets are over budget); ``fused=False`` runs the literal
     H2H probes instead.
     """
@@ -391,9 +389,9 @@ def count_hnn(lotus: LotusGraph, fused: bool = True) -> int:
 
     For each vertex ``v`` and non-hub neighbour ``u`` (from NHE), count
     common *hub* neighbours: ``popcount(bits[v] & bits[u])`` over the
-    :func:`hub_bitsets`, or the binary-search kernel over the 16-bit HE
-    rows when the bitsets are over budget.  ``fused=False`` runs the
-    literal per-vertex loop.
+    :func:`hub_bitsets`, or the keyed probe over the HE rows when the
+    bitsets are over budget.  ``fused=False`` runs the literal
+    per-vertex loop.
     """
     if fused:
         return _hnn(lotus, KernelState(lotus))[0]

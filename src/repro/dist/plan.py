@@ -31,7 +31,7 @@ puts every arc in NHE, which is the all-wedge protocol.
 Everything here operates in *relabeled* ID space: vertex ``v`` of the
 input graph becomes ``rank[v]``, rows are sorted ascending, and an arc
 ``(b, c)`` (``c < b``) is encoded as the int64 key ``b * n + c``
-(:func:`~repro.tc.intersect.arc_keys`) so membership is a batched
+(:func:`~repro.util.arrays.arc_keys`) so membership is a batched
 :class:`~repro.tc.intersect.KeySet` lookup: a hash filter, then an
 exact ``searchsorted`` of the keys that pass it.
 """
@@ -47,8 +47,8 @@ from repro.core.structure import LotusConfig, split_oriented
 from repro.graph.csr import CSRGraph, OrientedGraph
 from repro.graph.reorder import lotus_relabeling_array
 # the wedge enumeration and membership kernels, re-exported for the protocol
-from repro.tc.intersect import KeySet, arc_keys, wedge_chunks
-from repro.util.arrays import compact_rows
+from repro.tc.intersect import KeySet, wedge_chunks
+from repro.util.arrays import arc_keys, compact_rows
 
 __all__ = [
     "QUERY_BYTES",

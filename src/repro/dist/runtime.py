@@ -78,7 +78,8 @@ from repro.dist.plan import ShardPlan, build_plan, lotus_rank, shard_hub_counts
 from repro.graph.csr import CSRGraph
 from repro.obs import get_registry
 from repro.obs.telemetry import TraceContext, stitch_worker_payloads
-from repro.tc.intersect import KeySet, arc_keys, wedge_chunks
+from repro.tc.intersect import KeySet, wedge_chunks
+from repro.util.arrays import arc_keys
 
 __all__ = [
     "FAULT_EXIT_CODE",

@@ -32,7 +32,8 @@ from repro.dist.plan import (
     shard_hub_counts,
 )
 from repro.graph.csr import CSRGraph
-from repro.tc.intersect import KeySet, arc_keys, wedge_chunks
+from repro.tc.intersect import KeySet, wedge_chunks
+from repro.util.arrays import arc_keys
 
 __all__ = ["DistributedTCReport", "simulate_distributed_tc"]
 

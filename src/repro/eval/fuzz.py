@@ -210,6 +210,7 @@ def fuzz_counters() -> dict[str, Callable[[CSRGraph], int]]:
         count_nnn,
         lotus_count_from_structure,
     )
+    from repro.core.count import common_hub_counts
 
     def _quarter_hubs(g: CSRGraph) -> LotusConfig:
         return LotusConfig(hub_count=max(1, g.num_vertices // 4))
@@ -230,6 +231,23 @@ def fuzz_counters() -> dict[str, Callable[[CSRGraph], int]]:
             )
         return c.total
 
+    def _lotus_probe(g: CSRGraph) -> int:
+        # phases 1-2 through the keyed probe that runs once the bitsets
+        # exceed their budget (common_hub_counts without bitsets), split
+        # like the bitset kernels: phase 1 over HE cut at the hub rows,
+        # HNN over NHE
+        lotus = build_lotus_graph(g, _quarter_hubs(g))
+        he, nhe = lotus.he, lotus.nhe
+        apexes = np.arange(lotus.num_vertices)
+        hhh, hhn, _ = common_hub_counts(he, None, he.indptr, he.indices, apexes, lotus.h2h_edges)
+        _, hnn, _ = common_hub_counts(he, None, nhe.indptr, nhe.indices, apexes, 0)
+        c = lotus_count_from_structure(lotus)
+        if (hhh, hhn, hnn) != (c.hhh, c.hhn, c.hnn):
+            raise AssertionError(
+                f"probe hhh/hhn/hnn {(hhh, hhn, hnn)} != bitsets {(c.hhh, c.hhn, c.hnn)}"
+            )
+        return hhh + hhn + hnn + c.nnn
+
     def _lotus_distributed(g: CSRGraph) -> int:
         # hub classes come from the shards' local hub stage and NNN from
         # the wedge exchange, so the split must match the sequential one
@@ -246,6 +264,7 @@ def fuzz_counters() -> dict[str, Callable[[CSRGraph], int]]:
         return c.total
 
     counters["lotus-phases"] = _lotus_phases
+    counters["lotus-probe"] = _lotus_probe
     # spawns real shard processes per case (edge-free graphs are answered
     # inline)
     counters["lotus-distributed"] = _lotus_distributed

@@ -30,7 +30,6 @@ import numpy as np
 from repro.core.structure import LotusGraph
 from repro.graph.csr import OrientedGraph
 from repro.memsim.trace import _merge_touched_per_arc, _oriented_arcs, _phase1_pairs
-from repro.util.arrays import rows_searchsorted
 
 __all__ = [
     "OpCounts",
@@ -97,32 +96,17 @@ def two_bit_predictor_miss_rate(p: np.ndarray | float) -> np.ndarray | float:
 
 
 def _merge_join_events(
-    indptr_q: np.ndarray,
-    indices_q: np.ndarray,
-    indptr_t: np.ndarray,
-    indices_t: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
     arcs_src: np.ndarray,
     arcs_dst: np.ndarray,
 ) -> OpCounts:
-    """Events of merge-joining row_q(src) with row_t(dst) for every arc."""
-    if arcs_src.size == 0 or indices_t.size == 0 or indices_q.size == 0:
+    """Events of merge-joining row(src) with row(dst) for every arc."""
+    if arcs_src.size == 0 or indices.size == 0:
         return OpCounts()
-    touched_t = _merge_touched_per_arc(indptr_t, indices_t, arcs_src, arcs_dst)
+    touched_t = _merge_touched_per_arc(indptr, indices, arcs_src, arcs_dst)
     # touched elements of the query row, bounded by the target row's max
-    t_start = indptr_t[arcs_dst]
-    t_end = indptr_t[arcs_dst + 1]
-    has_t = t_end > t_start
-    safe_last = np.minimum(
-        np.maximum(t_end - 1, t_start), max(indices_t.size - 1, 0)
-    )
-    t_last = np.where(has_t, indices_t[safe_last].astype(np.int64), -1)
-    q_start = indptr_q[arcs_src]
-    q_end = indptr_q[arcs_src + 1]
-    q_len = q_end - q_start
-    upto = rows_searchsorted(indices_q, q_start, q_end, t_last + 1)
-    touched_q = np.minimum(upto + 1, q_len)
-    touched_q[~has_t | (q_len == 0)] = 0
-
+    touched_q = _merge_touched_per_arc(indptr, indices, arcs_dst, arcs_src)
     steps = (touched_q + touched_t).astype(np.float64)
     total_steps = float(steps.sum())
     # per-step comparison branch: P(advance query pointer) ~ len_q/(len_q+len_t)
@@ -144,7 +128,7 @@ def forward_opcounts(oriented: OrientedGraph) -> OpCounts:
     indptr, indices = oriented.indptr, oriented.indices
     src = _oriented_arcs(indptr)
     dst = indices.astype(np.int64, copy=False)
-    counts = _merge_join_events(indptr, indices, indptr, indices, src, dst)
+    counts = _merge_join_events(indptr, indices, src, dst)
     # streaming of each row once (discovering u's) and vertex-loop overhead
     counts.loads += float(indices.size)
     counts.instructions += float(
@@ -173,15 +157,11 @@ def lotus_opcounts(lotus: LotusGraph) -> OpCounts:
     nhe_indptr = lotus.nhe.indptr
     src = _oriented_arcs(nhe_indptr)
     dst = lotus.nhe.indices.astype(np.int64, copy=False)
-    phase2 = _merge_join_events(
-        lotus.he.indptr, lotus.he.indices, lotus.he.indptr, lotus.he.indices, src, dst
-    )
+    phase2 = _merge_join_events(lotus.he.indptr, lotus.he.indices, src, dst)
     phase2.loads += float(lotus.nhe.indices.size)  # streaming the NHE arcs
     phase2.instructions += float(lotus.nhe.indices.size * 2)
     # --- phase 3: merge joins inside NHE -----------------------------------
-    phase3 = _merge_join_events(
-        nhe_indptr, lotus.nhe.indices, nhe_indptr, lotus.nhe.indices, src, dst
-    )
+    phase3 = _merge_join_events(nhe_indptr, lotus.nhe.indices, src, dst)
     phase3.loads += float(lotus.nhe.indices.size)
     phase3.instructions += float(
         lotus.nhe.indices.size * 2 + lotus.num_vertices * _LOOP_OVERHEAD_INSTR

@@ -36,7 +36,7 @@ from repro.memsim.regions import (
     REGION_NHE,
 )
 from repro.tc.intersect import wedge_chunks
-from repro.util.arrays import concat_ranges, rows_searchsorted
+from repro.util.arrays import arc_keys, concat_ranges
 
 __all__ = [
     "lotus_layout",
@@ -120,6 +120,7 @@ def _merge_touched_per_arc(
     row(src) with row(dst): ``min(#{x <= max(row(src))} + 1, len)``."""
     if indices.size == 0 or arcs_src.size == 0:
         return np.zeros(arcs_src.size, dtype=np.int64)
+    n = indptr.size - 1
     src_start = indptr[arcs_src]
     src_end = indptr[arcs_src + 1]
     # max of the source row (the query); rows are sorted so it is the last
@@ -127,10 +128,11 @@ def _merge_touched_per_arc(
     safe_last = np.minimum(np.maximum(src_end - 1, src_start), max(indices.size - 1, 0))
     src_last = np.where(has_src, indices[safe_last].astype(np.int64), -1)
     dst_start = indptr[arcs_dst]
-    dst_end = indptr[arcs_dst + 1]
-    dst_len = dst_end - dst_start
-    # count of elements <= src_last == lower bound of (src_last + 1)
-    upto = rows_searchsorted(indices, dst_start, dst_end, src_last + 1)
+    dst_len = indptr[arcs_dst + 1] - dst_start
+    # count of elements <= src_last == lower bound of src_last + 1, which
+    # lies in [0, n]: one search of the key dst * n + src_last + 1
+    keys = arc_keys(np.arange(n), indptr, indices, n)
+    upto = np.searchsorted(keys, arcs_dst * n + src_last + 1) - dst_start
     touched = np.minimum(upto + 1, dst_len)
     touched[~has_src | (dst_len == 0)] = 0
     return touched

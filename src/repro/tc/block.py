@@ -5,9 +5,12 @@ block-triple by block-triple to improve load balancing on heterogeneous
 hardware.  We reproduce the algorithmic skeleton: the vertex range is cut
 into ``num_blocks`` contiguous ranges; for each block triple
 ``(bi <= bj <= bk)`` the kernel counts triangles whose (sorted) corners
-fall in those ranges.  The triple loop adds bookkeeping overhead per
-block, which is why BBTC trails the other systems in the paper's Table 5
-— a property this reproduction inherits by construction.
+fall in those ranges.  Restricting each neighbour's row to a block is a
+lower bound of the arc key ``u * n + bound`` in the CSR's sorted arc
+keys (:func:`~repro.util.arrays.arc_keys`, built once per count).  The
+triple loop adds bookkeeping overhead per block, which is why BBTC
+trails the other systems in the paper's Table 5 — a property this
+reproduction inherits by construction.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.reorder import apply_degree_ordering
 from repro.obs import root_span, timed_phase
 from repro.tc.result import TCResult
-from repro.util.arrays import concat_ranges, rows_searchsorted, segment_sums
+from repro.util.arrays import arc_keys, concat_ranges, segment_sums
 from repro.util.timer import PhaseTimer
 
 __all__ = ["count_triangles_block"]
@@ -57,6 +60,7 @@ def count_triangles_block(
             span.set("num_blocks", num_blocks)
         with timed_phase(timer, "count") as span:
             indptr, indices = oriented.indptr, oriented.indices
+            keys = arc_keys(np.arange(n), indptr, indices, n)
             total = 0
             for v in range(n):
                 row = indices[indptr[v] : indptr[v + 1]].astype(np.int64, copy=False)
@@ -74,13 +78,10 @@ def count_triangles_block(
                         q = row[np.searchsorted(row, wlo) : np.searchsorted(row, whi)]
                         if q.size == 0:
                             continue
-                        # neighbours of each u restricted to [wlo, whi)
-                        u_start = indptr[us]
-                        u_end = indptr[us + 1]
-                        # range restriction via per-row binary search
-                        lo = u_start + rows_searchsorted(indices, u_start, u_end, wlo)
-                        hi = u_start + rows_searchsorted(indices, u_start, u_end, whi)
-                        lens = hi - lo
+                        # neighbours of each u restricted to [wlo, whi):
+                        # lower bounds of the arc keys u*n + wlo, u*n + whi
+                        lo = np.searchsorted(keys, us * n + wlo)
+                        lens = np.searchsorted(keys, us * n + whi) - lo
                         gathered = indices[concat_ranges(lo, lens)]
                         pos = np.searchsorted(q, gathered)
                         np.minimum(pos, q.size - 1, out=pos)

@@ -30,9 +30,7 @@ def count_triangles_edge_iterator(graph: CSRGraph) -> TCResult:
             span.set("edges_enumerated", int(edges.shape[0]))
         with timed_phase(timer, "count") as span:
             raw = batch_pairwise_counts(
-                graph.indptr, graph.indices,
-                graph.indptr, graph.indices,
-                edges[:, 0], edges[:, 1],
+                graph.indptr, graph.indices, edges[:, 0], edges[:, 1]
             )
             triangles = raw // 3
             span.set("intersections", int(edges.shape[0]))

@@ -6,11 +6,12 @@ This mirrors the GAP implementation the paper benchmarks against.
 
 Two kernels with identical semantics:
 
-* ``fused=True`` (default) — one vectorised pass over all oriented arcs
+* ``fused=True`` (default) — one vectorised pass over all oriented
+  arcs, each probing its smaller row into the larger as arc keys
   (:func:`repro.tc.intersect.batch_pairwise_counts`); fastest in NumPy;
 * ``fused=False`` — per-vertex batched intersections, the literal
-  Algorithm-1 loop structure used by the instrumentation in
-  :mod:`repro.memsim`.
+  Algorithm-1 loop structure.  :mod:`repro.memsim` replays that loop's
+  merge joins, not the keyed probe.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def forward_count_oriented(oriented: OrientedGraph, fused: bool = True) -> int:
         degrees = oriented.degrees()
         src = np.repeat(np.arange(oriented.num_vertices, dtype=np.int64), degrees)
         dst = indices.astype(np.int64, copy=False)
-        return batch_pairwise_counts(indptr, indices, indptr, indices, src, dst)
+        return batch_pairwise_counts(indptr, indices, src, dst)
     total = 0
     work_rows = np.flatnonzero(np.diff(indptr) >= 2)
     for v in work_rows:

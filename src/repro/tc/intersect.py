@@ -10,17 +10,20 @@ Scalar kernels (``intersect_count_*``) operate on one pair of sorted
 arrays; :func:`batch_intersect_counts` intersects one query row against
 many CSR rows in a single NumPy pass.
 
-The batched kernels that carry the LOTUS phases and the distributed
-wedge protocol live here too:
+The batched kernels that carry the LOTUS phases, the comparators and
+the distributed wedge protocol live here too:
 
 * :func:`pack_row_bitsets` + :func:`popcount_pairs` — bitmap
   intersection batched over arcs: CSR rows packed into ``uint64`` words,
   ``|row(l) ∩ row(r)| = popcount(bits[l] & bits[r])``;
 * :func:`wedge_chunks` + :class:`KeySet` — every in-row pair of many
   CSR rows, enumerated in bounded chunks by one walk over the arcs, then
-  tested as int64 arc keys (:func:`arc_keys`): a one-bit-per-slot hash
-  filter rejects most absent keys, and only its hits reach the exact
-  ``searchsorted`` of :func:`match_keys`.
+  tested as int64 arc keys (:func:`~repro.util.arrays.arc_keys`): a
+  one-bit-per-slot hash filter rejects most absent keys, and only its
+  hits reach the exact ``searchsorted`` of :func:`match_keys`;
+* :func:`batch_pairwise_counts` — the same :class:`KeySet` probe for
+  paired rows: every element of the smaller row of a pair, keyed into
+  the other row.
 """
 
 from __future__ import annotations
@@ -29,12 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.util.arrays import (
-    concat_ranges,
-    group_ids,
-    rows_searchsorted,
-    segment_sums,
-)
+from repro.util.arrays import arc_keys, concat_ranges, segment_sums
 
 __all__ = [
     "intersect_count_merge",
@@ -52,7 +50,6 @@ __all__ = [
     "popcount_pairs",
     "wedge_chunks",
     "match_keys",
-    "arc_keys",
     "KeySet",
     "INTERSECT_KERNELS",
 ]
@@ -266,54 +263,38 @@ def batch_intersect_counts(
 
 
 def batch_pairwise_counts(
-    indptr_a: np.ndarray,
-    indices_a: np.ndarray,
-    indptr_b: np.ndarray,
-    indices_b: np.ndarray,
-    pairs_left: np.ndarray,
-    pairs_right: np.ndarray,
+    indptr: np.ndarray, indices: np.ndarray, left: np.ndarray, right: np.ndarray
 ) -> int:
-    """Sum of ``|A.row(l) ∩ B.row(r)|`` over paired rows, fully vectorised.
+    """``Σ_k |row(left[k]) ∩ row(right[k])|`` over paired rows of one CSR
+    with sorted rows, fully vectorised.
 
-    Both structures must have sorted rows.  Used by the edge-iterator
-    algorithm where the pair list is the edge list itself.  Processes the
-    smaller side of each pair via gathered ``searchsorted`` against the
-    concatenation trick: for each pair we probe every element of the
-    B-row into the A-row.
+    Each pair gathers its smaller row and probes every element ``x`` of
+    it into the other row as the arc key ``other * n + x``: one
+    :class:`KeySet` over the CSR's :func:`~repro.util.arrays.arc_keys`,
+    built once per call, counts them 200 K pairs at a time.  Gathering
+    the smaller side keeps the volume at ``Σ min(deg_l, deg_r)``;
+    without it, pairs whose other row is a huge hub list dominate the
+    gather.
     """
-    pairs_left = np.asarray(pairs_left, dtype=np.int64)
-    pairs_right = np.asarray(pairs_right, dtype=np.int64)
-    if pairs_left.size == 0:
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
+    if left.size == 0:
         return 0
-    # probe the smaller row of each pair into the larger one so the
-    # gathered volume is sum(min(deg_l, deg_r)) — without this, pairs
-    # whose right row is a huge hub list dominate the gather cost
-    deg_l = indptr_a[pairs_left + 1] - indptr_a[pairs_left]
-    deg_r = indptr_b[pairs_right + 1] - indptr_b[pairs_right]
-    swap = deg_l < deg_r
+    n = indptr.size - 1
+    deg = np.diff(indptr)
+    smaller = deg[left] < deg[right]
+    gather = np.where(smaller, left, right)
+    other = np.where(smaller, right, left)
+    keys = KeySet(arc_keys(np.arange(n), indptr, indices, n))
     total = 0
-    for sel, (ip_g, ix_g, ip_p, ix_p, gather_rows, probe_rows) in (
-        (~swap, (indptr_b, indices_b, indptr_a, indices_a, pairs_right, pairs_left)),
-        (swap, (indptr_a, indices_a, indptr_b, indices_b, pairs_left, pairs_right)),
-    ):
-        g_rows_all = gather_rows[sel]
-        p_rows_all = probe_rows[sel]
-        chunk = 200_000
-        for s in range(0, g_rows_all.size, chunk):
-            g_rows = g_rows_all[s : s + chunk]
-            p_rows = p_rows_all[s : s + chunk]
-            g_starts = ip_g[g_rows]
-            g_lens = ip_g[g_rows + 1] - g_starts
-            gathered = ix_g[concat_ranges(g_starts, g_lens)].astype(np.int64, copy=False)
-            owner = group_ids(g_lens)  # index into this chunk's pairs
-            p_sel = p_rows[owner]
-            p_starts = ip_p[p_sel]
-            p_ends = ip_p[p_sel + 1]
-            pos = p_starts + rows_searchsorted(ix_p, p_starts, p_ends, gathered)
-            found = (pos < p_ends) & (
-                ix_p[np.minimum(pos, ix_p.size - 1)] == gathered
-            )
-            total += int(np.count_nonzero(found))
+    chunk = 200_000
+    for lo in range(0, gather.size, chunk):
+        rows = gather[lo : lo + chunk]
+        starts = indptr[rows]
+        lens = indptr[rows + 1] - starts
+        query = np.repeat(other[lo : lo + chunk] * n, lens)
+        query += indices[concat_ranges(starts, lens)]
+        total += keys.count(query)[0]
     return total
 
 
@@ -448,16 +429,6 @@ def match_keys(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:
     pos = np.searchsorted(sorted_keys, query_keys)
     pos = np.minimum(pos, sorted_keys.size - 1)
     return sorted_keys[pos] == query_keys
-
-
-def arc_keys(
-    apexes: np.ndarray, indptr: np.ndarray, indices: np.ndarray, n: int
-) -> np.ndarray:
-    """The arcs of a compact CSR aligned with ``apexes`` as int64 keys
-    ``apex * n + col`` (sorted when ``apexes`` ascend)."""
-    keys = np.repeat(np.asarray(apexes, dtype=np.int64) * n, np.diff(indptr))
-    keys += indices
-    return keys
 
 
 class KeySet:

@@ -5,9 +5,10 @@ introduction — clustering coefficients, spam/community detection
 [11, 12] — and the k-truss decomposition in :mod:`repro.tc.truss`.
 
 The kernel extends the fused Forward pass: for every oriented arc
-``(v, u)`` and every matched common neighbour ``w`` the triangle
-``(w, u, v)`` increments all three corners (for vertex-local counts) or
-all three edges (for edge support).
+``(v, u)``, every neighbour ``w`` of ``u`` is probed into ``v``'s row as
+the arc key ``v * n + w`` (:class:`~repro.tc.intersect.KeySet`), and
+each match — the triangle ``(w, u, v)`` — increments all three corners
+(for vertex-local counts) or all three edges (for edge support).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.graph.reorder import apply_degree_ordering
 from repro.obs import root_span
-from repro.util.arrays import concat_ranges, group_ids
+from repro.tc.intersect import KeySet
+from repro.util.arrays import arc_keys, concat_ranges, group_ids
 
 __all__ = [
     "local_triangle_counts",
@@ -31,11 +33,14 @@ def _matched_triangles(oriented) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All triangles of an oriented graph as (v, u, w) corner arrays.
 
     For every arc (v, u) with u < v, w ranges over the matched common
-    neighbours of the two rows (w < u by construction).  Chunked over
-    arcs to bound peak memory.
+    neighbours of the two rows (w < u by construction): each neighbour
+    of u is probed into v's row through one :class:`KeySet` of the arc
+    keys.  Chunked over arcs to bound peak memory.
     """
     indptr, indices = oriented.indptr, oriented.indices
-    src_all = np.repeat(np.arange(oriented.num_vertices, dtype=np.int64), oriented.degrees())
+    n = oriented.num_vertices
+    keys = KeySet(arc_keys(np.arange(n), indptr, indices, n))
+    src_all = np.repeat(np.arange(n, dtype=np.int64), oriented.degrees())
     dst_all = indices.astype(np.int64, copy=False)
     vs: list[np.ndarray] = []
     us: list[np.ndarray] = []
@@ -50,21 +55,7 @@ def _matched_triangles(oriented) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         gathered = indices[concat_ranges(g_starts, g_lens)].astype(np.int64, copy=False)
         owner = group_ids(g_lens)
         p_rows = src[owner]
-        lo = indptr[p_rows].copy()
-        hi = indptr[p_rows + 1].copy()
-        while True:
-            active = lo < hi
-            if not active.any():
-                break
-            mid = (lo + hi) // 2
-            vals = indices[np.minimum(mid, indices.size - 1)].astype(np.int64, copy=False)
-            go_right = active & (vals < gathered)
-            go_left = active & ~go_right
-            lo[go_right] = mid[go_right] + 1
-            hi[go_left] = mid[go_left]
-        found = (lo < indptr[p_rows + 1]) & (
-            indices[np.minimum(lo, indices.size - 1)] == gathered
-        )
+        found = keys.contains(p_rows * n + gathered)
         if found.any():
             vs.append(p_rows[found])
             us.append(dst[owner][found])

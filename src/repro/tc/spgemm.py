@@ -9,9 +9,11 @@ row-merge (Gustavson) formulation vectorised over NumPy:
 for every output row ``i``, the products ``L[i,k] * L[k,j]`` enumerate
 paths i -> k -> j; masking by L[i,j] keeps closed wedges.  Because all
 values are 0/1, the masked product reduces to counting gathered column
-indices that hit the mask row — the same multi-row gather + binary-probe
-kernel the rest of the library uses, which is exactly the equivalence
-between SpGEMM TC and the Forward algorithm the literature points out.
+indices that hit the mask row: each is the arc key ``i * n + j``, probed
+into one :class:`~repro.tc.intersect.KeySet` of the mask's arc keys —
+the membership kernel of the Forward comparators and the LOTUS NNN
+phase, which is exactly the equivalence between SpGEMM TC and a wedge
+check that the literature points out.
 
 A general (unmasked) boolean SpGEMM is included for completeness and is
 validated against scipy in the test suite.
@@ -24,13 +26,9 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.graph.reorder import apply_degree_ordering
 from repro.obs import root_span, timed_phase
+from repro.tc.intersect import KeySet
 from repro.tc.result import TCResult
-from repro.util.arrays import (
-    concat_ranges,
-    group_ids,
-    rows_searchsorted,
-    segment_sums,
-)
+from repro.util.arrays import arc_keys, concat_ranges, group_ids, segment_sums
 from repro.util.timer import PhaseTimer
 
 __all__ = ["masked_spgemm_count", "spgemm_boolean", "count_triangles_spgemm"]
@@ -43,12 +41,14 @@ def masked_spgemm_count(
 
     Row-merge formulation, chunked over rows: gather, for each row i,
     the concatenated rows A[k,:] of all k in A[i,:], then count the
-    gathered entries that fall inside A[i,:] (the mask).  ``budget``
-    bounds the gathered volume per chunk.
+    gathered entries that fall inside A[i,:] (the mask) as arc keys in
+    one :class:`~repro.tc.intersect.KeySet`, built once per call.
+    ``budget`` bounds the gathered volume per chunk.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     n = indptr.size - 1
+    mask = KeySet(arc_keys(np.arange(n), indptr, indices, n))
     total = 0
     row_lens = np.diff(indptr)
     # chunk rows so the gathered volume stays bounded
@@ -67,18 +67,12 @@ def masked_spgemm_count(
         k_flat = concat_ranges(indptr[rows], row_lens[rows])
         ks = indices[k_flat].astype(np.int64, copy=False)
         owner_row = rows[group_ids(row_lens[rows])]
-        # gather A[k,:] for every k, remembering which output row owns it
+        # gather A[k,:] for every k, keyed by the output row that owns it
         k_lens = row_lens[ks]
-        gathered = indices[concat_ranges(indptr[ks], k_lens)].astype(np.int64, copy=False)
-        g_owner = owner_row[group_ids(k_lens)]
-        # mask probe: is `gathered[j]` a column of row g_owner[j]?
-        starts = indptr[g_owner]
-        ends = indptr[g_owner + 1]
-        pos = starts + rows_searchsorted(indices, starts, ends, gathered)
-        found = (pos < ends) & (
-            indices[np.minimum(pos, indices.size - 1)] == gathered
-        )
-        total += int(np.count_nonzero(found))
+        probe = owner_row[group_ids(k_lens)] * n
+        probe += indices[concat_ranges(indptr[ks], k_lens)]
+        # mask probe: is each gathered column in its owner row?
+        total += mask.count(probe)[0]
         start = stop
     return total
 

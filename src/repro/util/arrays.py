@@ -2,7 +2,11 @@
 
 These implement the "gather many CSR rows at once" idiom that keeps the
 per-vertex kernels of the TC algorithms inside NumPy: a Python loop runs
-only over vertices, while all per-edge work is batched.
+only over vertices, while all per-edge work is batched.  An arc
+``(src, dst)`` of an ``n``-vertex CSR is the one int64 key
+``src * n + dst`` (:func:`sort_arcs`, :func:`arc_keys`): a row search is
+a ``searchsorted`` over the keys, and membership a
+:class:`~repro.tc.intersect.KeySet` of them.
 """
 
 from __future__ import annotations
@@ -14,44 +18,10 @@ __all__ = [
     "compact_rows",
     "group_ids",
     "segment_sums",
-    "rows_searchsorted",
     "patch_sorted_rows",
     "sort_arcs",
+    "arc_keys",
 ]
-
-
-def rows_searchsorted(
-    values: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    needle: np.ndarray | int,
-) -> np.ndarray:
-    """Vectorised per-row lower-bound search.
-
-    For each row ``i``, returns the offset of ``needle[i]`` (or a scalar
-    needle) within the sorted slice ``values[starts[i]:ends[i]]`` (i.e.
-    the count of elements ``< needle``).  One binary-search *round* per
-    iteration runs over all rows simultaneously, so the Python-level loop
-    is O(log max_row_len).  This is the one per-row binary search: the
-    paired-row counts, masked SpGEMM, BBTC, the memsim traces and op
-    counts and the sorted-row patch all call it.
-    """
-    values = np.asarray(values)
-    lo = np.asarray(starts, dtype=np.int64).copy()
-    hi = np.asarray(ends, dtype=np.int64).copy()
-    start64 = np.asarray(starts, dtype=np.int64)
-    needle = np.asarray(needle, dtype=np.int64)
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) // 2
-        vals = values[np.minimum(mid, values.size - 1)].astype(np.int64, copy=False)
-        go_right = active & (vals < needle)
-        go_left = active & ~go_right
-        lo[go_right] = mid[go_right] + 1
-        hi[go_left] = mid[go_left]
-    return lo - start64
 
 
 def patch_sorted_rows(
@@ -65,23 +35,26 @@ def patch_sorted_rows(
 
     Both are ``(k, 2)`` integer arrays; every deleted entry must be
     present, every inserted one absent, and no entry may repeat.  Each
-    entry is located in its row with one vectorised binary search
-    (:func:`rows_searchsorted`); the deletions leave in one
+    entry is located in its row by one ``searchsorted`` of its key
+    ``row * n + col`` over the :func:`arc_keys` of the rows the entries
+    touch (never the whole CSR); the deletions leave in one
     ``np.delete`` and the insertions enter in one ``np.insert``, each
     position shifted left by the deletions ahead of it, so the rows stay
     sorted.  Returns new arrays: an ``int64`` ``indptr`` and ``indices``
     in its own dtype.
     """
+    n = indptr.size - 1
     entries = np.concatenate([inserted, deleted]).astype(np.int64, copy=False)
     adds = np.arange(entries.shape[0]) < len(inserted)
     order = np.lexsort((entries[:, 1], entries[:, 0]))
     rows, cols, adds = entries[order, 0], entries[order, 1], adds[order]
-    starts = indptr[rows]
-    pos = starts + rows_searchsorted(indices, starts, indptr[rows + 1], cols)
+    touched, inverse = np.unique(rows, return_inverse=True)
+    row_indptr, take = compact_rows(indptr, touched)
+    keys = arc_keys(touched, row_indptr, indices[take], n)
+    pos = indptr[rows] + np.searchsorted(keys, rows * n + cols) - row_indptr[inverse]
     gone = pos[~adds]  # strictly increasing: entries are in CSR order
     at = pos[adds] - np.searchsorted(gone, pos[adds])
     patched = np.insert(np.delete(indices, gone), at, cols[adds])
-    n = indptr.size - 1
     shift = np.bincount(rows[adds], minlength=n) - np.bincount(rows[~adds], minlength=n)
     patched_indptr = indptr.astype(np.int64)
     patched_indptr[1:] += np.cumsum(shift)
@@ -136,6 +109,22 @@ def sort_arcs(
     if unique and key.size:
         key = key[np.concatenate(([True], key[1:] != key[:-1]))]
     return np.divmod(key, n)
+
+
+def arc_keys(
+    apexes: np.ndarray, indptr: np.ndarray, indices: np.ndarray, n: int
+) -> np.ndarray:
+    """The arcs of a compact CSR aligned with ``apexes`` as int64 keys
+    ``apex * n + col``, the key :func:`sort_arcs` sorts by.
+
+    With ascending ``apexes`` and sorted rows the keys are sorted, and
+    the lower bound of ``x`` in row ``k`` (``0 <= x <= n``) is
+    ``np.searchsorted(keys, apexes[k] * n + x) - indptr[k]``: ``x = n``
+    lands at the row's end.
+    """
+    keys = np.repeat(np.asarray(apexes, dtype=np.int64) * n, np.diff(indptr))
+    keys += indices
+    return keys
 
 
 def group_ids(lengths: np.ndarray) -> np.ndarray:

@@ -70,7 +70,7 @@ def test_oracle_on_known_graphs():
 def test_counter_matrix_covers_kernels_and_backends():
     names = set(fuzz_counters())
     assert {
-        "lotus", "lotus-phases", "lotus-distributed", "forward", "matrix"
+        "lotus", "lotus-phases", "lotus-probe", "lotus-distributed", "forward", "matrix"
     } <= names
     assert not {"lotus-threads", "lotus-processes"} & names
     from repro.tc.intersect import INTERSECT_KERNELS
@@ -139,6 +139,25 @@ def test_phase_misattribution_is_caught(monkeypatch):
     failure = report["failure"]
     assert failure is not None
     assert all(m.startswith("lotus-phases:") for m in failure["mismatches"])
+
+
+def test_broken_probe_fallback_is_caught(monkeypatch):
+    """The over-budget phase 1-2 probe runs in no default count at fuzz
+    sizes; only the ``lotus-probe`` column exercises it."""
+    import repro.core.count as count
+
+    real = count.batch_pairwise_counts
+
+    def off_by_one(indptr, indices, left, right):
+        return real(indptr, indices, left, right) + (len(left) > 0)
+
+    monkeypatch.setattr(count, "batch_pairwise_counts", off_by_one)
+    names = ("lotus", "lotus-probe")
+    counters = {name: fuzz_counters()[name] for name in names}
+    report = run_fuzz(cases=30, seed=3, counters=counters)
+    failure = report["failure"]
+    assert failure is not None
+    assert all(m.startswith("lotus-probe:") for m in failure["mismatches"])
 
 
 # --------------------------------------------------------------------------

@@ -202,9 +202,7 @@ class TestBatchKernels:
             intersect_count_merge(g.neighbors(int(u)), g.neighbors(int(v)))
             for u, v in edges
         )
-        got = batch_pairwise_counts(
-            g.indptr, g.indices, g.indptr, g.indices, edges[:, 0], edges[:, 1]
-        )
+        got = batch_pairwise_counts(g.indptr, g.indices, edges[:, 0], edges[:, 1])
         assert got == expected
 
     def test_pairwise_empty(self):
@@ -212,20 +210,10 @@ class TestBatchKernels:
         indices = np.array([0], dtype=np.uint32)
         assert (
             batch_pairwise_counts(
-                indptr, indices, indptr, indices,
-                np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+                indptr, indices, np.array([], dtype=np.int64), np.array([], dtype=np.int64)
             )
             == 0
         )
-
-    def test_pairwise_asymmetric_structures(self):
-        """A and B may be different CSR structures."""
-        ip_a = np.array([0, 3], dtype=np.int64)
-        ix_a = np.array([1, 5, 9], dtype=np.uint32)
-        ip_b = np.array([0, 2], dtype=np.int64)
-        ix_b = np.array([5, 9], dtype=np.uint32)
-        got = batch_pairwise_counts(ip_a, ix_a, ip_b, ix_b, np.array([0]), np.array([0]))
-        assert got == 2
 
 
 class TestBitsetKernels:
@@ -235,9 +223,7 @@ class TestBitsetKernels:
         bits, slot = pack_row_bitsets(g.indptr, g.indices, g.num_vertices)
         assert bits.nbytes == bitset_nbytes(g.indptr, g.num_vertices)
         left, right = slot[edges[:, 0]], slot[edges[:, 1]]
-        expected = batch_pairwise_counts(
-            g.indptr, g.indices, g.indptr, g.indices, edges[:, 0], edges[:, 1]
-        )
+        expected = batch_pairwise_counts(g.indptr, g.indices, edges[:, 0], edges[:, 1])
         for chunk_words in (1, 7, 1 << 20):
             assert popcount_pairs(bits, left, right, chunk_words) == expected
 

@@ -6,12 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.arrays import (
+    arc_keys,
     compact_rows,
     concat_ranges,
     group_ids,
+    patch_sorted_rows,
     segment_sums,
     sort_arcs,
 )
+
+
+@st.composite
+def sorted_csrs(draw, max_n=12):
+    """``(rows, indptr, indices)``: an ``n``-vertex CSR with sorted rows,
+    some of them empty."""
+    n = draw(st.integers(1, max_n))
+    rows = [sorted(draw(st.sets(st.integers(0, n - 1), max_size=n))) for _ in range(n)]
+    return rows, _csr(rows)
+
+
+def _csr(rows):
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    return indptr, np.array([x for r in rows for x in r], dtype=np.int32)
 
 
 class TestConcatRanges:
@@ -122,3 +139,48 @@ class TestCompactRows:
         row_indptr, take = compact_rows(np.array([0, 3]), np.zeros(0, dtype=np.int64))
         np.testing.assert_array_equal(row_indptr, [0])
         assert take.size == 0
+
+
+class TestArcKeys:
+    @given(sorted_csrs())
+    @settings(max_examples=80)
+    def test_lower_bound_is_per_row_searchsorted(self, csr):
+        rows, (indptr, indices) = csr
+        n = len(rows)
+        keys = arc_keys(np.arange(n), indptr, indices, n)
+        assert np.all(np.diff(keys) > 0)
+        # every row against every needle in [0, n], both ends included
+        r, x = np.divmod(np.arange(n * (n + 1)), n + 1)
+        got = np.searchsorted(keys, r * n + x) - indptr[r]
+        want = [np.searchsorted(np.array(rows[i], dtype=np.int64), v) for i, v in zip(r, x)]
+        np.testing.assert_array_equal(got, want)
+
+
+class TestPatchSortedRows:
+    @given(sorted_csrs(), st.data())
+    @settings(max_examples=80)
+    def test_matches_rebuild(self, csr, data):
+        """Entries in the first row, the last row and every empty row
+        (plus any others) patch to the CSR a rebuild gives."""
+        rows, (indptr, indices) = csr
+        n = len(rows)
+        must = {0, n - 1} | {i for i in range(n) if not rows[i]}
+        inserted, deleted, want = [], [], []
+        for i, row in enumerate(rows):
+            toggle = data.draw(
+                st.sets(st.integers(0, n - 1), min_size=int(i in must), max_size=n)
+            )
+            inserted += [(i, c) for c in toggle - set(row)]
+            deleted += [(i, c) for c in toggle & set(row)]
+            want.append(sorted(set(row) ^ toggle))
+        # reversed: the patch must not rely on its entries' order
+        got_indptr, got = patch_sorted_rows(
+            indptr,
+            indices,
+            np.array(inserted[::-1], dtype=np.int64).reshape(-1, 2),
+            np.array(deleted[::-1], dtype=np.int64).reshape(-1, 2),
+        )
+        want_indptr, want_indices = _csr(want)
+        np.testing.assert_array_equal(got_indptr, want_indptr)
+        np.testing.assert_array_equal(got, want_indices)
+        assert got_indptr.dtype == np.int64 and got.dtype == indices.dtype
