@@ -19,8 +19,9 @@ over arcs:
 
 The bitsets, the live popcount operand pairs of phases 1-2 and the NNN
 key set form the structure's :class:`KernelState`: a cold count builds
-a transient one per call, a structure-cache entry keeps one so that a
-cache hit runs only the kernels.
+a transient one per call (the hub operands in a ``kernel_state`` phase
+of their own, the key set inside NNN), a structure-cache entry keeps
+one so that a cache hit runs only the kernels.
 
 Phases 1-2 read only the bitsets and NNN only the NHE keys, so when both
 run long (:func:`_two_lanes`: at least 4 wedge chunks of NHE wedges and
@@ -67,6 +68,7 @@ from repro.tc.intersect import (
     pack_row_bitsets,
     popcount_pairs,
     wedge_chunks,
+    wedge_keys,
 )
 from repro.tc.result import TCResult
 from repro.util.arrays import arc_keys
@@ -283,10 +285,20 @@ class KernelState:
                 self._keyset = keyset
         return keyset
 
-    def build(self) -> "KernelState":
-        """Build every part (a retained state then keeps them all)."""
+    @property
+    def hub_ready(self) -> bool:
+        """Whether the hub operands are built: the bitsets packed and,
+        with bitsets, both hub phases' operand pairs."""
+        return self._packed and (self._bitsets is None or len(self._pairs) == 2)
+
+    def build_hub_operands(self) -> None:
+        """Pack the bitsets and build both hub phases' operand pairs."""
         for phase in ("hhh+hhn", "hnn"):
             self.pairs(phase)
+
+    def build(self) -> "KernelState":
+        """Build every part (a retained state then keeps them all)."""
+        self.build_hub_operands()
         self.keyset()
         return self
 
@@ -353,15 +365,9 @@ def _nnn(lotus: LotusGraph, keyset: KeySet) -> tuple[int, int]:
     """``(nnn, keys_verified)``: every NHE wedge tested against the NHE
     arc keys' ``keyset``, and how many passed its filter."""
     nhe = lotus.nhe
-    n = lotus.num_vertices
     total = verified = 0
-    # a quarter chunk: a probe's few chunk-sized arrays stay in L2; the
-    # apexes go unused, so int32 ones halve their blocks
-    chunk = max(intersect._WEDGE_CHUNK >> 2, 1)
-    for _, b, c in wedge_chunks(nhe.indptr, nhe.indices, np.arange(n, dtype=np.int32), chunk):
-        b *= n  # the walk's blocks are this loop's own: key them in place
-        b += c
-        found, passed = keyset.count(b)
+    for _, keys in wedge_keys(nhe.indptr, nhe.indices, lotus.num_vertices):
+        found, passed = keyset.count(keys)
         total += found
         verified += passed
     return total, verified
@@ -437,10 +443,10 @@ def count_nnn(lotus: LotusGraph, fused: bool = True) -> int:
 def _two_lanes(lotus: LotusGraph, state: KernelState) -> bool:
     """Whether the hub phases and NNN both run long enough to pay for a
     helper thread: at least 4 wedge chunks of NHE wedges and 16 popcount
-    passes of live bitset words.  The wedges come from the NHE degrees;
-    only then are the hub operands built, which the count needs anyway,
-    and their words counted.  Over the bitset budget the probe fallback
-    keeps one lane."""
+    passes of live bitset words.  The wedges come from the NHE degrees,
+    the words from the hub operands that the ``kernel_state`` phase has
+    already built.  Over the bitset budget the probe fallback keeps one
+    lane."""
     deg = np.diff(lotus.nhe.indptr)
     if int((deg * (deg - 1)).sum()) // 2 < 4 * intersect._WEDGE_CHUNK:
         return False
@@ -482,20 +488,27 @@ def lotus_count_from_structure(
     packed once, serve phase 1 and HNN, and are freed with the operand
     pairs once both are done.
 
-    The hub phases read only the bitsets and NNN only the NHE keys, so
-    when both run long (:func:`_two_lanes`) they run side by side: the
-    calling thread builds the hub operands, starts one helper thread for
-    the phase-1 and HNN popcounts, whose gathers and ``bitwise_count``
-    release the GIL, and meanwhile builds the NNN key set and probes the
-    wedges.  It joins the helper before returning, also on error, and
-    re-raises the helper's exception.  Both hub spans nest under the
-    span open at the call, so the span tree is the same in either
-    schedule; the ``timer`` phases then overlap in time.
+    A state without its hub operands (the bitsets and both phases'
+    operand pairs) builds them first, in a ``kernel_state`` phase: the
+    hub-side work that precedes either schedule.  The hub phases read
+    only the bitsets and NNN only the NHE keys, so when both run long
+    (:func:`_two_lanes`) they run side by side: the calling thread
+    starts one helper thread for the phase-1 and HNN popcounts, whose
+    gathers and ``bitwise_count`` release the GIL, and meanwhile builds
+    the NNN key set and probes the wedges.  It joins the helper before
+    returning, also on error, and re-raises the helper's exception.
+    Both hub spans nest under the span open at the call, so the span
+    tree is the same in either schedule; the ``timer`` phases then
+    overlap in time.
     """
     timer = timer or PhaseTimer()
     state = state or KernelState(lotus)
     work = lotus.phase_pairs() if get_registry().enabled else {}
     parent = get_registry().current_span()
+    if not state.hub_ready:
+        with timed_phase(timer, "kernel_state") as span:
+            state.build_hub_operands()
+            span.set("state_bytes", state.nbytes)
 
     def hub_phases() -> tuple[int, int, int]:
         with timed_phase(timer, "hhh+hhn", parent=parent) as span:

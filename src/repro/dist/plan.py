@@ -19,14 +19,22 @@ highest-ranked vertex (the apex) — by the shard that owns the apex:
   ``b``: local checks are resolved immediately and the rest travel as
   8-byte arc keys to ``owner[b]``.  Every remote hit is NNN.
 
+:func:`build_plan` is the serial part of a sharded run, so it does only
+what every shard needs: the rank, the owner map, the HE/NHE split and
+the hub bitsets.  The rest is per shard and runs in the shards:
+:meth:`ShardPlan.shard_payload` slices a shard's rows,
+:func:`shard_hub_counts` counts its hub triangles and
+:func:`shard_cut_arcs` its share of the edge-cut.
+
 Because the simulator and the runtime share this module's plan, routing
-rule and hub stage, and enumerate their wedges with the kernel the
-sequential NNN phase uses (:mod:`repro.tc.intersect`), the simulator's
-communication prediction (``remote_wedge_checks`` / ``bytes_exchanged``
-/ ``replicated_bytes``) is a model of the runtime *by construction* —
-the regression test comparing the two is a differential test of the
-protocol, not of two unrelated formulas.  ``hub_count=None`` (no hubs)
-puts every arc in NHE, which is the all-wedge protocol.
+rule, hub stage and edge-cut count, and enumerate their wedges with the
+kernel the sequential NNN phase uses (:mod:`repro.tc.intersect`), the
+simulator's communication prediction (``remote_wedge_checks`` /
+``bytes_exchanged`` / ``replicated_bytes`` / ``total_comm_edges``) is a
+model of the runtime *by construction* — the regression test comparing
+the two is a differential test of the protocol, not of two unrelated
+formulas.  ``hub_count=None`` (no hubs) puts every arc in NHE, which is
+the all-wedge protocol.
 
 Everything here operates in *relabeled* ID space: vertex ``v`` of the
 input graph becomes ``rank[v]``, rows are sorted ascending, and an arc
@@ -59,6 +67,7 @@ __all__ = [
     "degree_rank",
     "identity_rank",
     "lotus_rank",
+    "shard_cut_arcs",
     "shard_hub_counts",
     "wedge_chunks",
     "KeySet",
@@ -110,11 +119,11 @@ class ShardPlan:
 
     ``he`` and ``nhe`` are the oriented rows of *every* vertex split at
     ``hub_count`` (0 when the plan has no hubs, so ``he`` is empty);
-    ``owner`` maps a relabeled ID to its shard.  ``boundary_edges``
-    counts input edges whose endpoints live on different shards (the
-    classic edge-cut).  ``bitsets`` are HE's
+    ``owner`` maps a relabeled ID to its shard.  ``bitsets`` are HE's
     :func:`~repro.core.count.hub_bitsets`, packed once for every shard
-    (``None`` without hubs or past the bitset budget).
+    (``None`` without hubs or past the bitset budget).  The edge-cut is
+    not part of the plan: each shard counts its own share
+    (:func:`shard_cut_arcs`).
     """
 
     num_vertices: int
@@ -125,7 +134,6 @@ class ShardPlan:
     he: OrientedGraph
     nhe: OrientedGraph
     hub_count: int
-    boundary_edges: int
     bitsets: Bitsets | None
 
     def shard_arc_counts(self) -> np.ndarray:
@@ -147,23 +155,29 @@ class ShardPlan:
 
         HE, the O(n) ``owner`` array and ``hub_count`` are replicated so
         the shard can count its hub triangles and route queries without
-        seeing any remote NHE row; ``nhe_indptr``/``nhe_indices`` are the
-        NHE rows of the owned ``apexes`` only (a compact CSR).  The
-        runtime's shards build their own payload from the plan they
-        inherit, so the slicing runs in parallel.
+        seeing any remote NHE row; ``owner`` comes as a copy in the
+        smallest integer dtype that holds the shard ids, so routing
+        gathers one byte per wedge.  ``he_indptr``/``he_indices`` and
+        ``nhe_indptr``/``nhe_indices`` are the HE and NHE rows of the
+        owned ``apexes`` only (compact CSRs).  The runtime's shards build
+        their own payload from the plan they inherit, so the slicing runs
+        in parallel.
         """
         apexes = np.flatnonzero(self.owner == shard).astype(np.int64)
-        nhe_indptr, take = compact_rows(self.nhe.indptr, apexes)
+        he_indptr, he_take = compact_rows(self.he.indptr, apexes)
+        nhe_indptr, nhe_take = compact_rows(self.nhe.indptr, apexes)
         return {
             "shard": int(shard),
             "workers": int(self.workers),
             "num_vertices": int(self.num_vertices),
             "hub_count": int(self.hub_count),
             "he": self.he,
-            "owner": self.owner,
+            "owner": self.owner.astype(np.min_scalar_type(self.workers - 1)),
             "apexes": apexes,
+            "he_indptr": he_indptr,
+            "he_indices": self.he.indices[he_take],
             "nhe_indptr": nhe_indptr,
-            "nhe_indices": self.nhe.indices[take],
+            "nhe_indices": self.nhe.indices[nhe_take],
         }
 
 
@@ -181,7 +195,9 @@ def build_plan(
     produce); it is permuted into relabeled space here.  ``rank`` must be
     a permutation of ``[0, n)``; ``None`` selects :func:`degree_rank`.
     ``hub_count=None`` plans without hubs.  HE's hub bitsets are packed
-    here, once, unless they would exceed the bitset budget.
+    here, once, unless they would exceed the bitset budget.  Everything
+    that can be split by shard (the payload slices, the edge-cut) is
+    left to the shards.
     """
     n = graph.num_vertices
     if workers < 1:
@@ -202,13 +218,6 @@ def build_plan(
 
     owner_new = np.empty(n, dtype=np.int64)
     owner_new[rank] = owner
-    boundary = sum(
-        int(np.count_nonzero(
-            np.repeat(owner_new, csr.degrees()) != owner_new[csr.indices]
-        ))
-        for csr in (he, nhe)
-    )
-
     return ShardPlan(
         num_vertices=n,
         num_edges=graph.num_edges,
@@ -218,7 +227,6 @@ def build_plan(
         he=he,
         nhe=nhe,
         hub_count=hub_count,
-        boundary_edges=boundary,
         bitsets=hub_bitsets(he, hub_count) if hub_count else None,
     )
 
@@ -235,12 +243,24 @@ def shard_hub_counts(payload: dict, bitsets) -> tuple[int, int, int, int]:
     """
     he = payload["he"]
     apexes = payload["apexes"]
-    he_indptr, take = compact_rows(he.indptr, apexes)
+    he_indptr = payload["he_indptr"]
     split = int(he_indptr[np.searchsorted(apexes, payload["hub_count"])])
     hhh, hhn, he_arcs = common_hub_counts(
-        he, bitsets, he_indptr, he.indices[take], apexes, split
+        he, bitsets, he_indptr, payload["he_indices"], apexes, split
     )
     _, hnn, nhe_arcs = common_hub_counts(
         he, bitsets, payload["nhe_indptr"], payload["nhe_indices"], apexes, 0
     )
     return hhh, hhn, hnn, he_arcs + nhe_arcs
+
+
+def shard_cut_arcs(payload: dict) -> int:
+    """The shard's share of the edge-cut: arcs of its owned HE and NHE
+    rows whose other endpoint another shard owns.  Every input edge is
+    one oriented arc, in the row of its higher-ranked endpoint, so the
+    shards' shares sum to the partition's undirected edge-cut."""
+    owner, shard = payload["owner"], payload["shard"]
+    return sum(
+        int(np.count_nonzero(owner[payload[rows]] != shard))
+        for rows in ("he_indices", "nhe_indices")
+    )

@@ -17,21 +17,30 @@ Each shard runs three stages:
 1. **hub** — HHH/HHN over its owned HE arcs and HNN over its owned NHE
    arcs, with the sequential phase 1-2 kernel over the replicated HE.
    Purely local;
-2. **enumerate** — the NHE wedges of its owned apexes: it answers the
-   checks whose middle vertex it also owns and batches the rest as
-   8-byte arc keys per remote target shard;
-3. **exchange** — every pair of shards shares one duplex pipe.  A shard
-   sends each peer its query keys, answers the peer's keys through the
-   :class:`~repro.tc.intersect.KeySet` of its own NHE arc keys and
-   sends the boolean vector back on the same pipe.  Every message is
-   sent, even when empty, and a helper thread makes the sends, so two
-   shards that send to each other never both block on a full pipe.
-   Every remote hit is an NNN triangle.
+2. **enumerate** — the NHE wedges of its owned apexes, walked with the
+   probe loop of the sequential NNN phase
+   (:func:`~repro.tc.intersect.wedge_keys`): per chunk, one gather of
+   the owner map routes the wedges' 8-byte arc keys, the checks whose
+   middle vertex the shard also owns are answered at once, and the
+   rest become one query block per remote target shard;
+3. **exchange** — every pair of shards shares one duplex pipe, and each
+   direction streams the sender's query blocks and one empty block,
+   then its answer blocks and one empty block.  A shard answers each
+   incoming query block as it arrives, through the
+   :class:`~repro.tc.intersect.KeySet` of its own NHE arc keys, and
+   sends the boolean block back on the same pipe; no shard holds a
+   shard-sized query or answer array.  A helper thread makes every
+   send, so two shards that send to each other never both block on a
+   full pipe.  Every remote hit is an NNN triangle.
 
-The coordinator never sees a query or an answer: it forks the shards,
-blocks in :func:`multiprocessing.connection.wait` on one control pipe
-per shard and the process sentinels, and reads each shard's final
-report (its result and, when tracing, its telemetry payload).
+A shard also counts its share of the edge-cut — the arcs of its owned
+rows whose other end another shard owns — so the coordinator's serial
+plan keeps only what every shard needs.  The coordinator never sees a
+query or an answer: it forks the shards, blocks in
+:func:`multiprocessing.connection.wait` on one control pipe per shard
+and the process sentinels, and reads each shard's final report (its
+counts, traffic and edge-cut share and, when tracing, its telemetry
+payload).
 
 The orientation is the exact LOTUS relabeling (``ra`` + ``hub_count``
 from :class:`~repro.core.structure.LotusConfig`), so the merged
@@ -52,7 +61,8 @@ check it between stages, and the coordinator raises ``TimeoutError``;
 a shard still inside a stage ``_DRAIN_S`` past it is terminated, and
 its spans are lost.  With an enabled registry each shard records real
 worker-side spans (``shard`` with ``hub``/``enumerate``/``exchange``/
-``tally`` children) that are stitched under the coordinator's
+``tally`` children; the first three record the stage's
+``minor_faults``) that are stitched under the coordinator's
 ``distributed`` span, and the run emits the ``dist.*`` metric family
 (shard edge counts, boundary-edge ratio, local/remote NNN checks, bytes
 exchanged, bytes replicated).
@@ -65,8 +75,11 @@ from __future__ import annotations
 
 import os
 import queue
+import resource
 import threading
 import time
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,11 +87,17 @@ import numpy as np
 from repro.core.count import LotusCounts
 from repro.core.structure import LotusConfig
 from repro.dist.partition import PARTITIONERS
-from repro.dist.plan import ShardPlan, build_plan, lotus_rank, shard_hub_counts
+from repro.dist.plan import (
+    ShardPlan,
+    build_plan,
+    lotus_rank,
+    shard_cut_arcs,
+    shard_hub_counts,
+)
 from repro.graph.csr import CSRGraph
 from repro.obs import get_registry
 from repro.obs.telemetry import TraceContext, stitch_worker_payloads
-from repro.tc.intersect import KeySet, wedge_chunks
+from repro.tc.intersect import KeySet, wedge_keys
 from repro.util.arrays import arc_keys
 
 __all__ = [
@@ -101,6 +120,9 @@ _DRAIN_S = 0.5
 
 # coordinator -> shard: a peer failed, stop and report
 _ABORT = "abort"
+
+# shard -> shard: the empty block that ends a stream of queries or answers
+_END = np.empty(0, dtype=np.uint8)
 
 # CLI-friendly aliases for PARTITIONERS keys
 _PARTITIONER_ALIASES = {"degree": "degree_balanced"}
@@ -176,9 +198,25 @@ def _check_deadline(deadline_abs: float | None) -> None:
         raise _Abort("deadline")
 
 
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+@contextmanager
+def _stage(registry, name: str, root_span, shard: int):
+    """One shard stage's span, recording ``minor_faults``: the minor page
+    faults the shard process took during the stage."""
+    with registry.span(name, parent=root_span, shard=shard) as span:
+        faults = _minor_faults()
+        try:
+            yield span
+        finally:
+            span.set("minor_faults", _minor_faults() - faults)
+
+
 def _hub_stage(payload: dict, bitsets, registry, root_span) -> tuple[int, int, int]:
     """Stage 1: the shard's HHH/HHN/HNN counts, from replicated HE alone."""
-    with registry.span("hub", parent=root_span, shard=payload["shard"]) as span:
+    with _stage(registry, "hub", root_span, payload["shard"]) as span:
         hhh, hhn, hnn, arcs = shard_hub_counts(payload, bitsets)
         if span.enabled:
             span.set("kernel", "probe" if bitsets is None else "bitset")
@@ -190,59 +228,60 @@ def _hub_stage(payload: dict, bitsets, registry, root_span) -> tuple[int, int, i
 def _enumerate_shard(payload: dict, registry, root_span):
     """Stage 2: NHE wedge enumeration + local membership checks.
 
-    Returns ``(nnn, local_checks, own_keys, queries)`` where ``nnn``
-    counts the local hits, ``own_keys`` is the
-    :class:`~repro.tc.intersect.KeySet` of the owned NHE arcs (which
-    also answers remote queries), and ``queries`` maps every other shard
-    to the arc keys it must answer (possibly none).
+    The wedges of the owned rows come from the probe loop of the
+    sequential NNN phase (:func:`~repro.tc.intersect.wedge_keys`), routed
+    by one gather of the narrow ``owner`` per chunk: one compress keeps
+    the local keys, which are counted at once, and one compress per peer
+    makes that chunk's query block for it.  Returns ``(nnn, local_checks,
+    own_keys, blocks)`` where ``nnn`` counts the local hits, ``own_keys``
+    is the :class:`~repro.tc.intersect.KeySet` of the owned NHE arcs
+    (which also answers remote queries), and ``blocks`` maps every other
+    shard to its non-empty query blocks, in walk order (possibly none).
     """
     shard = payload["shard"]
     n = payload["num_vertices"]
-    owner = payload["owner"]
-    apexes = payload["apexes"]
     indptr = payload["nhe_indptr"]
     indices = payload["nhe_indices"]
+    peers = [t for t in range(payload["workers"]) if t != shard]
 
-    own_keys = KeySet(arc_keys(apexes, indptr, indices, n))
+    own_keys = KeySet(arc_keys(payload["apexes"], indptr, indices, n))
     nnn = local_checks = 0
-    query_parts: list[list[np.ndarray]] = [[] for _ in range(payload["workers"])]
+    blocks: dict[int, deque] = {t: deque() for t in peers}
 
-    with registry.span("enumerate", parent=root_span, shard=shard) as span:
+    with _stage(registry, "enumerate", root_span, shard) as span:
         wedges = verified = 0
-        for _, b, c in wedge_chunks(indptr, indices, apexes):
-            wedges += b.size
-            target = owner[b]
-            keys = b * n + c
+        for target, keys in wedge_keys(indptr, indices, n, payload["owner"]):
+            wedges += keys.size
             local = target == shard
-            local_checks += int(np.count_nonzero(local))
-            found, passed = own_keys.count(keys[local])
+            mine = keys[local]
+            local_checks += mine.size
+            found, passed = own_keys.count(mine)
             nnn += found
             verified += passed
-            remote = ~local
-            for t in np.unique(target[remote]):
-                query_parts[t].append(keys[remote & (target == t)])
+            for t in peers:
+                block = keys[target == t]
+                if block.size:
+                    blocks[t].append(block)
         span.set("wedges", wedges)
         span.set("local_checks", local_checks)
         span.set("keys_verified", verified)
-
-    queries = {
-        t: np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        for t, parts in enumerate(query_parts)
-        if t != shard
-    }
-    return nnn, local_checks, own_keys, queries
+    return nnn, local_checks, own_keys, blocks
 
 
-def _exchange(links: dict, control, own_keys: KeySet, queries: dict,
+def _exchange(links: dict, control, own_keys: KeySet, blocks: dict,
               deadline_abs: float | None, traffic: dict) -> int:
-    """Stage 3: send each peer its queries, answer theirs; returns the hits.
+    """Stage 3: stream each peer its query blocks, answer theirs; returns
+    the hits.
 
     ``links`` maps every peer shard to this shard's end of their duplex
-    pipe.  Each direction carries two raw-byte messages: the sender's
-    query keys, then its answers to the other side's keys.  A helper
-    thread makes every send — the query batches first, then each answer
-    as it is ready — so this thread only receives, and it also waits on
-    the control pipe, so an abort or the deadline releases it.
+    pipe.  Each direction carries, in order, the sender's query blocks
+    and one empty block, then its answer blocks, one per query block of
+    the other side in the order they arrived, and one empty block.  A
+    helper thread makes every send — the query blocks first, each freed
+    once sent, then each answer block as it is ready — so this thread
+    only receives: it answers each query block as it arrives, through
+    ``own_keys``, and counts the hits in each answer block.  It also
+    waits on the control pipe, so an abort or the deadline releases it.
     ``traffic`` accumulates ``bytes_sent``, ``bytes_received``,
     ``queries_answered`` and ``wait_s``, the time blocked on peers.
     """
@@ -257,12 +296,18 @@ def _exchange(links: dict, control, own_keys: KeySet, queries: dict,
         peer = None
         try:
             for peer, conn in links.items():
-                conn.send_bytes(queries[peer])
-                traffic["bytes_sent"] += queries[peer].nbytes
-            for _ in links:
+                pending = blocks[peer]
+                while pending:
+                    block = pending.popleft()
+                    conn.send_bytes(block)
+                    traffic["bytes_sent"] += block.nbytes
+                conn.send_bytes(_END)
+            open_streams = len(links)
+            while open_streams:
                 peer, answers = outbox.get()
                 links[peer].send_bytes(answers)
                 traffic["bytes_sent"] += answers.nbytes
+                open_streams -= not answers.size
         except OSError:
             lost.append(peer)
         finally:
@@ -270,11 +315,12 @@ def _exchange(links: dict, control, own_keys: KeySet, queries: dict,
 
     threading.Thread(target=send_all, daemon=True).start()
     peer_of = {conn: peer for peer, conn in links.items()}
-    unqueried, unanswered = set(links), set(links)
+    # peers still sending queries, and peers still sending anything
+    querying, open_peers = set(links), set(links)
     sending, hits = True, 0
     try:
-        while sending or unqueried or unanswered:
-            watch = [control] + [links[p] for p in unqueried | unanswered]
+        while sending or open_peers:
+            watch = [control] + [links[p] for p in open_peers]
             started = time.perf_counter()
             ready = wait(watch + [done] if sending else watch, _remaining(deadline_abs))
             traffic["wait_s"] += time.perf_counter() - started
@@ -294,14 +340,18 @@ def _exchange(links: dict, control, own_keys: KeySet, queries: dict,
                 except (EOFError, OSError):
                     raise _Abort(f"lost shard {peer}") from None
                 traffic["bytes_received"] += len(data)
-                if peer in unqueried:
-                    unqueried.discard(peer)
-                    answers = own_keys.contains(np.frombuffer(data, dtype=np.int64))
-                    traffic["queries_answered"] += answers.size
+                if peer in querying:
+                    if data:
+                        answers = own_keys.contains(np.frombuffer(data, dtype=np.int64))
+                        traffic["queries_answered"] += answers.size
+                    else:
+                        querying.discard(peer)
+                        answers = _END  # after every answer block to this peer
                     outbox.put((peer, answers))
-                else:
-                    unanswered.discard(peer)
+                elif data:
                     hits += int(np.count_nonzero(np.frombuffer(data, dtype=bool)))
+                else:
+                    open_peers.discard(peer)
     finally:
         done.close()
     return hits
@@ -312,7 +362,9 @@ def _run_shard(plan: ShardPlan, shard: int, control, links: dict,
     """The full worker-side protocol; returns the shard's result dict.
 
     A deadline, an abort or a lost peer stops it with a ``{"shard",
-    "error"}`` result; the spans closed so far still ship.
+    "error"}`` result; the spans closed so far still ship.  A result
+    carries the shard's phase counts, its checks and traffic, and
+    ``cut_arcs``, its share of the edge-cut.
     """
     started = time.perf_counter()
     payload = plan.shard_payload(shard)
@@ -322,15 +374,16 @@ def _run_shard(plan: ShardPlan, shard: int, control, links: dict,
     try:
         hhh, hhn, hnn = _hub_stage(payload, plan.bitsets, registry, root_span)
         _check_deadline(deadline_abs)
-        nnn, local_checks, own_keys, queries = _enumerate_shard(
+        nnn, local_checks, own_keys, blocks = _enumerate_shard(
             payload, registry, root_span
         )
         _check_deadline(deadline_abs)
-        with registry.span("exchange", parent=root_span, shard=shard) as span:
-            span.set("queries_sent", sum(q.size for q in queries.values()))
+        remote_checks = sum(block.size for stream in blocks.values() for block in stream)
+        with _stage(registry, "exchange", root_span, shard) as span:
+            span.set("queries_sent", remote_checks)
             try:
                 hits = _exchange(
-                    links, control, own_keys, queries, deadline_abs, traffic
+                    links, control, own_keys, blocks, deadline_abs, traffic
                 )
             finally:
                 for key, value in traffic.items():
@@ -341,14 +394,14 @@ def _run_shard(plan: ShardPlan, shard: int, control, links: dict,
     with registry.span("tally", parent=root_span, shard=shard) as span:
         nnn += hits
         triangles = hhh + hhn + hnn + nnn
+        cut_arcs = shard_cut_arcs(payload)
         span.set("triangles", triangles)
+        span.set("cut_arcs", cut_arcs)
 
     if root_span is not None:
         root_span.set("triangles", triangles)
         root_span.set(
-            "arcs",
-            int(np.diff(payload["he"].indptr)[payload["apexes"]].sum())
-            + int(payload["nhe_indices"].size),
+            "arcs", int(payload["he_indices"].size + payload["nhe_indices"].size)
         )
     return {
         "shard": shard,
@@ -358,8 +411,9 @@ def _run_shard(plan: ShardPlan, shard: int, control, links: dict,
         "hhh": hhh,
         "triangles": triangles,
         "local_checks": local_checks,
-        "remote_checks": sum(q.size for q in queries.values()),
+        "remote_checks": remote_checks,
         "bytes_exchanged": traffic["bytes_sent"],
+        "cut_arcs": cut_arcs,
         "wall_s": time.perf_counter() - started,
     }
 
@@ -501,12 +555,7 @@ def _await_reports(procs, controls, deadline_abs, traced: bool):
     return reports, min(failures, key=rank, default=None)
 
 
-def _empty_result(shards: int, partitioner: str, hub_count: int,
-                  plan: ShardPlan | None = None) -> DistributedRunResult:
-    arcs = (
-        plan.shard_arc_counts() if plan is not None
-        else np.zeros(shards, dtype=np.int64)
-    )
+def _empty_result(shards: int, partitioner: str, hub_count: int) -> DistributedRunResult:
     return DistributedRunResult(
         counts=LotusCounts(0, 0, 0, 0),
         shards=shards,
@@ -515,8 +564,8 @@ def _empty_result(shards: int, partitioner: str, hub_count: int,
         hub_edges=0,
         non_hub_edges=0,
         per_shard_triangles=np.zeros(shards, dtype=np.int64),
-        per_shard_arcs=arcs,
-        boundary_edges=plan.boundary_edges if plan is not None else 0,
+        per_shard_arcs=np.zeros(shards, dtype=np.int64),
+        boundary_edges=0,
         boundary_edge_ratio=0.0,
         local_checks=0,
         remote_checks=0,
@@ -565,15 +614,12 @@ def run_distributed_count(
         plan = build_plan(graph, owner, shards, rank=ra, hub_count=hub_count)
         per_shard_arcs = plan.shard_arc_counts()
         replicated_bytes = plan.replicated_bytes()
-        boundary_ratio = plan.boundary_edges / graph.num_edges
 
         registry.gauge("dist.shards").set(shards)
-        registry.gauge("dist.boundary_edge_ratio").set(boundary_ratio)
         edges_hist = registry.histogram("dist.shard_edges")
         for count in per_shard_arcs:
             edges_hist.observe(int(count))
         dspan.set("hub_count", hub_count)
-        dspan.set("boundary_edges", plan.boundary_edges)
 
         trace_ctx = TraceContext.from_span(dspan)
         trace_wire = trace_ctx.to_wire() if trace_ctx is not None else None
@@ -648,15 +694,19 @@ def run_distributed_count(
         local_checks = sum(r["local_checks"] for r in results)
         remote_checks = sum(r["remote_checks"] for r in results)
         bytes_exchanged = sum(r["bytes_exchanged"] for r in results)
+        boundary_edges = sum(r["cut_arcs"] for r in results)
+        boundary_ratio = boundary_edges / graph.num_edges
 
         registry.counter("dist.local_checks").add(local_checks)
         registry.counter("dist.remote_checks").add(remote_checks)
         registry.counter("dist.bytes_exchanged").add(bytes_exchanged)
         registry.counter("dist.replicated_bytes").add(replicated_bytes)
+        registry.gauge("dist.boundary_edge_ratio").set(boundary_ratio)
         wall_hist = registry.histogram("dist.shard_wall_s")
         for r in results:
             wall_hist.observe(r["wall_s"])
         dspan.set("triangles", counts.total)
+        dspan.set("boundary_edges", boundary_edges)
         dspan.set("bytes_exchanged", bytes_exchanged)
 
         return DistributedRunResult(
@@ -668,7 +718,7 @@ def run_distributed_count(
             non_hub_edges=plan.nhe.num_edges,
             per_shard_triangles=per_shard_triangles,
             per_shard_arcs=per_shard_arcs,
-            boundary_edges=plan.boundary_edges,
+            boundary_edges=boundary_edges,
             boundary_edge_ratio=boundary_ratio,
             local_checks=local_checks,
             remote_checks=remote_checks,

@@ -29,6 +29,7 @@ from repro.dist.plan import (
     build_plan,
     degree_rank,
     identity_rank,
+    shard_cut_arcs,
     shard_hub_counts,
 )
 from repro.graph.csr import CSRGraph
@@ -46,7 +47,8 @@ class DistributedTCReport:
     owns its apex (highest-ranked vertex) — the same attribution the
     runtime uses.  Wedge checks are the NHE wedges that the exchange
     carries: ``work_imbalance`` is max/mean of them per shard.
-    ``total_comm_edges`` is the undirected edge-cut of the partition;
+    ``total_comm_edges`` is the undirected edge-cut of the partition,
+    summed from the shards' shares as the runtime sums it;
     ``bytes_exchanged`` is the predicted protocol traffic and
     ``replicated_bytes`` the HE copies shipped to the shards.
     """
@@ -109,11 +111,12 @@ def simulate_distributed_tc(
             per_worker_triangles += np.bincount(
                 apex_shard[hit], minlength=workers
             )
-    if plan.hub_count:
-        for shard in range(workers):
-            hhh, hhn, hnn, _ = shard_hub_counts(
-                plan.shard_payload(shard), plan.bitsets
-            )
+    cut_arcs = 0
+    for shard in range(workers):
+        payload = plan.shard_payload(shard)
+        cut_arcs += shard_cut_arcs(payload)
+        if plan.hub_count:
+            hhh, hhn, hnn, _ = shard_hub_counts(payload, plan.bitsets)
             per_worker_triangles[shard] += hhh + hhn + hnn
 
     total_checks = int(per_worker_checks.sum())
@@ -128,7 +131,7 @@ def simulate_distributed_tc(
         triangles=int(per_worker_triangles.sum()),
         per_worker_triangles=per_worker_triangles,
         per_worker_wedge_checks=per_worker_checks,
-        total_comm_edges=plan.boundary_edges,
+        total_comm_edges=cut_arcs,
         local_wedge_checks=local,
         remote_wedge_checks=remote,
         bytes_exchanged=remote * (QUERY_BYTES + ANSWER_BYTES),

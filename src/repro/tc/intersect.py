@@ -20,7 +20,9 @@ the distributed wedge protocol live here too:
   CSR rows, enumerated in bounded chunks by one walk over the arcs, then
   tested as int64 arc keys (:func:`~repro.util.arrays.arc_keys`): a
   one-bit-per-slot hash filter rejects most absent keys, and only its
-  hits reach the exact ``searchsorted`` of :func:`match_keys`;
+  hits reach the exact ``searchsorted`` of :func:`match_keys`.
+  :func:`wedge_keys` is the probe loop over that walk, shared by the
+  sequential NNN phase and the distributed shards;
 * :func:`batch_pairwise_counts` — the same :class:`KeySet` probe for
   paired rows: every element of the smaller row of a pair, keyed into
   the other row.
@@ -49,13 +51,15 @@ __all__ = [
     "pack_row_bitsets",
     "popcount_pairs",
     "wedge_chunks",
+    "wedge_keys",
     "match_keys",
     "KeySet",
     "INTERSECT_KERNELS",
 ]
 
-# wedges per wedge_chunks block: the one enumeration chunk of the LOTUS
-# phases, the distributed shards and the memsim replays
+# wedges per wedge_chunks block: the enumeration chunk of the H2H probes,
+# the simulator and the memsim replays; the NNN and shard probe loop
+# (wedge_keys) walks a quarter of it
 _WEDGE_CHUNK = 1 << 18
 # KeySet filter: slots per key (rounded up to a power of two, ~4% false
 # positives) and the cap on its slots, one bit each (an 8 MB filter)
@@ -420,6 +424,31 @@ def wedge_chunks(
         c += np.arange(lo, hi, dtype=np.int64)
         c = window[c]
         yield np.repeat(apex_ids[r0 : r1 + 1], row_wedges), np.repeat(window[k0:k1], take), c
+
+
+def wedge_keys(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    n: int,
+    route: np.ndarray | None = None,
+) -> Iterator[tuple[np.ndarray | None, np.ndarray]]:
+    """Every wedge ``(b, c)`` of a compact CSR as its arc key ``b * n + c``,
+    one probe chunk at a time: the probe loop of NNN and of the shards.
+
+    A probe chunk is a quarter of :data:`_WEDGE_CHUNK` (read at call
+    time), so a probe's few chunk-sized arrays stay in L2.  The walk's
+    apexes go unused, so int32 ones halve their blocks, and each chunk's
+    keys are built in place in its ``b`` block.  Yields ``(route[b],
+    keys)``, the gather taken before ``b`` is keyed, or ``(None, keys)``
+    without a ``route``.
+    """
+    chunk = max(_WEDGE_CHUNK >> 2, 1)
+    rows = np.arange(indptr.size - 1, dtype=np.int32)
+    for _, b, c in wedge_chunks(indptr, indices, rows, chunk):
+        target = None if route is None else route[b]
+        b *= n
+        b += c
+        yield target, b
 
 
 def match_keys(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:

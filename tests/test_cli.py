@@ -175,7 +175,7 @@ class TestReport:
         roots = spans_from_report(report)
         lotus = next(s for s in roots if s.name == "lotus")
         child_names = [c.name for c in lotus.children]
-        assert child_names == ["preprocess", "hhh+hhn", "hnn", "nnn"]
+        assert child_names == ["preprocess", "kernel_state", "hhh+hhn", "hnn", "nnn"]
         assert lotus.attrs["triangles"] == report["meta"]["triangles"]
 
     def test_json_report_other_algorithm(self, npz_file, capsys):

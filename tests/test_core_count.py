@@ -373,12 +373,31 @@ class TestTwoLanes:
         assert root.name == "lotus"
         # the lanes close their spans in either order
         assert sorted(c.name for c in root.children) == sorted(
-            ["preprocess", "hhh+hhn", "hnn", "nnn"]
+            ["preprocess", "kernel_state", "hhh+hhn", "hnn", "nnn"]
         )
         assert all(c.parent_id == root.span_id and not c.children for c in root.children)
         assert {s.trace_id for s in root.iter_spans()} == {root.trace_id}
         assert root.find("hhh+hhn").attrs["kernel"] == "bitset"
         assert root.find("nnn").attrs["nnn"] == result.extra["counts"].nnn
+
+    def test_hub_operands_build_in_a_kernel_state_phase(self, powerlaw_small, schedule):
+        """Either schedule builds the bitsets and operand pairs in a
+        ``kernel_state`` phase that ends before a hub phase starts; a
+        state that holds them skips it."""
+        lotus = build_lotus_graph(powerlaw_small)
+        timer = count_mod.PhaseTimer()
+        state = count_mod.KernelState(lotus)
+        with use_registry() as reg:
+            counts = lotus_count_from_structure(lotus, timer=timer, state=state)
+        build = reg.find_span("kernel_state")
+        assert build.attrs["state_bytes"] > 0
+        assert "kernel_state" in timer.phases
+        for phase in ("hhh+hhn", "hnn"):
+            assert reg.find_span(phase).start >= build.start + build.elapsed
+        retained = count_mod.KernelState(lotus, retain=True).build()
+        with use_registry() as reg:
+            assert lotus_count_from_structure(lotus, state=retained) == counts
+        assert reg.find_span("kernel_state") is None
 
     def test_traced_peak_stays_near_the_in_order_peak(self, monkeypatch):
         """A cold count's peak: the hub operands that stay alive beside

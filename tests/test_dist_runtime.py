@@ -4,11 +4,13 @@ Covers exactness (per-phase parity with the sequential counter and the
 dense-matrix oracle, across hub counts, partitioners and shard counts,
 and through the in-shard bitset-budget fallback), the work invariant of
 the NNN exchange, the simulator-vs-runtime differential contract
-(``simulate_distributed_tc`` predicts the measured ``dist.*`` traffic),
-failure semantics (a shard crash at start or mid-exchange, a survivor
-that exits without a report or is slow to reach the exchange, a
-deadline, a shard stalled past it), telemetry stitching and the
-``exchange`` counters, and the serve-engine integration.
+(``simulate_distributed_tc`` predicts the measured ``dist.*`` traffic
+and edge-cut), the streamed exchange (empty streams, many blocks per
+peer), failure semantics (a shard crash at start, mid-exchange or after
+its first block, a survivor that exits without a report or is slow to
+reach the exchange, a deadline, a shard stalled past it), telemetry
+stitching and the ``exchange`` counters, and the serve-engine
+integration.
 """
 
 import multiprocessing
@@ -30,11 +32,19 @@ from repro.dist import (
     runtime,
     simulate_distributed_tc,
 )
+from repro.dist.plan import build_plan
 from repro.dist.runtime import FAULT_EXIT_CODE
-from repro.graph import DATASETS, erdos_renyi, load_dataset, powerlaw_chung_lu
+from repro.graph import (
+    DATASETS,
+    erdos_renyi,
+    from_edges,
+    load_dataset,
+    powerlaw_chung_lu,
+)
 from repro.obs import use_registry
 from repro.tc import count_triangles_matrix
-from repro.tc.intersect import KeySet
+from repro.tc import intersect as intersect_mod
+from repro.tc.intersect import KeySet, wedge_keys
 
 CONFIG = LotusConfig(hub_count=48)
 
@@ -175,7 +185,10 @@ class TestSimulatorDifferential:
         assert run.bytes_exchanged == sim.bytes_exchanged
         assert run.remote_checks == sim.remote_wedge_checks
         assert run.local_checks == sim.local_wedge_checks
-        assert run.boundary_edges == sim.total_comm_edges
+        # the shards' edge-cut shares sum to the input graph's edge-cut
+        src = np.repeat(np.arange(skew_graph.num_vertices), skew_graph.degrees())
+        cut = np.count_nonzero(owner[src] != owner[skew_graph.indices]) // 2
+        assert run.boundary_edges == sim.total_comm_edges == cut > 0
         assert run.replicated_bytes == sim.replicated_bytes > 0
         assert run.counts.total == sim.triangles
         np.testing.assert_array_equal(
@@ -187,6 +200,84 @@ class TestSimulatorDifferential:
         assert run.remote_checks == 0
         assert run.bytes_exchanged == 0
         assert run.boundary_edge_ratio == 0.0
+
+
+def islands_graph(shards, k=60):
+    """Random edges spanning the first two ``block`` shards' ID ranges,
+    and random edges inside each later range only: shards 0 and 1 query
+    each other, and every other stream carries no key."""
+    rng = np.random.default_rng(shards)
+    parts = [rng.integers(0, 2 * k, size=(8 * k, 2))]
+    parts += [s * k + rng.integers(0, k, size=(4 * k, 2)) for s in range(2, shards)]
+    return from_edges(np.concatenate(parts), num_vertices=shards * k)
+
+
+def exchange_attrs(reg):
+    """Each shard's ``exchange`` span attributes, by shard."""
+    shards = reg.find_span("distributed").find_all("shard")
+    return {s.attrs["shard"]: s.find("exchange").attrs for s in shards}
+
+
+class TestStreamedExchange:
+    """Each direction of a shard pair streams the sender's query blocks,
+    one empty block, its answer blocks and one more empty block; the
+    traffic is the simulator's, block by block.  A stream left open
+    fails at the deadline instead of hanging the suite."""
+
+    @pytest.mark.parametrize("shards", [3, 4])
+    def test_empty_streams(self, shards):
+        graph = islands_graph(shards)
+        config = LotusConfig(hub_count=8)
+        rank, hub_count = lotus_rank(graph, config)
+        sim = simulate_distributed_tc(
+            graph, PARTITIONERS["block"](graph, shards), shards,
+            rank=rank, hub_count=hub_count,
+        )
+        with use_registry() as reg:
+            run = run_distributed_count(
+                graph, config=config, shards=shards, partitioner="block",
+                deadline_s=60.0,
+            )
+        assert run.counts == lotus_count_from_structure(build_lotus_graph(graph, config))
+        assert run.bytes_exchanged == sim.bytes_exchanged > 0
+        assert run.boundary_edges == sim.total_comm_edges
+        exchange = exchange_attrs(reg)
+        assert exchange[0]["queries_sent"] > 0 and exchange[1]["queries_sent"] > 0
+        for s in range(2, shards):
+            assert exchange[s]["queries_sent"] == exchange[s]["queries_answered"] == 0
+            assert exchange[s]["bytes_sent"] == exchange[s]["bytes_received"] == 0
+        assert sum(e["queries_answered"] for e in exchange.values()) == run.remote_checks
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_many_blocks_per_peer(self, shards, skew_graph, monkeypatch):
+        # 64-wedge probe chunks; the fork carries the patch into the shards
+        monkeypatch.setattr(intersect_mod, "_WEDGE_CHUNK", 256)
+        rank, hub_count = lotus_rank(skew_graph, CONFIG)
+        owner = PARTITIONERS["hash"](skew_graph, shards)
+        plan = build_plan(skew_graph, owner, shards, rank=rank, hub_count=hub_count)
+        for s in range(shards):
+            payload = plan.shard_payload(s)
+            blocks = sum(
+                np.bincount(target, minlength=shards) > 0
+                for target, _ in wedge_keys(
+                    payload["nhe_indptr"], payload["nhe_indices"],
+                    payload["num_vertices"], payload["owner"],
+                )
+            )
+            assert all(blocks[t] > 1 for t in range(shards) if t != s)
+        sim = simulate_distributed_tc(
+            skew_graph, owner, shards, rank=rank, hub_count=hub_count
+        )
+        with use_registry() as reg:
+            run = run_distributed_count(
+                skew_graph, config=CONFIG, shards=shards, deadline_s=60.0
+            )
+        exchange = exchange_attrs(reg).values()
+        sent = sum(e["bytes_sent"] for e in exchange)
+        received = sum(e["bytes_received"] for e in exchange)
+        assert sent == received == run.bytes_exchanged == sim.bytes_exchanged > 0
+        assert run.remote_checks == sim.remote_wedge_checks
+        assert run.counts.total == sim.triangles
 
 
 class TestFailureSemantics:
@@ -278,6 +369,22 @@ class TestFailureSemantics:
         error, _ = self._run_failing(ShardFailedError)
         assert error.shard == 1
         assert error.exitcode == FAULT_EXIT_CODE
+
+    def test_shard_dies_after_its_first_block(self, monkeypatch):
+        """Shard 1 answers one query block and dies before the next: the
+        survivors, still streaming, stop on the lost peer or the abort."""
+        # 256-wedge probe chunks: every peer sends shard 1 several blocks
+        monkeypatch.setattr(intersect_mod, "_WEDGE_CHUNK", 1024)
+        answered = []
+
+        def die_on_second_block():
+            answered.append(1)
+            if len(answered) > 1:
+                os._exit(FAULT_EXIT_CODE)
+
+        self._in_shard_1(monkeypatch, die_on_second_block)
+        error, _ = self._run_failing(ShardFailedError)
+        assert (error.shard, error.exitcode) == (1, FAULT_EXIT_CODE)
 
     def test_survivor_exiting_without_report(self, monkeypatch):
         """Shard 1 dies mid-exchange and shard 0 exits without a report,

@@ -130,7 +130,7 @@ class TestPipelineSpanTrees:
         root = reg.find_span("lotus")
         assert root is not None
         phases = [c.name for c in root.children]
-        assert phases == ["preprocess", "hhh+hhn", "hnn", "nnn"]
+        assert phases == ["preprocess", "kernel_state", "hhh+hhn", "hnn", "nnn"]
         assert root.attrs["triangles"] == result.triangles
         pre = root.find("preprocess")
         assert pre.attrs["he_edges"] + pre.attrs["nhe_edges"] == graph.num_edges

@@ -116,7 +116,7 @@ class TestRoundTrip:
         assert [r.name for r in rebuilt] == [r.name for r in roots]
         (lotus,) = [r for r in rebuilt if r.name == "lotus"]
         assert [c.name for c in lotus.children] == \
-            ["preprocess", "hhh+hhn", "hnn", "nnn"]
+            ["preprocess", "kernel_state", "hhh+hhn", "hnn", "nnn"]
         # microsecond rounding: durations agree to within 1 us per span
         total = sum(r.elapsed for r in roots)
         assert trace_total_duration(trace) == pytest.approx(total, abs=1e-5)

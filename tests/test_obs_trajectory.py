@@ -97,7 +97,7 @@ class TestOverheadMeasurements:
         phases = {
             k.split(".")[2]: v for k, v in info.items() if k.startswith("perf.")
         }
-        assert set(phases) == {"preprocess", "hhh+hhn", "hnn", "nnn"}
+        assert set(phases) == {"preprocess", "kernel_state", "hhh+hhn", "hnn", "nnn"}
         assert all(v >= 0 for v in phases.values())
         assert sum(phases.values()) <= info[f"telemetry.{dataset}.off_seconds"] + 1e-3
         assert not any(k.startswith("perf.") for k in metrics)
