@@ -30,16 +30,21 @@ Commands:
 * ``replay``      — stream a timestamped edge file through a
   :class:`~repro.dynamic.graph.DynamicGraph`, reporting the triangle-
   count trajectory (exact incremental maintenance; see
-  ``docs/dynamic.md``).
+  ``docs/dynamic.md``);
+* ``metrics``     — render a recorded metrics snapshot (a file, an obs
+  report or a ledger run) in Prometheus text format;
+* ``profile``     — run a count under the span-attributed sampling
+  profiler: a hot-frame table plus folded / speedscope exports.
 
 A ``serve`` session also accepts dynamic-graph update requests
 (``{"op": "insert"/"delete"/"compact", "edges": [[u, v], ...]}``);
 counts against an updated source are served from versioned snapshots.
 
-Input errors (missing files, malformed artifacts, unresolvable run
-references) print a one-line ``error: ...`` and exit with status 2.
-Malformed *request lines* inside a ``serve`` session do not kill the
-session: each gets a per-request error response on stdout instead.
+Input errors (out-of-range flag values, a missing or doubled graph
+source, missing files, malformed artifacts, unresolvable run references)
+print a one-line ``error: ...`` and exit with status 2.  Malformed
+*request lines* inside a ``serve`` session do not kill the session: each
+gets a per-request error response on stdout instead.
 """
 
 from __future__ import annotations
@@ -48,17 +53,21 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from repro.core import LotusConfig, count_triangles_lotus, hub_characteristics
-from repro.core.count import BACKENDS
 from repro.core.adaptive import count_triangles_adaptive
+from repro.core.count import BACKENDS
 from repro.graph import DATASETS, load_dataset, load_edgelist, load_npz
+from repro.memsim import MACHINES, MemoryHierarchy, algorithm_traces
 from repro.obs import (
+    Span,
     build_report,
     render_span_tree,
     report_to_csv,
     report_to_json,
     spans_from_report,
+    trace_from_record,
     use_registry,
 )
 from repro.obs.ledger import (
@@ -69,26 +78,26 @@ from repro.obs.ledger import (
     diff_runs,
     format_run_diff,
 )
-from repro.tc import (
-    count_triangles_edge_iterator,
-    count_triangles_forward,
-    count_triangles_forward_hashed,
-    count_triangles_block,
-    count_triangles_node_iterator,
-)
+from repro.tc import COUNTERS, count_triangles_forward
 
-ALGORITHMS = {
-    "lotus": lambda g, hubs: count_triangles_lotus(
-        g, LotusConfig(hub_count=hubs) if hubs else None
+ALGORITHMS = sorted(("lotus", "adaptive", *COUNTERS))
+
+# the lower bound of every numeric flag, by dest: counts and sizes are
+# ">= 1" (``--warm`` may be 0), durations "> 0"; ``main`` checks them all
+# before any command runs, and a flag left at ``None`` is not checked
+_BOUNDS = {
+    **dict.fromkeys(
+        ("hub_count", "scale", "shards", "workers", "cache_bytes",
+         "cache_entries", "max_queue", "max_batch", "top", "repeat", "batch",
+         "compact_every"),
+        (">=", 1),
     ),
-    "adaptive": lambda g, hubs: count_triangles_adaptive(
-        g, LotusConfig(hub_count=hubs) if hubs else None
+    "warm": (">=", 0),
+    **dict.fromkeys(
+        ("timeout", "slow_query_ms", "metrics_interval", "interval_ms",
+         "profile_interval_ms", "profile_window"),
+        (">", 0),
     ),
-    "forward": lambda g, _: count_triangles_forward(g),
-    "forward-hashed": lambda g, _: count_triangles_forward_hashed(g),
-    "edge-iterator": lambda g, _: count_triangles_edge_iterator(g),
-    "node-iterator": lambda g, _: count_triangles_node_iterator(g),
-    "block": lambda g, _: count_triangles_block(g),
 }
 
 
@@ -98,51 +107,81 @@ def _fail(message: str) -> "SystemExit":
     raise SystemExit(2)
 
 
+def _check_graph_source(args: argparse.Namespace) -> None:
+    """Exactly one of ``--dataset``/``--file``: a registered dataset or an
+    existing file."""
+    if (args.dataset is None) == (args.file is None):
+        _fail("specify exactly one of --dataset NAME or --file PATH")
+    if args.dataset is not None and args.dataset not in DATASETS:
+        _fail(f"unknown dataset {args.dataset!r}; see `repro datasets`")
+    if args.file is not None and not os.path.exists(args.file):
+        _fail(f"no such file: {args.file}")
+
+
 def _load_graph(args: argparse.Namespace):
-    if args.dataset:
-        if args.dataset not in DATASETS:
-            _fail(f"unknown dataset {args.dataset!r}; see `repro datasets`")
+    if args.dataset is not None:
         return load_dataset(args.dataset)
-    if args.file:
-        if not os.path.exists(args.file):
-            _fail(f"no such file: {args.file}")
-        try:
-            if args.file.endswith(".npz"):
-                return load_npz(args.file)
-            return load_edgelist(args.file)
-        except SystemExit:
-            raise
-        except Exception as exc:  # malformed edge list / npz payload
-            _fail(f"cannot load graph from {args.file}: {exc}")
-    raise SystemExit("specify --dataset NAME or --file PATH")
+    try:
+        if args.file.endswith(".npz"):
+            return load_npz(args.file)
+        return load_edgelist(args.file)
+    except Exception as exc:  # malformed edge list / npz payload
+        _fail(f"cannot load graph from {args.file}: {exc}")
 
 
-def _add_graph_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", help="synthetic stand-in name (see `datasets`)")
-    p.add_argument("--file", help="edge-list (.txt) or CSR (.npz) file")
+def _machine(args: argparse.Namespace):
+    return MACHINES[args.machine].scaled(args.scale)
 
 
-def _record_run(
-    registry,
-    args: argparse.Namespace,
-    graph,
-    command: str,
-    config: dict,
-    meta: dict,
-) -> str:
-    """Append one provenance-stamped record to the run ledger."""
+def _write(path: str, text: str, what: str, file=None) -> None:
+    """Write ``text`` to ``path`` and note it on ``file`` (stdout)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    print(f"wrote {what} to {path}", file=file)
+
+
+def _output(args: argparse.Namespace, text: str, what: str) -> None:
+    """Write ``text`` to ``--output`` when given, else print it."""
+    if args.output:
+        _write(args.output, text, what)
+    else:
+        print(text)
+
+
+def _metric_lines(metrics: dict) -> list[str]:
+    """One aligned line per counter, gauge and histogram of a snapshot."""
+    return [
+        *(f"counter   {name:<28} {value:,}"
+          for name, value in metrics.get("counters", {}).items()),
+        *(f"gauge     {name:<28} {value:.4f}"
+          for name, value in metrics.get("gauges", {}).items()),
+        *(f"histogram {name:<28} count={snap['count']} "
+          f"sum={snap['sum']:.6g} max={snap['max']}"
+          for name, snap in metrics.get("histograms", {}).items()),
+    ]
+
+
+def _record_run(registry, args, graph, meta, *, profile=None, file=None, **config):
+    """Append one provenance-stamped record of this command to ``--ledger``;
+    ``config`` extends the flags every counting command records."""
     record = build_run_record(
         registry,
-        command=command,
-        config=config,
+        command=args.command,
+        config={
+            "command": args.command,
+            "algorithm": args.algorithm,
+            "dataset": args.dataset,
+            "file": args.file,
+            "hub_count": args.hub_count,
+            **config,
+        },
         graph=graph,
         dataset_name=args.dataset,
         meta=meta,
+        profile=profile,
     )
     ledger = Ledger(args.ledger)
-    run_id = ledger.append(record)
-    print(f"recorded run {run_id} -> {ledger.path}")
-    return run_id
+    print(f"recorded run {ledger.append(record)} -> {ledger.path}", file=file)
 
 
 def _check_backend_args(args: argparse.Namespace) -> None:
@@ -155,30 +194,29 @@ def _check_backend_args(args: argparse.Namespace) -> None:
     for flag in ("shards", "partitioner"):
         if getattr(args, flag, None) is not None and args.backend != "distributed":
             _fail(f"--{flag} requires --backend distributed")
-    if args.shards is not None and args.shards < 1:
-        _fail("--shards must be >= 1")
 
 
 def _run_count(args: argparse.Namespace, graph):
-    """One count as the flags ask: the chosen LOTUS backend, or the
-    ``--algorithm`` registry entry when no backend is given."""
-    if not args.backend:
-        return ALGORITHMS[args.algorithm](graph, args.hub_count)
-    config = LotusConfig(hub_count=args.hub_count) if args.hub_count else None
-    return count_triangles_lotus(
-        graph, config, backend=args.backend, shards=args.shards,
-        partitioner=getattr(args, "partitioner", None) or "hash",
-    )
+    """One count as the flags ask: LOTUS on the chosen backend, the
+    adaptive dispatcher, or a baseline counter."""
+    config = LotusConfig(hub_count=args.hub_count)
+    if args.algorithm == "lotus":
+        return count_triangles_lotus(
+            graph, config, backend=getattr(args, "backend", None),
+            shards=getattr(args, "shards", None),
+            partitioner=getattr(args, "partitioner", None) or "hash",
+        )
+    if args.algorithm == "adaptive":
+        return count_triangles_adaptive(graph, config)
+    return COUNTERS[args.algorithm](graph)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    """Count once; print the count, phase times and LOTUS's type split."""
     _check_backend_args(args)
     graph = _load_graph(args)
     backend = args.backend
-    if args.trace:
-        with use_registry() as registry:
-            result = _run_count(args, graph)
-    else:
+    with use_registry() if args.trace else nullcontext() as registry:
         result = _run_count(args, graph)
     print(f"graph: {graph}")
     print(f"algorithm: {result.algorithm}")
@@ -203,44 +241,35 @@ def cmd_count(args: argparse.Namespace) -> int:
             f"(hub share {counts.hub_fraction():.1%})"
         )
     if args.trace:
+        sharded = backend == "distributed"
         _record_run(
-            registry,
-            args,
-            graph,
-            command="count",
-            config={
-                "command": "count",
-                "algorithm": args.algorithm,
-                "dataset": args.dataset,
-                "file": args.file,
-                "hub_count": args.hub_count,
-                "backend": backend,
-                **(
-                    {
-                        "shards": result.extra["shards"],
-                        "partitioner": result.extra["partitioner"],
-                    }
-                    if backend == "distributed"
-                    else {}
-                ),
-            },
+            registry, args, graph,
             meta={
                 "algorithm": result.algorithm,
                 "triangles": int(result.triangles),
                 "elapsed": float(result.elapsed),
                 "phases": dict(result.phases),
             },
+            backend=backend,
+            **({"shards": result.extra["shards"],
+                "partitioner": result.extra["partitioner"]} if sharded else {}),
         )
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    """Run one algorithm under the obs registry and emit its report."""
     graph = _load_graph(args)
-    algorithm = ALGORITHMS[args.algorithm]
     with use_registry() as registry:
-        result = algorithm(graph, args.hub_count)
+        result = _run_count(args, graph)
         if args.memsim:
-            _replay_memsim(graph, registry, args)
+            # cache + DTLB hit rates land in the same artifact as the spans
+            machine = _machine(args)
+            for algorithm, trace, _layout in algorithm_traces(graph):
+                with registry.span(f"memsim:{algorithm}", machine=machine.name):
+                    hierarchy = MemoryHierarchy(machine)
+                    hierarchy.access_lines(trace)
+                    hierarchy.export_metrics(registry, prefix=f"memsim.{algorithm}")
     meta = {
         "dataset": args.dataset or args.file,
         "algorithm": result.algorithm,
@@ -256,70 +285,25 @@ def cmd_report(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         text = report_to_csv(report)
     else:  # tree
-        lines = [
+        text = "\n".join([
             f"{meta['algorithm']} on {meta['dataset']}: "
-            f"{meta['triangles']:,} triangles in {meta['elapsed']:.3f}s"
-        ]
-        lines += [render_span_tree(root) for root in spans_from_report(report)]
-        metrics = report["metrics"]
-        for name, value in metrics["counters"].items():
-            lines.append(f"counter   {name:<28} {value:,}")
-        for name, value in metrics["gauges"].items():
-            lines.append(f"gauge     {name:<28} {value:.4f}")
-        for name, snap in metrics["histograms"].items():
-            lines.append(
-                f"histogram {name:<28} count={snap['count']} "
-                f"sum={snap['sum']:.6g} max={snap['max']}"
-            )
-        text = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.format} report to {args.output}")
-    else:
-        print(text)
+            f"{meta['triangles']:,} triangles in {meta['elapsed']:.3f}s",
+            *(render_span_tree(root) for root in spans_from_report(report)),
+            *_metric_lines(report["metrics"]),
+        ])
+    _output(args, text, f"{args.format} report")
     if args.ledger:
         _record_run(
-            registry,
-            args,
-            graph,
-            command="report",
-            config={
-                "command": "report",
-                "algorithm": args.algorithm,
-                "dataset": args.dataset,
-                "file": args.file,
-                "hub_count": args.hub_count,
-                "memsim": bool(args.memsim),
-                "machine": args.machine if args.memsim else None,
-                "scale": args.scale if args.memsim else None,
-            },
-            meta=meta,
+            registry, args, graph, meta,
+            memsim=bool(args.memsim),
+            machine=args.machine if args.memsim else None,
+            scale=args.scale if args.memsim else None,
         )
     return 0
 
 
-def _replay_memsim(graph, registry, args: argparse.Namespace) -> None:
-    """Replay the graph's lotus/forward traces so cache + DTLB hit rates
-    land in the same report artifact as the counting spans."""
-    from repro.core import build_lotus_graph
-    from repro.graph.reorder import apply_degree_ordering
-    from repro.memsim import MACHINES, MemoryHierarchy, forward_trace, lotus_trace
-
-    machine = MACHINES[args.machine].scaled(args.scale)
-    oriented = apply_degree_ordering(graph)[0].orient_lower()
-    lotus = build_lotus_graph(graph)
-    for alg, trace in (
-        ("forward", forward_trace(oriented)),
-        ("lotus", lotus_trace(lotus)),
-    ):
-        with registry.span(f"memsim:{alg}", machine=machine.name):
-            h = MemoryHierarchy(machine)
-            h.access_lines(trace)
-            h.export_metrics(registry, prefix=f"memsim.{alg}")
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
+    """Print Table-1 style hub analytics of one graph."""
     graph = _load_graph(args)
     hc = hub_characteristics(graph, hub_fraction=args.hub_fraction)
     print(f"graph: {graph}")
@@ -334,6 +318,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_datasets(_args: argparse.Namespace) -> int:
+    """List the synthetic stand-in registry beside the paper's sizes."""
     print(f"{'name':<12} {'paper dataset':<14} {'type':<5} "
           f"{'paper |V|(M)':>12} {'paper |E|(B)':>12}")
     for spec in DATASETS.values():
@@ -343,71 +328,50 @@ def cmd_datasets(_args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    """Regenerate one paper table or figure and print it."""
     from repro.eval import experiments
 
     fn = getattr(experiments, args.id, None)
     if fn is None or args.id.startswith("_"):
         valid = [n for n in experiments.__all__ if n not in ("CACHE_SCALE",)]
-        raise SystemExit(f"unknown experiment {args.id!r}; one of: {valid}")
+        _fail(f"unknown experiment {args.id!r}; one of: {valid}")
     print(fn().render())
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.core import build_lotus_graph
-    from repro.graph.reorder import apply_degree_ordering
-    from repro.memsim import (
-        MACHINES,
-        MemoryHierarchy,
-        forward_trace,
-        lotus_trace,
-    )
-
+    """Replay Forward's and LOTUS's traces through one machine model."""
     graph = _load_graph(args)
-    machine = MACHINES[args.machine].scaled(args.scale)
-    oriented = apply_degree_ordering(graph)[0].orient_lower()
-    lotus = build_lotus_graph(graph)
+    machine = _machine(args)
     print(f"machine: {machine.name} (L1={machine.l1_bytes}B "
           f"L2={machine.l2_bytes}B L3={machine.l3_bytes_total}B)")
-    for alg, trace in (
-        ("forward", forward_trace(oriented)),
-        ("lotus", lotus_trace(lotus)),
-    ):
-        h = MemoryHierarchy(machine)
-        h.access_lines(trace)
-        s = h.stats()
-        print(f"{alg:<8} accesses={s.accesses:,} LLC misses={s.llc_misses:,} "
+    for algorithm, trace, _layout in algorithm_traces(graph):
+        hierarchy = MemoryHierarchy(machine)
+        hierarchy.access_lines(trace)
+        s = hierarchy.stats()
+        print(f"{algorithm:<8} accesses={s.accesses:,} LLC misses={s.llc_misses:,} "
               f"DTLB misses={s.dtlb_misses:,}")
     return 0
 
 
 def cmd_locality(args: argparse.Namespace) -> int:
-    from repro.memsim import MACHINES
+    """Attribute each algorithm's cache and DTLB misses to its regions."""
     from repro.obs.locality import build_locality_report, render_locality_table
-    from repro.obs.report import report_to_json
 
-    graph = _load_graph(args)
-    machine = MACHINES[args.machine].scaled(args.scale)
-    algorithms = (
-        ("forward", "lotus") if args.algorithm == "both" else (args.algorithm,)
-    )
     report = build_locality_report(
-        graph,
-        machine,
+        _load_graph(args),
+        _machine(args),
         dataset=args.dataset or args.file,
-        algorithms=algorithms,
+        algorithms=(
+            ("forward", "lotus") if args.algorithm == "both" else (args.algorithm,)
+        ),
         reuse_limit=args.reuse_limit,
     )
     if args.format == "json":
         text = report_to_json(report)
     else:
         text = render_locality_table(report)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.format} locality report to {args.output}")
-    else:
-        print(text)
+    _output(args, text, f"{args.format} locality report")
     return 0
 
 
@@ -418,19 +382,10 @@ def _open_ledger(args: argparse.Namespace) -> Ledger:
     return ledger
 
 
-def _resolve_run(ledger: Ledger, ref: str) -> dict:
-    try:
-        return ledger.get(ref)
-    except LedgerError as exc:
-        _fail(str(exc))
-
-
 def cmd_runs_list(args: argparse.Namespace) -> int:
+    """List the ledger's runs, oldest first."""
     ledger = _open_ledger(args)
-    try:
-        entries = ledger.entries()
-    except LedgerError as exc:
-        _fail(str(exc))
+    entries = ledger.entries()
     print(f"{'run_id':<28} {'created':<21} {'config':<24} "
           f"{'dataset':<10} {'triangles':>12}  command")
     for e in entries:
@@ -444,9 +399,8 @@ def cmd_runs_list(args: argparse.Namespace) -> int:
 
 
 def cmd_runs_show(args: argparse.Namespace) -> int:
-    from repro.obs import Span
-
-    record = _resolve_run(_open_ledger(args), args.run)
+    """Print one run record: provenance, span trees and metrics."""
+    record = _open_ledger(args).get(args.run)
     if args.format == "json":
         print(json.dumps(record, indent=2))
         return 0
@@ -468,47 +422,39 @@ def cmd_runs_show(args: argparse.Namespace) -> int:
         print(f"meta:     {json.dumps(meta, default=str)}")
     for root in record.get("spans", []):
         print(render_span_tree(Span.from_dict(root)))
-    metrics = record.get("metrics", {})
-    for name, value in metrics.get("counters", {}).items():
-        print(f"counter   {name:<28} {value:,}")
-    for name, value in metrics.get("gauges", {}).items():
-        print(f"gauge     {name:<28} {value:.4f}")
-    for name, snap in metrics.get("histograms", {}).items():
-        print(f"histogram {name:<28} count={snap['count']} sum={snap['sum']:.6g}")
+    for line in _metric_lines(record.get("metrics", {})):
+        print(line)
     return 0
 
 
 def cmd_runs_diff(args: argparse.Namespace) -> int:
+    """Diff two runs; exit 1 when a gated metric regressed."""
     from repro.obs.regress import regressions
 
     ledger = _open_ledger(args)
-    rec_a = _resolve_run(ledger, args.run_a)
-    rec_b = _resolve_run(ledger, args.run_b)
-    diff = diff_runs(rec_a, rec_b, rel_tol=args.rel_tol, share_tol=args.share_tol)
+    diff = diff_runs(
+        ledger.get(args.run_a), ledger.get(args.run_b),
+        rel_tol=args.rel_tol, share_tol=args.share_tol,
+    )
     print(format_run_diff(diff, verbose=args.verbose))
     return 1 if regressions(diff["metrics"]) else 0
 
 
 def cmd_runs_export(args: argparse.Namespace) -> int:
-    from repro.obs import trace_from_record
-
-    record = _resolve_run(_open_ledger(args), args.run)
+    """Export one run as a Chrome trace or as its raw record."""
+    record = _open_ledger(args).get(args.run)
     if args.format == "trace":
         if not record.get("spans"):
             _fail(f"run {record['run_id']} recorded no spans; nothing to export")
         text = json.dumps(trace_from_record(record), indent=1)
     else:  # record: the raw run record as one JSON document
         text = json.dumps(record, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.format} export of {record['run_id']} to {args.output}")
-    else:
-        print(text)
+    _output(args, text, f"{args.format} export of {record['run_id']}")
     return 0
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    """Render a recorded metrics snapshot in Prometheus text format."""
     from repro.obs.telemetry import prometheus_exposition
 
     labels: dict[str, str] = {}
@@ -528,7 +474,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             except json.JSONDecodeError as exc:
                 _fail(f"{args.input} is not JSON: {exc}")
     else:
-        obj = _resolve_run(_open_ledger(args), args.run)
+        obj = _open_ledger(args).get(args.run)
     if not isinstance(obj, dict):
         _fail("metrics source must be a JSON object")
     # raw registry snapshot, or a report / ledger record wrapping one
@@ -590,18 +536,9 @@ def _error_response(line_obj: str, message: str) -> dict:
     }
 
 
-def _stats_response(engine, request_id) -> dict:
-    stats = engine.stats()
-    return {
-        "id": request_id,
-        "ok": True,
-        "op": "stats",
-        "status": "ok",
-        "stats": stats,
-    }
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
+    """Answer JSON-lines requests over a warm structure cache."""
+    from repro.obs.profiler import ContinuousProfiler
     from repro.obs.telemetry import (
         JsonlExporter,
         PrometheusFileExporter,
@@ -611,26 +548,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     from repro.serve import QueryEngine, StructureCache
 
-    if args.cache_bytes < 1:
-        _fail("--cache-bytes must be >= 1")
-    if args.cache_entries < 1:
-        _fail("--cache-entries must be >= 1")
-    if args.max_queue < 1:
-        _fail("--max-queue must be >= 1")
-    if args.max_batch < 1:
-        _fail("--max-batch must be >= 1")
-    if args.workers is not None and args.workers < 1:
-        _fail("--workers must be >= 1")
-    if args.slow_query_ms is not None and args.slow_query_ms <= 0:
-        _fail("--slow-query-ms must be > 0")
-    if args.metrics_interval <= 0:
-        _fail("--metrics-interval must be > 0")
     if args.metrics_port is not None and not 0 <= args.metrics_port <= 65535:
         _fail("--metrics-port must be in [0, 65535]")
-    if args.profile_interval_ms <= 0:
-        _fail("--profile-interval-ms must be > 0")
-    if args.profile_window <= 0:
-        _fail("--profile-window must be > 0")
     if args.input and not os.path.exists(args.input):
         _fail(f"no such file: {args.input}")
     stream = open(args.input, encoding="utf-8") if args.input else sys.stdin
@@ -674,8 +593,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             set_bus(telemetry)
         continuous = None
         if args.profile:
-            from repro.obs.profiler import ContinuousProfiler
-
             continuous = ContinuousProfiler(
                 registry,
                 interval_s=args.profile_interval_ms / 1e3,
@@ -683,10 +600,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             ).start()
         try:
             engine.start()
-            if args.pipeline:
-                served = _serve_pipelined(engine, stream, emit, args.max_queue)
-            else:
-                served = _serve_sequential(engine, stream, emit)
+            window = args.max_queue if args.pipeline else 1
+            served = _serve_lines(engine, stream, emit, window)
         finally:
             engine.stop()
             if continuous is not None:
@@ -715,36 +630,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         if args.metrics_output:
-            with open(args.metrics_output, "w", encoding="utf-8") as fh:
-                json.dump(registry.family("serve"), fh, indent=2)
-                fh.write("\n")
-            print(f"wrote serve metrics to {args.metrics_output}", file=sys.stderr)
+            _write(
+                args.metrics_output,
+                json.dumps(registry.family("serve"), indent=2),
+                "serve metrics",
+                sys.stderr,
+            )
     return 0
 
 
-def _serve_sequential(engine, stream, emit) -> int:
-    """One request in, one response out — no cross-request batching."""
-    served = 0
-    for line in stream:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        served += 1
-        request, error = _parse_request_line(line)
-        if error is not None:
-            emit(_error_response(line, error))
-            continue
-        if request.op == "stats":
-            emit(_stats_response(engine, request.id))
-            continue
-        result = engine.query(request)
-        emit(result.to_json_dict())
-    return served
-
-
-def _serve_pipelined(engine, stream, emit, window: int) -> int:
+def _serve_lines(engine, stream, emit, window: int) -> int:
     """Submit up to ``window`` requests before collecting, so same-graph
-    neighbours coalesce into micro-batches; responses keep input order."""
+    neighbours coalesce into micro-batches; responses keep input order,
+    and a window of 1 answers each line before reading the next."""
     from repro.serve import QueueFullError
 
     served = 0
@@ -763,15 +661,20 @@ def _serve_pipelined(engine, stream, emit, window: int) -> int:
         request, error = _parse_request_line(line)
         if error is not None:
             pending.append(_error_response(line, error))
-            continue
-        if request.op == "stats":
+        elif request.op == "stats":
             flush()  # stats reflect every request submitted before it
-            emit(_stats_response(engine, request.id))
-            continue
-        try:
-            pending.append(engine.submit(request))
-        except QueueFullError as exc:
-            pending.append(_error_response(line, str(exc)))
+            pending.append({
+                "id": request.id,
+                "ok": True,
+                "op": "stats",
+                "status": "ok",
+                "stats": engine.stats(),
+            })
+        else:
+            try:
+                pending.append(engine.submit(request))
+            except QueueFullError as exc:
+                pending.append(_error_response(line, str(exc)))
         if len(pending) >= window:
             flush()
     flush()
@@ -779,6 +682,7 @@ def _serve_pipelined(engine, stream, emit, window: int) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    """Profile a count; print its hot frames and write the exports."""
     from repro.obs.profiler import SamplingProfiler
     from repro.obs.profexport import (
         render_top_table,
@@ -787,12 +691,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         write_speedscope,
     )
 
-    if args.interval_ms <= 0:
-        _fail("--interval-ms must be > 0")
-    if args.top < 1:
-        _fail("--top must be >= 1")
-    if args.repeat < 1:
-        _fail("--repeat must be >= 1")
     _check_backend_args(args)
     graph = _load_graph(args)
     label = args.dataset or os.path.basename(args.file)
@@ -832,50 +730,33 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
         print(f"wrote speedscope profile to {args.speedscope}", file=sys.stderr)
     if args.ledger:
-        record = build_run_record(
-            registry,
-            command="profile",
-            config={
-                "command": "profile",
-                "algorithm": args.algorithm,
-                "dataset": args.dataset,
-                "file": args.file,
-                "hub_count": args.hub_count,
-                "backend": args.backend,
-                "shards": args.shards,
-                "interval_ms": args.interval_ms,
-                "repeat": args.repeat,
-                "memory": bool(args.memory),
-            },
-            graph=graph,
-            dataset_name=args.dataset,
+        _record_run(
+            registry, args, graph,
             meta={
                 "algorithm": results[0].algorithm,
                 "triangles": int(results[0].triangles),
                 "elapsed": float(results[0].elapsed),
             },
             profile=profile.summary(),
+            file=sys.stderr,
+            backend=args.backend,
+            shards=args.shards,
+            interval_ms=args.interval_ms,
+            repeat=args.repeat,
+            memory=bool(args.memory),
         )
-        ledger = Ledger(args.ledger)
-        run_id = ledger.append(record)
-        print(f"recorded run {run_id} -> {ledger.path}", file=sys.stderr)
     return 0
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    """Stream an update file through a dynamic graph; print the trajectory."""
     from repro.dynamic import DynamicGraph, parse_stream, replay_stream
     from repro.dynamic.replay import print_trajectory
-    from repro.tc.forward import count_triangles_forward
+    from repro.obs.telemetry import PrometheusFileExporter
     from repro.tc.intersect import INTERSECT_KERNELS
 
-    if args.batch < 1:
-        _fail("--batch must be >= 1")
-    if args.compact_every is not None and args.compact_every < 1:
-        _fail("--compact-every must be >= 1")
     if args.kernel not in INTERSECT_KERNELS:
         _fail(f"unknown kernel {args.kernel!r}; one of {sorted(INTERSECT_KERNELS)}")
-    if args.metrics_interval <= 0:
-        _fail("--metrics-interval must be > 0")
     graph = _load_graph(args)
     if not os.path.exists(args.stream):
         _fail(f"no such file: {args.stream}")
@@ -889,8 +770,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     with use_registry() as registry:
         exposer = None
         if args.metrics_file:
-            from repro.obs.telemetry import PrometheusFileExporter
-
             exposer = PrometheusFileExporter(
                 registry, args.metrics_file, interval_s=args.metrics_interval
             )
@@ -938,26 +817,18 @@ def cmd_replay(args: argparse.Namespace) -> int:
             )
         print(f"verified: incremental count equals full recount ({recount:,})")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-        print(f"wrote replay report to {args.json}", file=sys.stderr)
+        _write(
+            args.json,
+            json.dumps(report.to_json_dict(), indent=2),
+            "replay report",
+            sys.stderr,
+        )
     return 0
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    """Run one query through the engine, warming its cache first."""
     from repro.serve import QueryEngine, QueryRequest, StructureCache
-
-    if args.dataset and args.dataset not in DATASETS:
-        _fail(f"unknown dataset {args.dataset!r}; see `repro datasets`")
-    if args.file and not os.path.exists(args.file):
-        _fail(f"no such file: {args.file}")
-    if not args.dataset and not args.file:
-        _fail("specify --dataset NAME or --file PATH")
-    if args.warm < 0:
-        _fail("--warm must be >= 0")
-    if args.workers is not None and args.workers < 1:
-        _fail("--workers must be >= 1")
 
     def request() -> "QueryRequest":
         return QueryRequest(
@@ -984,7 +855,46 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
+def _add_graph_args(p: argparse.ArgumentParser) -> None:
+    # ``main`` checks the source of every parser that has these flags
+    p.add_argument("--dataset", help="synthetic stand-in name (see `datasets`)")
+    p.add_argument("--file", help="edge-list (.txt) or CSR (.npz) file")
+
+
+def _add_algorithm_args(p: argparse.ArgumentParser, choices=ALGORITHMS) -> None:
+    p.add_argument("--algorithm", choices=choices, default="lotus")
+    p.add_argument("--hub-count", type=int)
+
+
+def _add_backend_args(p: argparse.ArgumentParser, backend_help: str) -> None:
+    p.add_argument("--backend", choices=BACKENDS, help=backend_help)
+    p.add_argument("--shards", type=int,
+                   help="shard count for --backend distributed (default: 2)")
+
+
+def _add_machine_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--machine", choices=("SkyLakeX", "Haswell", "Epyc"),
+                   default="SkyLakeX")
+    p.add_argument("--scale", type=int, default=1024,
+                   help="cache capacity scale factor (DESIGN.md §1)")
+
+
+def _add_ledger_arg(
+    p: argparse.ArgumentParser, ledger_help: str, default=DEFAULT_LEDGER_DIR
+) -> None:
+    p.add_argument("--ledger", metavar="DIR", default=default, help=ledger_help)
+
+
+def _add_metrics_file_args(p: argparse.ArgumentParser, file_help: str) -> None:
+    p.add_argument("--metrics-file", metavar="FILE", help=file_help)
+    p.add_argument("--metrics-interval", type=float, default=1.0,
+                   metavar="SECONDS",
+                   help="--metrics-file refresh interval (default: 1.0)")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser: one subparser per command, each
+    bound to its ``cmd_*`` function as ``fn``."""
     parser = argparse.ArgumentParser(
         prog="repro", description="LOTUS triangle counting reproduction"
     )
@@ -992,41 +902,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count triangles")
     _add_graph_args(p)
-    p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="lotus")
-    p.add_argument("--hub-count", type=int, default=None)
-    p.add_argument("--backend", choices=BACKENDS, default=None,
-                   help="LOTUS execution backend (default: sequential; "
-                        "'distributed' shards the whole count across worker "
-                        "processes with identical per-type counts)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="shard count for --backend distributed (default: 2)")
+    _add_algorithm_args(p)
+    _add_backend_args(p, "LOTUS execution backend (default: sequential; "
+                         "'distributed' shards the whole count across worker "
+                         "processes with identical per-type counts)")
     p.add_argument("--partitioner", choices=("hash", "block", "degree"),
-                   default=None,
                    help="vertex partitioner for --backend distributed "
                         "(default: hash)")
     p.add_argument("--trace", action="store_true",
                    help="run under the obs registry and append a "
                         "provenance-stamped record to the run ledger")
-    p.add_argument("--ledger", metavar="DIR", default=DEFAULT_LEDGER_DIR,
-                   help="run-ledger directory for --trace (default: runs/)")
+    _add_ledger_arg(p, "run-ledger directory for --trace (default: runs/)")
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser(
         "report", help="run one algorithm and emit a structured obs report"
     )
     _add_graph_args(p)
-    p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="lotus")
-    p.add_argument("--hub-count", type=int, default=None)
+    _add_algorithm_args(p)
     p.add_argument("--format", choices=("json", "csv", "tree"), default="json")
     p.add_argument("--output", help="write the artifact here instead of stdout")
     p.add_argument("--memsim", action="store_true",
                    help="also replay the cache hierarchy and export hit rates")
-    p.add_argument("--machine", choices=("SkyLakeX", "Haswell", "Epyc"),
-                   default="SkyLakeX")
-    p.add_argument("--scale", type=int, default=1024,
-                   help="cache capacity scale factor (DESIGN.md §1)")
-    p.add_argument("--ledger", metavar="DIR", default=None,
-                   help="also append the run to this run-ledger directory")
+    _add_machine_args(p)
+    _add_ledger_arg(p, "also append the run to this run-ledger directory", None)
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("analyze", help="hub analytics (Table 1 style)")
@@ -1043,20 +942,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="cache replay (Figure 4 style)")
     _add_graph_args(p)
-    p.add_argument("--machine", choices=("SkyLakeX", "Haswell", "Epyc"),
-                   default="SkyLakeX")
-    p.add_argument("--scale", type=int, default=1024,
-                   help="cache capacity scale factor (DESIGN.md §1)")
+    _add_machine_args(p)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser(
         "locality", help="per-region cache/TLB attribution report"
     )
     _add_graph_args(p)
-    p.add_argument("--machine", choices=("SkyLakeX", "Haswell", "Epyc"),
-                   default="SkyLakeX")
-    p.add_argument("--scale", type=int, default=1024,
-                   help="cache capacity scale factor (DESIGN.md §1)")
+    _add_machine_args(p)
     p.add_argument("--algorithm", choices=("forward", "lotus", "both"),
                    default="both")
     p.add_argument("--format", choices=("json", "table"), default="table")
@@ -1069,19 +962,16 @@ def build_parser() -> argparse.ArgumentParser:
         "runs", help="run ledger: list / show / diff / export recorded runs"
     )
     runs_sub = p.add_subparsers(dest="runs_command", required=True)
-
-    def _add_ledger_arg(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--ledger", metavar="DIR", default=DEFAULT_LEDGER_DIR,
-                        help="run-ledger directory (default: runs/)")
+    runs_ledger = "run-ledger directory (default: runs/)"
 
     sp = runs_sub.add_parser("list", help="list recorded runs")
-    _add_ledger_arg(sp)
+    _add_ledger_arg(sp, runs_ledger)
     sp.set_defaults(fn=cmd_runs_list)
 
     sp = runs_sub.add_parser("show", help="show one run record")
     sp.add_argument("run", help="run id, unique prefix, latest, or latest~N")
     sp.add_argument("--format", choices=("summary", "json"), default="summary")
-    _add_ledger_arg(sp)
+    _add_ledger_arg(sp, runs_ledger)
     sp.set_defaults(fn=cmd_runs_show)
 
     sp = runs_sub.add_parser(
@@ -1089,14 +979,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("run_a", help="baseline run reference")
     sp.add_argument("run_b", help="candidate run reference")
-    sp.add_argument("--rel-tol", type=float, default=None,
+    sp.add_argument("--rel-tol", type=float,
                     help="relative tolerance for count metrics "
                          "(default: repro.obs.regress default)")
-    sp.add_argument("--share-tol", type=float, default=None,
+    sp.add_argument("--share-tol", type=float,
                     help="absolute tolerance for shares/gauges")
     sp.add_argument("-v", "--verbose", action="store_true",
                     help="also list non-regressed metrics")
-    _add_ledger_arg(sp)
+    _add_ledger_arg(sp, runs_ledger)
     sp.set_defaults(fn=cmd_runs_diff)
 
     sp = runs_sub.add_parser(
@@ -1105,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("run", help="run id, unique prefix, latest, or latest~N")
     sp.add_argument("--format", choices=("trace", "record"), default="trace")
     sp.add_argument("--output", help="write here instead of stdout")
-    _add_ledger_arg(sp)
+    _add_ledger_arg(sp, runs_ledger)
     sp.set_defaults(fn=cmd_runs_export)
 
     p = sub.add_parser(
@@ -1121,12 +1011,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="submission-queue capacity (default: 64)")
     p.add_argument("--max-batch", type=int, default=8,
                    help="micro-batch size bound (default: 8)")
-    p.add_argument("--backend", choices=BACKENDS, default=None,
+    p.add_argument("--backend", choices=BACKENDS,
                    help="default LOTUS backend for queries ('distributed' "
                         "shards each count across --workers processes)")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=int,
                    help="default shard count for --backend distributed")
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=float,
                    help="default per-request deadline in seconds")
     p.add_argument("--pipeline", action="store_true",
                    help="submit a window of requests before responding so "
@@ -1134,20 +1024,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "(responses keep input order)")
     p.add_argument("--metrics-output", metavar="FILE",
                    help="write the serve.* metrics snapshot here on exit")
-    p.add_argument("--metrics-file", metavar="FILE",
-                   help="continuously re-export live metrics here in "
-                        "Prometheus text format (atomic replace)")
-    p.add_argument("--metrics-interval", type=float, default=1.0,
-                   metavar="SECONDS",
-                   help="--metrics-file refresh interval (default: 1.0)")
-    p.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
+    _add_metrics_file_args(p, "continuously re-export live metrics here in "
+                              "Prometheus text format (atomic replace)")
+    p.add_argument("--metrics-port", type=int, metavar="PORT",
                    help="also serve live metrics over HTTP on 127.0.0.1:PORT "
                         "(0 picks an ephemeral port, printed to stderr)")
     p.add_argument("--events-output", metavar="FILE",
                    help="stream telemetry events (span open/close, counter "
                         "increments, slow queries) here as JSON lines")
-    p.add_argument("--slow-query-ms", type=float, default=None,
-                   metavar="MS",
+    p.add_argument("--slow-query-ms", type=float, metavar="MS",
                    help="emit a slow_query event for requests whose latency "
                         "exceeds MS milliseconds (needs --events-output)")
     p.add_argument("--profile", action="store_true",
@@ -1172,8 +1057,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", metavar="REF",
                    help="render a ledger run's metrics (run id, unique "
                         "prefix, latest, or latest~N)")
-    p.add_argument("--ledger", metavar="DIR", default=DEFAULT_LEDGER_DIR,
-                   help="run-ledger directory for --run (default: runs/)")
+    _add_ledger_arg(p, "run-ledger directory for --run (default: runs/)")
     p.add_argument("--label", action="append", default=[], metavar="K=V",
                    help="attach a constant label to every sample "
                         "(repeatable)")
@@ -1184,14 +1068,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a count under the span-attributed sampling profiler",
     )
     _add_graph_args(p)
-    p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="lotus")
-    p.add_argument("--hub-count", type=int, default=None)
-    p.add_argument("--backend", choices=BACKENDS, default=None,
-                   help="LOTUS execution backend; with distributed, shards "
-                        "run their own samplers and their frames are "
-                        "stitched under the parent distributed span")
-    p.add_argument("--shards", type=int, default=None,
-                   help="shard count for --backend distributed (default: 2)")
+    _add_algorithm_args(p)
+    _add_backend_args(p, "LOTUS execution backend; with distributed, shards "
+                         "run their own samplers and their frames are "
+                         "stitched under the parent distributed span")
     p.add_argument("--interval-ms", type=float, default=10.0, metavar="MS",
                    help="sampling interval in milliseconds (default: 10)")
     p.add_argument("--repeat", type=int, default=1,
@@ -1206,9 +1086,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write collapsed stacks (flamegraph.pl input) here")
     p.add_argument("--speedscope", metavar="FILE",
                    help="write a speedscope JSON profile here")
-    p.add_argument("--ledger", metavar="DIR", default=None,
-                   help="also append a run record (with a profile digest) "
-                        "to this run-ledger directory")
+    _add_ledger_arg(p, "also append a run record (with a profile digest) "
+                       "to this run-ledger directory", None)
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser(
@@ -1222,7 +1101,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "`ts op u v` per line (op: +/-/insert/delete)")
     p.add_argument("--batch", type=int, default=64,
                    help="updates applied per batch (default: 64)")
-    p.add_argument("--compact-every", type=int, default=None, metavar="N",
+    p.add_argument("--compact-every", type=int, metavar="N",
                    help="fold overlays into the base CSR every N batches "
                         "(default: automatic, at 25%% overlay growth)")
     p.add_argument("--kernel", default="binary",
@@ -1236,43 +1115,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="FILE",
                    help="write the full replay report (trajectory "
                         "included) here as JSON")
-    p.add_argument("--metrics-file", metavar="FILE",
-                   help="continuously export live dynamic.* metrics here "
-                        "in Prometheus text format (atomic replace)")
-    p.add_argument("--metrics-interval", type=float, default=1.0,
-                   metavar="SECONDS",
-                   help="--metrics-file refresh interval (default: 1.0)")
+    _add_metrics_file_args(p, "continuously export live dynamic.* metrics "
+                              "here in Prometheus text format (atomic replace)")
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser(
         "query", help="one-shot query through the engine (warm cache first)"
     )
     _add_graph_args(p)
-    p.add_argument("--algorithm",
-                   choices=("lotus", "forward", "forward-hashed",
-                            "edge-iterator", "node-iterator", "block"),
-                   default="lotus")
-    p.add_argument("--hub-count", type=int, default=None)
-    p.add_argument("--backend", choices=BACKENDS, default=None)
-    p.add_argument("--workers", type=int, default=None,
+    _add_algorithm_args(p, ("lotus", *COUNTERS))
+    p.add_argument("--backend", choices=BACKENDS)
+    p.add_argument("--workers", type=int,
                    help="shard count for --backend distributed")
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=float,
                    help="per-request deadline in seconds")
     p.add_argument("--warm", type=int, default=1,
                    help="cache-warming queries before the reported one "
                         "(default: 1; 0 measures the cold path)")
-    p.add_argument("--id", default=None, help="request id echoed in the result")
+    p.add_argument("--id", help="request id echoed in the result")
     p.set_defaults(fn=cmd_query)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Parse ``argv``, check every flag value and the graph source, then
+    run the command and return its exit status.  An input error prints one
+    ``error:`` line and raises ``SystemExit(2)``."""
     args = build_parser().parse_args(argv)
+    for dest, (op, bound) in _BOUNDS.items():
+        value = getattr(args, dest, None)
+        if value is not None and not (value >= bound if op == ">=" else value > bound):
+            _fail(f"--{dest.replace('_', '-')} must be {op} {bound}")
+    if hasattr(args, "dataset"):
+        _check_graph_source(args)
     try:
         return args.fn(args)
     except LedgerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _fail(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

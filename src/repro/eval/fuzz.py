@@ -175,26 +175,21 @@ def fuzz_counters() -> dict[str, Callable[[CSRGraph], int]]:
     from repro.core import count_triangles_lotus
     from repro.core.adaptive import count_triangles_adaptive
     from repro.tc import (
+        COUNTERS,
         INTERSECT_KERNELS,
-        count_triangles_block,
-        count_triangles_edge_iterator,
-        count_triangles_forward,
-        count_triangles_forward_hashed,
         count_triangles_matrix,
-        count_triangles_node_iterator,
         count_triangles_spgemm,
     )
 
+    algorithms = {
+        **COUNTERS,
+        "matrix": count_triangles_matrix,
+        "spgemm": count_triangles_spgemm,
+        "adaptive": count_triangles_adaptive,
+        "lotus": count_triangles_lotus,
+    }
     counters: dict[str, Callable[[CSRGraph], int]] = {
-        "node-iterator": lambda g: _triangles(count_triangles_node_iterator(g)),
-        "edge-iterator": lambda g: _triangles(count_triangles_edge_iterator(g)),
-        "forward": lambda g: _triangles(count_triangles_forward(g)),
-        "forward-hashed": lambda g: _triangles(count_triangles_forward_hashed(g)),
-        "block": lambda g: _triangles(count_triangles_block(g)),
-        "matrix": lambda g: _triangles(count_triangles_matrix(g)),
-        "spgemm": lambda g: _triangles(count_triangles_spgemm(g)),
-        "adaptive": lambda g: _triangles(count_triangles_adaptive(g)),
-        "lotus": lambda g: _triangles(count_triangles_lotus(g)),
+        name: (lambda g, fn=fn: _triangles(fn(g))) for name, fn in algorithms.items()
     }
     for name in INTERSECT_KERNELS:
         counters[f"forward-kernel:{name}"] = (

@@ -25,6 +25,7 @@ from repro.memsim.regions import (
     FORWARD_REGIONS,
 )
 from repro.memsim.trace import (
+    algorithm_traces,
     forward_layout,
     forward_trace,
     lotus_phase1_trace,
@@ -71,6 +72,7 @@ __all__ = [
     "REGION_OTHER",
     "LOTUS_REGIONS",
     "FORWARD_REGIONS",
+    "algorithm_traces",
     "forward_layout",
     "forward_trace",
     "lotus_phase1_trace",

@@ -25,8 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.bitarray import triangular_index
-from repro.core.structure import LotusGraph
-from repro.graph.csr import OrientedGraph
+from repro.core.structure import LotusGraph, build_lotus_graph
+from repro.graph.csr import CSRGraph, OrientedGraph
+from repro.graph.reorder import apply_degree_ordering
 from repro.memsim.layout import MemoryLayout, Region
 from repro.memsim.regions import (
     LINE_BYTES,
@@ -39,6 +40,7 @@ from repro.tc.intersect import wedge_chunks
 from repro.util.arrays import arc_keys, concat_ranges
 
 __all__ = [
+    "algorithm_traces",
     "lotus_layout",
     "forward_layout",
     "forward_trace",
@@ -258,6 +260,20 @@ def lotus_trace(lotus: LotusGraph) -> np.ndarray:
         lotus_phase2_trace(lotus, layout),
         lotus_phase3_trace(lotus, layout),
     ])
+
+
+def algorithm_traces(graph: CSRGraph):
+    """Yield ``(algorithm, trace, layout)`` for Forward, then LOTUS.
+
+    Forward replays Algorithm 1 over the degree-ordered lower orientation
+    of ``graph``, LOTUS its three phases over the default structure; each
+    trace's addresses live in the layout yielded with it.
+    """
+    oriented = apply_degree_ordering(graph)[0].orient_lower()
+    layout = forward_layout(oriented)
+    yield "forward", forward_trace(oriented, layout), layout
+    lotus = build_lotus_graph(graph)
+    yield "lotus", lotus_trace(lotus), lotus_layout(lotus)
 
 
 def h2h_access_lines(lotus: LotusGraph) -> np.ndarray:

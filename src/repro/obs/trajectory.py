@@ -118,19 +118,10 @@ def _memsim(dataset: str, *, machines: tuple[str, ...]) -> Measurements:
     on every machine model, at the dataset's cache scale."""
     # imported lazily: this module is reachable from `repro.obs` tooling
     # and must not drag the full pipeline in at import time
-    from repro.core import build_lotus_graph, count_triangles_lotus
+    from repro.core import count_triangles_lotus
     from repro.eval.experiments import cache_scale_for
     from repro.graph import load_dataset
-    from repro.graph.reorder import apply_degree_ordering
-    from repro.memsim import (
-        MACHINES,
-        MemoryHierarchy,
-        REGION_OTHER,
-        forward_layout,
-        forward_trace,
-        lotus_trace,
-    )
-    from repro.memsim.trace import lotus_layout
+    from repro.memsim import MACHINES, MemoryHierarchy, REGION_OTHER, algorithm_traces
 
     graph = load_dataset(dataset)
     result = count_triangles_lotus(graph)
@@ -140,13 +131,7 @@ def _memsim(dataset: str, *, machines: tuple[str, ...]) -> Measurements:
         f"{dataset}.lotus_seconds": float(result.elapsed),
         f"{dataset}.cache_scale": int(scale),
     }
-    oriented = apply_degree_ordering(graph)[0].orient_lower()
-    lotus = build_lotus_graph(graph)
-    fwd_layout = forward_layout(oriented)
-    traces = (
-        ("forward", forward_trace(oriented, fwd_layout), fwd_layout),
-        ("lotus", lotus_trace(lotus), lotus_layout(lotus)),
-    )
+    traces = tuple(algorithm_traces(graph))
     for machine_name in machines:
         machine = MACHINES[machine_name].scaled(scale)
         for algorithm, trace, layout in traces:

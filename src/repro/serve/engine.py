@@ -733,26 +733,13 @@ def _default_executor(
                 "nnn": counts.nnn,
             },
         }
-    from repro.tc import (
-        count_triangles_block,
-        count_triangles_edge_iterator,
-        count_triangles_forward,
-        count_triangles_forward_hashed,
-        count_triangles_node_iterator,
-    )
+    from repro.tc import COUNTERS
 
-    algorithms = {
-        "forward": count_triangles_forward,
-        "forward-hashed": count_triangles_forward_hashed,
-        "edge-iterator": count_triangles_edge_iterator,
-        "node-iterator": count_triangles_node_iterator,
-        "block": count_triangles_block,
-    }
-    fn = algorithms.get(request.algorithm)
+    fn = COUNTERS.get(request.algorithm)
     if fn is None:
         raise ValueError(
             f"unknown algorithm {request.algorithm!r}; "
-            f"one of {['lotus', *sorted(algorithms)]}"
+            f"one of {['lotus', *sorted(COUNTERS)]}"
         )
     result = fn(entry.graph)
     return {"triangles": int(result.triangles), "counts": None}

@@ -43,7 +43,18 @@ from repro.tc.local import (
 from repro.tc.truss import truss_numbers, k_truss
 from repro.tc.spgemm import count_triangles_spgemm, masked_spgemm_count, spgemm_boolean
 
+# the baseline counters by name: the CLI's ``--algorithm`` choices beside
+# LOTUS, the serve engine's non-LOTUS algorithms and the fuzzer's columns
+COUNTERS = {
+    "forward": count_triangles_forward,
+    "forward-hashed": count_triangles_forward_hashed,
+    "edge-iterator": count_triangles_edge_iterator,
+    "node-iterator": count_triangles_node_iterator,
+    "block": count_triangles_block,
+}
+
 __all__ = [
+    "COUNTERS",
     "TCResult",
     "intersect_count_merge",
     "intersect_count_binary",

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -7,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.graph import erdos_renyi, save_edgelist, save_npz
 from repro.obs import report_from_json, spans_from_report
 
@@ -272,6 +273,38 @@ class TestInputErrors:
         _exit2(["locality", "--file", str(bad)])
         assert "error: cannot load graph" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,needle",
+        [
+            pytest.param(["count"], "specify exactly one of --dataset",
+                         id="count-no-source"),
+            pytest.param(["analyze"], "specify exactly one of --dataset",
+                         id="analyze-no-source"),
+            pytest.param(["count", "--dataset", "LJGrp", "--file", "g.txt"],
+                         "specify exactly one of --dataset", id="count-two-sources"),
+            pytest.param(["experiment", "nosuch"], "unknown experiment 'nosuch'",
+                         id="experiment-unknown"),
+            *(
+                pytest.param([cmd, "--dataset", "LJGrp", "--hub-count", value],
+                             "--hub-count must be >= 1", id=f"{cmd}-hub-count{value}")
+                for cmd, value in (
+                    ("count", "-3"), ("report", "-3"), ("profile", "-3"),
+                    ("count", "0"),
+                )
+            ),
+            *(
+                pytest.param([*cmd, "--dataset", "LJGrp", "--scale", "0"],
+                             "--scale must be >= 1", id=f"{cmd[0]}-scale0")
+                for cmd in (["simulate"], ["locality"], ["report", "--memsim"])
+            ),
+        ],
+    )
+    def test_one_error_line(self, argv, needle, capsys):
+        _exit2(argv)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {needle}")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestRunsLedger:
     @pytest.fixture
@@ -388,3 +421,61 @@ class TestRunsLedger:
         assert "recorded run " in capsys.readouterr().out
         assert main(["runs", "list", "--ledger", ledger_dir]) == 0
         assert "report" in capsys.readouterr().out
+
+
+# every leaf command's flags as `--help` shows them; regenerate with
+# `PYTHONPATH=src python tests/test_cli.py > tests/cli_surface.json`
+# only for an intended change to the surface
+SURFACE_SNAPSHOT = pathlib.Path(__file__).with_name("cli_surface.json")
+
+
+def cli_surface(parser: argparse.ArgumentParser) -> dict:
+    """Map each leaf command ("count", "runs diff", ...) to its help text
+    and the option strings, default, choices and help of every argument."""
+    surface: dict = {}
+
+    def walk(p: argparse.ArgumentParser, path: tuple, help_text) -> None:
+        subs = [a for a in p._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            surface[" ".join(path)] = {"help": help_text, "arguments": [
+                {
+                    "flags": a.option_strings or [a.dest],
+                    "dest": a.dest,
+                    "action": type(a).__name__,
+                    "type": getattr(a.type, "__name__", None),
+                    "default": a.default,
+                    "choices": None if a.choices is None else list(a.choices),
+                    "metavar": a.metavar,
+                    "required": a.required,
+                    "help": a.help,
+                }
+                for a in p._actions if not isinstance(a, argparse._HelpAction)
+            ]}
+        for sub in subs:
+            helps = {c.dest: c.help for c in sub._choices_actions}
+            for name, child in sub.choices.items():
+                walk(child, (*path, name), helps[name])
+
+    walk(parser, (), None)
+    return json.loads(json.dumps(surface))
+
+
+class TestSurface:
+    def test_flags_match_snapshot(self):
+        """Same `--help` surface: names, defaults, choices and help text."""
+        snapshot = json.loads(SURFACE_SNAPSHOT.read_text())
+        assert len(snapshot) == 16
+        assert sum(len(c["arguments"]) for c in snapshot.values()) == 104
+        assert cli_surface(build_parser()) == snapshot
+
+
+if __name__ == "__main__":
+    # one argument per line, so a changed flag shows as a one-line diff
+    commands = []
+    for name, command in cli_surface(build_parser()).items():
+        arguments = ",\n  ".join(json.dumps(a) for a in command["arguments"])
+        commands.append(
+            f'{json.dumps(name)}: {{"help": {json.dumps(command["help"])}, '
+            f'"arguments": [\n  {arguments}]}}'
+        )
+    print("{\n" + ",\n".join(commands) + "\n}")

@@ -267,7 +267,8 @@ class TestServeLiveTelemetry:
          ("--metrics-interval", "0"), ("--metrics-interval", "-1"),
          ("--metrics-port", "70000"),
          ("--profile-interval-ms", "0"), ("--profile-interval-ms", "-2"),
-         ("--profile-window", "0"), ("--profile-window", "-1")],
+         ("--profile-window", "0"), ("--profile-window", "-1"),
+         ("--timeout", "-1")],
     )
     def test_bad_telemetry_flag_exits_2(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -461,3 +462,19 @@ class TestQueryGolden:
             main(["query", "--file", edgelist_file, "--warm", "-2"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flags,needle",
+        [
+            (["--dataset", "LJGrp"], "specify exactly one of --dataset"),
+            (["--timeout", "-1"], "--timeout must be > 0"),
+        ],
+        ids=["dataset-and-file", "negative-timeout"],
+    )
+    def test_bad_request_exits_2(self, edgelist_file, flags, needle, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--file", edgelist_file, *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {needle}")
+        assert len(err.strip().splitlines()) == 1
