@@ -53,7 +53,7 @@ import numpy as np
 from repro.core.count import Bitsets, common_hub_counts, hub_bitsets
 from repro.core.structure import LotusConfig, split_oriented
 from repro.graph.csr import CSRGraph, OrientedGraph
-from repro.graph.reorder import lotus_relabeling_array
+from repro.graph.reorder import degree_ordering_permutation, lotus_relabeling_array
 # the wedge enumeration and membership kernels, re-exported for the protocol
 from repro.tc.intersect import KeySet, wedge_chunks
 from repro.util.arrays import arc_keys, compact_rows
@@ -64,8 +64,6 @@ __all__ = [
     "ShardPlan",
     "arc_keys",
     "build_plan",
-    "degree_rank",
-    "identity_rank",
     "lotus_rank",
     "shard_cut_arcs",
     "shard_hub_counts",
@@ -77,26 +75,6 @@ __all__ = [
 QUERY_BYTES = 8
 # ... and one membership bool back
 ANSWER_BYTES = 1
-
-
-def degree_rank(graph: CSRGraph) -> np.ndarray:
-    """Rank permutation by descending degree (ties broken by vertex ID).
-
-    ``rank[v]`` is ``v``'s position in descending-degree order, so hubs
-    get the smallest ranks and end up inside other vertices' rows rather
-    than enumerating quadratic wedge sets themselves (the Forward
-    degree-ordering argument, Section 3.2).
-    """
-    n = graph.num_vertices
-    order = np.lexsort((np.arange(n), -graph.degrees()))
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    return rank
-
-
-def identity_rank(num_vertices: int) -> np.ndarray:
-    """The natural-order rank (no reordering)."""
-    return np.arange(num_vertices, dtype=np.int64)
 
 
 def lotus_rank(graph: CSRGraph, config=None) -> tuple[np.ndarray, int]:
@@ -193,7 +171,8 @@ def build_plan(
 
     ``owner`` is indexed by *original* vertex ID (what the partitioners
     produce); it is permuted into relabeled space here.  ``rank`` must be
-    a permutation of ``[0, n)``; ``None`` selects :func:`degree_rank`.
+    a permutation of ``[0, n)``; ``None`` ranks by descending degree
+    (:func:`~repro.graph.reorder.degree_ordering_permutation`).
     ``hub_count=None`` plans without hubs.  HE's hub bitsets are packed
     here, once, unless they would exceed the bitset budget.  Everything
     that can be split by shard (the payload slices, the edge-cut) is
@@ -210,7 +189,7 @@ def build_plan(
     if owner.size and (owner.min() < 0 or owner.max() >= workers):
         raise ValueError("owner values must lie in [0, workers)")
     if rank is None:
-        rank = degree_rank(graph)
+        rank = degree_ordering_permutation(graph)
     else:
         rank = np.asarray(rank, dtype=np.int64)
     hub_count = int(hub_count or 0)

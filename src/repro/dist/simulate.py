@@ -27,12 +27,11 @@ from repro.dist.plan import (
     ANSWER_BYTES,
     QUERY_BYTES,
     build_plan,
-    degree_rank,
-    identity_rank,
     shard_cut_arcs,
     shard_hub_counts,
 )
 from repro.graph.csr import CSRGraph
+from repro.graph.reorder import degree_ordering_permutation
 from repro.tc.intersect import KeySet, wedge_chunks
 from repro.util.arrays import arc_keys
 
@@ -88,9 +87,9 @@ def simulate_distributed_tc(
     """
     if rank is None:
         rank = (
-            degree_rank(graph)
+            degree_ordering_permutation(graph)
             if degree_order
-            else identity_rank(graph.num_vertices)
+            else np.arange(graph.num_vertices, dtype=np.int64)
         )
     plan = build_plan(graph, owner, workers, rank=rank, hub_count=hub_count)
     n = plan.num_vertices

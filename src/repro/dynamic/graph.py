@@ -241,10 +241,7 @@ class DynamicGraph:
         from repro.tc.intersect import INTERSECT_KERNELS
 
         kernel = INTERSECT_KERNELS[self._kernel]
-        a, b = self.neighbors(u), self.neighbors(v)
-        if self._kernel == "bitmap":
-            return int(kernel(a, b, max(self.num_vertices, 1)))
-        return int(kernel(a, b))
+        return int(kernel(self.neighbors(u), self.neighbors(v)))
 
     # -- write side ---------------------------------------------------------
     def insert_edges(self, edges) -> UpdateResult:

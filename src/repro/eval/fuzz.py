@@ -163,10 +163,7 @@ def _forward_with_kernel(graph: CSRGraph, kernel_name: str) -> int:
         row = oriented.neighbors(v).astype(np.int64, copy=False)
         for u in row:
             other = oriented.neighbors(int(u)).astype(np.int64, copy=False)
-            if kernel_name == "bitmap":
-                total += kernel(other, row, max(n, 1))
-            else:
-                total += kernel(other, row)
+            total += kernel(other, row)
     return total
 
 
@@ -301,24 +298,35 @@ def minimize_case(
     Bounded by ``max_checks`` predicate evaluations so shrinking a slow
     failure cannot hang the harness.
     """
-    edges = case.edges
+    dtype = case.edges.dtype
+    return _ddmin(
+        list(case.edges),
+        lambda rows: replace(case, edges=np.array(rows, dtype=dtype).reshape(-1, 2)),
+        is_failing,
+        max_checks,
+    )
+
+
+def _ddmin(items: list, rebuild: Callable, is_failing: Callable, max_checks: int):
+    """The block-deletion loop of both minimisers: drop contiguous blocks
+    of ``items``, halving the block size down to single items, and keep
+    every deletion after which ``is_failing(rebuild(kept))`` still holds;
+    at most ``max_checks`` evaluations.  Returns ``rebuild`` of the rest."""
     checks = 0
-    block = max(len(edges) // 2, 1)
-    while len(edges) and checks < max_checks:
+    block = max(len(items) // 2, 1)
+    while items and checks < max_checks:
         i = 0
-        while i < len(edges) and checks < max_checks:
-            candidate = replace(
-                case, edges=np.concatenate([edges[:i], edges[i + block:]])
-            )
+        while i < len(items) and checks < max_checks:
+            candidate = items[:i] + items[i + block:]
             checks += 1
-            if is_failing(candidate):
-                edges = candidate.edges
+            if is_failing(rebuild(candidate)):
+                items = candidate
             else:
                 i += block
         if block == 1:
             break
         block = max(block // 2, 1)
-    return replace(case, edges=edges)
+    return rebuild(items)
 
 
 def format_case(case: FuzzCase) -> str:
@@ -347,27 +355,40 @@ def run_fuzz(
     Case ``i`` uses seed ``seed + i`` — any failure reproduces alone.
     """
     counters = counters if counters is not None else fuzz_counters()
+    return _drive(
+        cases, seed, random_case, lambda case: check_case(case, counters),
+        minimize_case, format_case, "edges", on_progress,
+    )
+
+
+def _drive(
+    cases: int, seed: int, generate: Callable, check: Callable,
+    minimize: Callable, format_repro: Callable, unit: str,
+    on_progress: Callable | None,
+) -> dict:
+    """The loop of both fuzz modes: generate case ``i`` from ``seed + i``,
+    check it, and minimise and report the first failure.  ``unit`` names
+    the case field the minimiser shrinks (``edges`` or ``ops``); the
+    report counts it before and after as ``original_<unit>`` /
+    ``shrunk_<unit>``."""
     kind_counts: dict[str, int] = {}
     for i in range(cases):
-        case = random_case(seed + i)
+        case = generate(seed + i)
         kind_counts[case.kind] = kind_counts.get(case.kind, 0) + 1
         if on_progress is not None:
             on_progress(i, case)
-        mismatches = check_case(case, counters)
-        if mismatches:
-            shrunk = minimize_case(
-                case, lambda c: bool(check_case(c, counters))
-            )
+        if check(case):
+            shrunk = minimize(case, lambda c: bool(check(c)))
             return {
                 "cases": i + 1,
                 "kinds": kind_counts,
                 "failure": {
                     "seed": case.seed,
                     "kind": case.kind,
-                    "mismatches": check_case(shrunk, counters),
-                    "original_edges": int(len(case.edges)),
-                    "shrunk_edges": int(len(shrunk.edges)),
-                    "repro": format_case(shrunk),
+                    "mismatches": check(shrunk),
+                    f"original_{unit}": int(len(getattr(case, unit))),
+                    f"shrunk_{unit}": int(len(getattr(shrunk, unit))),
+                    "repro": format_repro(shrunk),
                 },
             }
     return {"cases": cases, "kinds": kind_counts, "failure": None}
@@ -609,22 +630,9 @@ def minimize_dynamic_case(
     contiguous blocks, halving the block size down to single ops, keeping
     every deletion that preserves the failure.
     """
-    ops = list(case.ops)
-    checks = 0
-    block = max(len(ops) // 2, 1)
-    while ops and checks < max_checks:
-        i = 0
-        while i < len(ops) and checks < max_checks:
-            candidate = replace(case, ops=tuple(ops[:i] + ops[i + block:]))
-            checks += 1
-            if is_failing(candidate):
-                ops = list(candidate.ops)
-            else:
-                i += block
-        if block == 1:
-            break
-        block = max(block // 2, 1)
-    return replace(case, ops=tuple(ops))
+    return _ddmin(
+        list(case.ops), lambda ops: replace(case, ops=tuple(ops)), is_failing, max_checks
+    )
 
 
 def format_dynamic_case(case: DynamicFuzzCase) -> str:
@@ -651,30 +659,11 @@ def run_dynamic_fuzz(
     Same contract as :func:`run_fuzz`: case ``i`` uses seed ``seed + i``
     and any failure reproduces alone from its seed.
     """
-    kind_counts: dict[str, int] = {}
-    for i in range(cases):
-        case = random_dynamic_case(seed + i, num_ops=ops_per_case)
-        kind_counts[case.kind] = kind_counts.get(case.kind, 0) + 1
-        if on_progress is not None:
-            on_progress(i, case)
-        mismatches = check_dynamic_case(case)
-        if mismatches:
-            shrunk = minimize_dynamic_case(
-                case, lambda c: bool(check_dynamic_case(c))
-            )
-            return {
-                "cases": i + 1,
-                "kinds": kind_counts,
-                "failure": {
-                    "seed": case.seed,
-                    "kind": case.kind,
-                    "mismatches": check_dynamic_case(shrunk),
-                    "original_ops": int(len(case.ops)),
-                    "shrunk_ops": int(len(shrunk.ops)),
-                    "repro": format_dynamic_case(shrunk),
-                },
-            }
-    return {"cases": cases, "kinds": kind_counts, "failure": None}
+    return _drive(
+        cases, seed, lambda s: random_dynamic_case(s, num_ops=ops_per_case),
+        check_dynamic_case, minimize_dynamic_case, format_dynamic_case, "ops",
+        on_progress,
+    )
 
 
 def main(argv: Iterable[str] | None = None) -> int:

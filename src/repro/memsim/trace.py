@@ -41,6 +41,7 @@ from repro.util.arrays import arc_keys, concat_ranges
 
 __all__ = [
     "algorithm_traces",
+    "phase_traces",
     "lotus_layout",
     "forward_layout",
     "forward_trace",
@@ -251,29 +252,47 @@ def lotus_phase3_trace(lotus: LotusGraph, layout: MemoryLayout | None = None) ->
     return _interleave([s_starts], [s_lens], indptr, arc_starts, arc_lens)
 
 
+def _lotus_phases(lotus: LotusGraph, layout: MemoryLayout) -> tuple:
+    """The three LOTUS phase traces over one shared layout (so HE stays
+    warm between phases 1 and 2), named like the counting spans."""
+    return (
+        ("hhh+hhn", lotus_phase1_trace(lotus, layout)),
+        ("hnn", lotus_phase2_trace(lotus, layout)),
+        ("nnn", lotus_phase3_trace(lotus, layout)),
+    )
+
+
 def lotus_trace(lotus: LotusGraph) -> np.ndarray:
-    """Full LOTUS counting trace: the three phase traces back to back,
-    over one shared layout (so HE stays warm between phases 1 and 2)."""
-    layout = lotus_layout(lotus)
-    return np.concatenate([
-        lotus_phase1_trace(lotus, layout),
-        lotus_phase2_trace(lotus, layout),
-        lotus_phase3_trace(lotus, layout),
-    ])
+    """Full LOTUS counting trace: the three phase traces back to back."""
+    return np.concatenate([t for _, t in _lotus_phases(lotus, lotus_layout(lotus))])
+
+
+def phase_traces(graph: CSRGraph, algorithm: str):
+    """``(layout, ((phase, trace), ...))`` for one algorithm over ``graph``.
+
+    Forward is one ``count`` phase of Algorithm 1 over the degree-ordered
+    lower orientation of ``graph``; LOTUS is its three phases
+    (``hhh+hhn``, ``hnn``, ``nnn``) over the default structure.  Every
+    trace's addresses live in ``layout``.  Raises ``ValueError`` for any
+    other algorithm.
+    """
+    if algorithm == "forward":
+        oriented = apply_degree_ordering(graph)[0].orient_lower()
+        layout = forward_layout(oriented)
+        return layout, (("count", forward_trace(oriented, layout)),)
+    if algorithm == "lotus":
+        lotus = build_lotus_graph(graph)
+        layout = lotus_layout(lotus)
+        return layout, _lotus_phases(lotus, layout)
+    raise ValueError(f"unknown algorithm {algorithm!r}; one of ('forward', 'lotus')")
 
 
 def algorithm_traces(graph: CSRGraph):
-    """Yield ``(algorithm, trace, layout)`` for Forward, then LOTUS.
-
-    Forward replays Algorithm 1 over the degree-ordered lower orientation
-    of ``graph``, LOTUS its three phases over the default structure; each
-    trace's addresses live in the layout yielded with it.
-    """
-    oriented = apply_degree_ordering(graph)[0].orient_lower()
-    layout = forward_layout(oriented)
-    yield "forward", forward_trace(oriented, layout), layout
-    lotus = build_lotus_graph(graph)
-    yield "lotus", lotus_trace(lotus), lotus_layout(lotus)
+    """Yield ``(algorithm, trace, layout)`` for Forward, then LOTUS: each
+    algorithm's :func:`phase_traces` back to back."""
+    for algorithm in ("forward", "lotus"):
+        layout, phases = phase_traces(graph, algorithm)
+        yield algorithm, np.concatenate([trace for _, trace in phases]), layout
 
 
 def h2h_access_lines(lotus: LotusGraph) -> np.ndarray:

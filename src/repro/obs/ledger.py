@@ -82,8 +82,8 @@ class LedgerError(Exception):
 # -- canonical hashing -----------------------------------------------------
 
 def _jsonify(value: Any) -> Any:
-    # NumPy scalars leak in from vectorised kernels (same coercion as
-    # repro.obs.report)
+    # NumPy scalars leak in from vectorised kernels; the one JSON coercion
+    # of repro.obs (the report and trace exporters use it too)
     if hasattr(value, "item"):
         return value.item()
     raise TypeError(f"not JSON serialisable: {type(value).__name__}")

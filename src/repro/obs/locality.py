@@ -28,20 +28,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.core import build_lotus_graph
-from repro.graph.reorder import apply_degree_ordering
 from repro.memsim import (
     AttributedStats,
     MachineSpec,
     MemoryHierarchy,
-    forward_layout,
-    forward_trace,
-    lotus_phase1_trace,
-    lotus_phase2_trace,
-    lotus_phase3_trace,
     reuse_distance_by_region,
 )
-from repro.memsim.trace import lotus_layout
+from repro.memsim.trace import phase_traces
 from repro.obs.registry import MetricsRegistry, get_registry
 
 __all__ = [
@@ -64,32 +57,11 @@ DEFAULT_HIT_CAPACITIES = (64, 256, 1024, 4096)
 
 _SHARE_LEVELS = ("l1", "l2", "llc", "dtlb")
 
-# LOTUS phase spans reuse the counting pipeline's names (Figure 6).
-_LOTUS_PHASES = ("hhh+hhn", "hnn", "nnn")
-
 
 def _percentile_value(profile, q: float) -> float | None:
     """JSON-safe reuse-distance percentile (``None`` = cold / first touch)."""
     value = profile.distance_percentile(q)
     return None if math.isinf(value) else value
-
-
-def _algorithm_traces(graph, algorithm: str):
-    """(layout, ordered (phase, trace) pairs) for one algorithm."""
-    if algorithm == "forward":
-        oriented = apply_degree_ordering(graph)[0].orient_lower()
-        layout = forward_layout(oriented)
-        return layout, (("count", forward_trace(oriented, layout)),)
-    if algorithm == "lotus":
-        lotus = build_lotus_graph(graph)
-        layout = lotus_layout(lotus)
-        phases = (
-            lotus_phase1_trace(lotus, layout),
-            lotus_phase2_trace(lotus, layout),
-            lotus_phase3_trace(lotus, layout),
-        )
-        return layout, tuple(zip(_LOTUS_PHASES, phases))
-    raise ValueError(f"unknown algorithm {algorithm!r}; one of ('forward', 'lotus')")
 
 
 def build_locality_report(
@@ -114,7 +86,7 @@ def build_locality_report(
     registry = registry if registry is not None else get_registry()
     report_algorithms: dict[str, Any] = {}
     for algorithm in algorithms:
-        layout, phases = _algorithm_traces(graph, algorithm)
+        layout, phases = phase_traces(graph, algorithm)
         classifier = layout.classifier(machine.line_bytes, machine.page_bytes)
         hierarchy = MemoryHierarchy(machine)
         per_phase: dict[str, AttributedStats] = {}

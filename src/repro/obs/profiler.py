@@ -47,7 +47,7 @@ from __future__ import annotations
 import sys
 import threading
 import tracemalloc
-from typing import Any, Iterator
+from typing import Any
 
 from repro.obs.spans import (
     Span,
@@ -568,9 +568,3 @@ class ContinuousProfiler:
                     for f in window.top_frames(5)
                 ],
             })
-
-
-def iter_profile_spans(profile: Profile) -> Iterator[tuple[str, str, int]]:
-    """``(span_id, span_name, samples)`` triples, hottest span first."""
-    for (span_id, span_name), count in profile.span_samples().items():
-        yield span_id, span_name, count

@@ -27,6 +27,7 @@ import io
 import json
 from typing import Any
 
+from repro.obs.ledger import _jsonify
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import Span
 
@@ -39,7 +40,6 @@ __all__ = [
     "report_to_csv",
     "write_report",
     "render_span_tree",
-    "histogram_quantile",
 ]
 
 SCHEMA_VERSION = 1
@@ -59,13 +59,6 @@ def build_report(
 
 def report_to_json(report: dict[str, Any], indent: int | None = 2) -> str:
     return json.dumps(report, indent=indent, sort_keys=False, default=_jsonify)
-
-
-def _jsonify(value: Any) -> Any:
-    # NumPy scalars leak into attrs from vectorised kernels; coerce them
-    if hasattr(value, "item"):
-        return value.item()
-    raise TypeError(f"not JSON serialisable: {type(value).__name__}")
 
 
 def report_from_json(text: str) -> dict[str, Any]:
@@ -129,36 +122,6 @@ def write_report(
         raise ValueError(f"unknown report format {fmt!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + ("\n" if not text.endswith("\n") else ""))
-
-
-def histogram_quantile(snapshot: dict[str, Any], q: float) -> float:
-    """Approximate quantile from a histogram *snapshot* dict.
-
-    Mirrors :meth:`repro.obs.registry.Histogram.quantile` but operates on
-    the plain-data form found in reports and metrics artifacts, so
-    offline consumers (``bench_trajectory``, the serve-smoke CI check)
-    can read latency quantiles without a live registry.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must be in [0, 1]")
-    buckets = snapshot.get("buckets") or []
-    counts = snapshot.get("counts") or []
-    total = snapshot.get("count", 0)
-    if not total:
-        return 0.0
-    fallback = float(
-        snapshot["max"] if snapshot.get("max") is not None
-        else (buckets[-1] if buckets else 0.0)
-    )
-    rank = q * total
-    seen = 0
-    for idx, c in enumerate(counts):
-        seen += c
-        if seen >= rank and c:
-            if idx < len(buckets):
-                return float(buckets[idx])
-            return fallback
-    return fallback
 
 
 def render_span_tree(span: Span, indent: int = 0) -> str:

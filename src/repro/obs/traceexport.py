@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from repro.obs.ledger import _jsonify
 from repro.obs.spans import Span
 
 __all__ = [
@@ -53,13 +54,6 @@ TRACE_DISPLAY_UNIT = "ms"
 # containment slack in microseconds when rebuilding trees: ts/dur are
 # rounded to 3 decimals (nanosecond grain), so 10 ns absorbs the rounding
 _EPSILON_US = 0.01
-
-
-def _jsonify_attrs(attrs: dict[str, Any]) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for key, value in attrs.items():
-        out[key] = value.item() if hasattr(value, "item") else value
-    return out
 
 
 def spans_to_trace_events(
@@ -114,7 +108,8 @@ def spans_to_trace_events(
             "dur": round(dur_us, 3),
             "pid": ev_pid,
             "tid": tid,
-            "args": _jsonify_attrs(span.attrs),
+            # plain JSON values, as a reader of the written trace sees them
+            "args": json.loads(json.dumps(span.attrs, default=_jsonify)),
             "span_id": span.span_id,
         }
         if span.trace_id is not None:

@@ -175,7 +175,6 @@ def _serve(dataset: str, *, requests: int) -> Measurements:
     measurement loudly instead of writing garbage trend data.
     """
     from repro.obs import use_registry
-    from repro.obs.report import histogram_quantile
     from repro.serve import QueryEngine, QueryRequest, StructureCache
 
     with use_registry() as registry:
@@ -201,14 +200,13 @@ def _serve(dataset: str, *, requests: int) -> Measurements:
             raise AssertionError(
                 f"expected {requests - 1} warm hits, saw {hits}"
             )
-        hist = registry.family("serve")["histograms"]["serve.latency_seconds"]
     metrics = {
         f"serve.{dataset}.hit_rate": round(hits / requests, 4),
         f"serve.{dataset}.latency_p50_seconds": round(
-            histogram_quantile(hist, 0.5), 6
+            registry.histogram_quantile("serve.latency_seconds", 0.5), 6
         ),
         f"serve.{dataset}.latency_p95_seconds": round(
-            histogram_quantile(hist, 0.95), 6
+            registry.histogram_quantile("serve.latency_seconds", 0.95), 6
         ),
     }
     info: dict[str, Any] = {

@@ -8,8 +8,9 @@ queries is where real deployments win.  This package provides exactly
 that amortization:
 
 * :mod:`repro.serve.cache` — a byte-budgeted LRU **structure cache**
-  keyed by the run ledger's dataset fingerprint (exact CSR bytes) plus a
-  canonical build-config hash, holding the built
+  keyed by the run ledger's dataset fingerprint (exact CSR bytes), or a
+  dynamic session's tag and version, plus a canonical build-config
+  hash, holding the built
   :class:`~repro.graph.csr.CSRGraph` / :class:`~repro.core.structure.LotusGraph`
   pair so repeated queries skip construction entirely;
 * :mod:`repro.serve.request` — the :class:`QueryRequest` /

@@ -1,14 +1,15 @@
-"""The structure cache: built CSR/Lotus pairs keyed by graph bytes + config.
+"""The structure cache: built CSR/Lotus pairs keyed by graph + config.
 
 The cache key is ``<edge_hash>/<config_hash>``:
 
-* ``edge_hash`` is the run ledger's dataset fingerprint
+* ``edge_hash`` names the graph.  For a plain source it is the run
+  ledger's dataset fingerprint
   (:func:`repro.obs.ledger.dataset_fingerprint`) — a SHA-256 over the
   exact ``indptr`` / ``indices`` bytes, so two queries share an entry iff
   they query the very same graph, regardless of how it was named.  A
-  dynamic snapshot patched from a version the caller has keyed is
-  keyed by that version's digest extended by the edit delta
-  (:func:`delta_hash`), never by a pass over its CSR;
+  dynamic session's version never changes once made, so the caller
+  names it by the session's tag instead and appends the version
+  (``<tag>/<config_hash>@v3``); no session version is ever hashed;
 * ``config_hash`` is the ledger's canonical config hash
   (:func:`repro.obs.ledger.config_hash`) over the
   :class:`~repro.core.structure.LotusConfig` fields — a different
@@ -46,24 +47,20 @@ state is freed with its entry.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.core.count import KernelState
 from repro.core.structure import LotusConfig, LotusGraph, build_lotus_graph
 from repro.graph.csr import CSRGraph
 from repro.obs import get_registry
-from repro.obs.ledger import _HASH_LEN, config_hash, dataset_fingerprint
-from repro.util.timer import clock
+from repro.obs.ledger import config_hash, dataset_fingerprint
 
 __all__ = [
-    "CacheEntry", "StructureCache", "csr_hash", "delta_hash", "structure_key",
+    "CacheEntry", "StructureCache", "csr_hash", "structure_key",
     "DEFAULT_CACHE_BYTES",
 ]
 
@@ -76,19 +73,6 @@ def csr_hash(graph: CSRGraph) -> str:
     return dataset_fingerprint(graph)["edge_hash"]
 
 
-def delta_hash(parent_hash: str, inserted: np.ndarray, deleted: np.ndarray) -> str:
-    """The ``edge_hash`` of a dynamic snapshot patched from the version
-    whose ``edge_hash`` is ``parent_hash``: a SHA-256 over that digest
-    and the ``(k, 2)`` edges inserted and deleted since, each set in
-    sorted order, so it costs O(delta) instead of a pass over the CSR."""
-    h = hashlib.sha256(parent_hash.encode())
-    for sign, edges in ((b"+", inserted), (b"-", deleted)):
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        h.update(sign + len(edges).to_bytes(8, "little"))
-        h.update(edges[np.lexsort((edges[:, 1], edges[:, 0]))].tobytes())
-    return f"sha256:{h.hexdigest()[:_HASH_LEN]}"
-
-
 def structure_key(
     graph: CSRGraph,
     config: LotusConfig | None = None,
@@ -98,17 +82,12 @@ def structure_key(
 ) -> str:
     """``<edge_hash>/<config_hash>`` cache key for one (graph, config).
 
-    ``version`` tags snapshot entries of a dynamic session
-    (``.../<cfg>@v3``), so entries read as snapshot entries in stats and
-    logs, and a graph that returns to a previous byte-identical state
-    still keys one entry per version.  ``edge_hash`` is the caller's
-    digest of the graph, so the CSR bytes are not hashed again: its
-    :func:`csr_hash`, or, for a snapshot patched from a version whose
-    digest the caller holds, that digest extended by the delta
-    (:func:`delta_hash`).  Each version then keys one entry of its own
-    either way; the first version after a compaction carries no delta
-    and is keyed by its :func:`csr_hash`, as are non-session graphs.
-    Without ``edge_hash`` the key uses :func:`csr_hash`.
+    ``edge_hash`` is the caller's name for the graph, so its CSR bytes
+    are not hashed again: a memoised :func:`csr_hash`, or a dynamic
+    session's tag.  ``version`` then names one of the session's versions
+    (``<tag>/<cfg>@v3``), so each version keys one entry of its own, even
+    when it returns to an earlier version's bytes.  Without
+    ``edge_hash`` the key uses :func:`csr_hash`.
     """
     config = config or LotusConfig()
     cfg = config_hash(
@@ -145,12 +124,8 @@ class CacheEntry:
     graph: CSRGraph
     lotus: LotusGraph
     nbytes: int
-    dataset: str | None = None
-    build_seconds: float = 0.0
     hits: int = 0
-    version: int | None = None  # dynamic-session snapshot version
     pins: int = 0  # in-flight queries holding this entry (never evicted)
-    meta: dict[str, Any] = field(default_factory=dict)
     state: KernelState | None = None
     # the owning cache, held weakly: a dropped cache frees its entries at
     # once instead of waiting for the cycle collector
@@ -219,8 +194,6 @@ class StructureCache:
         config: LotusConfig | None = None,
         *,
         key: str | None = None,
-        dataset: str | None = None,
-        version: int | None = None,
         builder: Callable[[CSRGraph, LotusConfig | None], LotusGraph] | None = None,
         patch: tuple[str, Callable[[LotusGraph], LotusGraph]] | None = None,
     ) -> tuple[CacheEntry, str]:
@@ -233,7 +206,8 @@ class StructureCache:
         slow or crashing builders).  ``patch`` is ``(predecessor key,
         patcher)``: while that entry is resident, a miss builds the
         structure as ``patcher(predecessor.lotus)`` and the new entry
-        replaces the predecessor unless it is pinned.
+        replaces the predecessor unless it is pinned.  A hit ignores
+        ``builder`` and ``patch``.
         """
         config = config or LotusConfig()
         if key is None:
@@ -248,21 +222,16 @@ class StructureCache:
                 registry.counter("serve.cache.hit").add(1)
                 return entry, "hit"
 
-            started = clock()
             prev = self._entries.get(patch[0]) if patch is not None else None
             if prev is not None:
                 lotus = patch[1](prev.lotus)
             else:
-                build = builder or (lambda g, c: build_lotus_graph(g, c))
-                lotus = build(graph, config)
+                lotus = (builder or build_lotus_graph)(graph, config)
             entry = CacheEntry(
                 key=key,
                 graph=graph,
                 lotus=lotus,
                 nbytes=_entry_nbytes(graph, lotus),
-                dataset=dataset,
-                build_seconds=clock() - started,
-                version=version,
                 owner=weakref.ref(self),
             )
             self._entries[key] = entry

@@ -54,7 +54,8 @@ per-source :class:`~repro.dynamic.graph.DynamicGraph` session on first
 use (counting its base once with LOTUS); later counts against that
 source are served from the session's current *snapshot* — an immutable
 versioned CSR, patched from the previous one in O(edges changed),
-cached under a ``(fingerprint, version)``-tagged structure key and
+cached under the session's tag and its version
+(``<tag>/<config_hash>@v<version>``, never a hash of its bytes) and
 pinned while any in-flight query reads it (updates supersede snapshots,
 never invalidate a pinned one); a miss patches the previous version's
 structure while its entry is cached, and replaces that entry
@@ -74,6 +75,7 @@ telemetry").
 
 from __future__ import annotations
 
+import itertools
 import os
 import queue as queue_mod
 import threading
@@ -84,13 +86,7 @@ from repro.core.count import check_backend, lotus_count_from_structure
 from repro.core.structure import LotusConfig, patch_lotus_graph
 from repro.obs import get_registry
 from repro.obs.telemetry import get_bus
-from repro.serve.cache import (
-    CacheEntry,
-    StructureCache,
-    csr_hash,
-    delta_hash,
-    structure_key,
-)
+from repro.serve.cache import CacheEntry, StructureCache, csr_hash, structure_key
 from repro.serve.request import (
     UPDATE_OPS,
     EngineStoppedError,
@@ -105,6 +101,16 @@ __all__ = ["QueryEngine", "QueryTicket", "LATENCY_BUCKETS", "BATCH_BUCKETS"]
 # submit-to-result latency in seconds: 0.1 ms .. ~52 s, geometric
 LATENCY_BUCKETS = tuple(1e-4 * 2**i for i in range(20))
 BATCH_BUCKETS = tuple(float(1 << i) for i in range(8))
+
+# the payload keys a result carries as fields; the rest go to ``extra``
+_PAYLOAD_FIELDS = (
+    "triangles", "counts", "version", "applied", "rejected", "triangle_delta",
+)
+
+# names every dynamic session opened in this process: engines may share
+# one cache, and a dropped engine's session ids can be reused while its
+# entries are still cached
+_SESSION_TAGS = itertools.count()
 
 
 class QueryTicket:
@@ -202,15 +208,11 @@ class QueryEngine:
         self._lock = threading.Lock()
         # graph-source memo: avoids re-reading edge-list files per request
         self._sources: dict[tuple, Any] = {}
-        # dynamic sessions by graph_key(); dispatcher-thread-only, so the
-        # order of updates vs. snapshot reads is the dispatch order
-        self._dynamic: dict[tuple, Any] = {}
-        # graph_key() -> (weak ref to the graph last keyed, its edge_hash,
-        # its snapshot version or None)
-        self._csr_hashes: dict[tuple, tuple[weakref.ref, str, int | None]] = {}
-        # source_key() of a session read -> (version, cache key) of the
-        # entry it last resolved: the predecessor the next version patches
-        self._chains: dict[tuple, tuple[int, str]] = {}
+        # graph_key() -> (dynamic session, its tag); dispatcher-thread-only,
+        # so the order of updates vs. snapshot reads is the dispatch order
+        self._dynamic: dict[tuple, tuple[Any, str]] = {}
+        # graph_key() -> (weak ref to the graph last keyed, its csr_hash)
+        self._csr_hashes: dict[tuple, tuple[weakref.ref, str]] = {}
 
     # -- telemetry ---------------------------------------------------------
     @staticmethod
@@ -319,17 +321,9 @@ class QueryEngine:
 
     def _process_group(self, tickets: list[QueryTicket]) -> None:
         now = clock()
-        live: list[QueryTicket] = []
         for t in tickets:
             t.dispatched = now
-            if t.done():
-                continue
-            if t.cancelled:
-                self._finish(t, "cancelled", error="cancelled by client")
-            elif t.expired():
-                self._finish(t, "timeout", error="deadline expired in queue")
-            else:
-                live.append(t)
+        live = self._triage(tickets, "in queue")
         if not live:
             return
         # split into ordered segments: consecutive counts coalesce into
@@ -356,7 +350,7 @@ class QueryEngine:
         except Exception as exc:
             self._fail_tickets(live, str(exc))
             return
-        session = self._dynamic.get(request0.graph_key())
+        session, tag = self._dynamic.get(request0.graph_key(), (None, None))
 
         # the maintained count is read straight off the session in O(1) —
         # no snapshot, no structure, no cache lookup (so it does not take
@@ -378,30 +372,32 @@ class QueryEngine:
                 return
             request0 = live[0].request
 
-        # every other read of a graph with a dynamic session is served
-        # from its current snapshot: an immutable versioned CSR that later
-        # updates supersede but never mutate (snapshot-isolated reads)
-        version: int | None = None
-        patch = snap = None
-        if session is not None:
-            snap = session.snapshot()
-            graph = snap.graph
-            version = snap.version
-            chain = self._chains.get(request0.source_key())
-            if chain is not None and chain[0] == snap.parent:
-                patch = (
-                    chain[1],
-                    lambda lotus: patch_lotus_graph(lotus, snap.inserted, snap.deleted),
-                )
         config = (
             LotusConfig(hub_count=request0.hub_count)
             if request0.hub_count
             else LotusConfig()
         )
-        key = structure_key(
-            graph, config, version=version,
-            edge_hash=self._edge_hash(request0, graph, snap),
-        )
+        version = patch = None
+        if session is None:
+            key = structure_key(
+                graph, config, edge_hash=self._edge_hash(request0, graph)
+            )
+        else:
+            # every other read of a graph with a dynamic session is served
+            # from its current snapshot: an immutable versioned CSR that
+            # later updates supersede but never mutate (snapshot-isolated
+            # reads).  A version is named by the session's tag, and it
+            # patches the entry of the version it was patched from while
+            # that is cached
+            snap = session.snapshot()
+            graph, version = snap.graph, snap.version
+            chain = structure_key(graph, config, edge_hash=tag)
+            key = f"{chain}@v{version}"
+            if snap.parent is not None:
+                patch = (
+                    f"{chain}@v{snap.parent}",
+                    lambda lotus: patch_lotus_graph(lotus, snap.inserted, snap.deleted),
+                )
 
         with registry.span(
             "serve:dispatch", source=request0.source_label(), batch=len(live)
@@ -409,48 +405,21 @@ class QueryEngine:
             self._count(registry, "serve.batches.dispatched")
             registry.histogram("serve.batch.size", BATCH_BUCKETS).observe(len(live))
 
-            # classify every live request against the cache; the first
-            # classification builds (the others are hits by construction)
+            # classify every live request against the cache: the first
+            # lookup builds, the others are hits
             outcomes: dict[int, str] = {}
-            entry: CacheEntry | None = None
-            for t in live:
-                if entry is not None:
-                    _, outcome = self.cache.get_or_build(
-                        graph, config, key=key, dataset=request0.dataset,
-                        version=version,
+            try:
+                for t in live:
+                    entry, outcomes[id(t)] = self.cache.get_or_build(
+                        graph, config, key=key, builder=self._builder, patch=patch
                     )
-                    outcomes[id(t)] = outcome
-                    continue
-                try:
-                    entry, outcome = self.cache.get_or_build(
-                        graph,
-                        config,
-                        key=key,
-                        dataset=request0.dataset,
-                        version=version,
-                        builder=self._builder,
-                        patch=patch,
-                    )
-                    outcomes[id(t)] = outcome
-                except Exception as exc:
-                    self._fail_tickets(live, f"structure build failed: {exc}")
-                    return
-            assert entry is not None
+            except Exception as exc:
+                self._fail_tickets(live, f"structure build failed: {exc}")
+                return
             dispatch_span.set("cache", outcomes[id(live[0])])
-            if version is not None:
-                self._chains[request0.source_key()] = (version, key)
 
             # the build may have consumed a request's whole deadline
-            still_live = []
-            for t in live:
-                if t.cancelled:
-                    self._finish(t, "cancelled", error="cancelled by client")
-                elif t.expired():
-                    self._finish(
-                        t, "timeout", error="deadline expired during dispatch"
-                    )
-                else:
-                    still_live.append(t)
+            live = self._triage(live, "during dispatch")
 
             # pin the snapshot entry while computing: a superseding
             # update may trigger evictions, but never of a version an
@@ -459,7 +428,7 @@ class QueryEngine:
             try:
                 # one run per distinct computation; fan out to coalesced peers
                 computations: dict[tuple, list[QueryTicket]] = {}
-                for t in still_live:
+                for t in live:
                     r = t.request
                     sig = (r.algorithm, r.backend or self.backend, r.workers or self.workers)
                     computations.setdefault(sig, []).append(t)
@@ -500,13 +469,13 @@ class QueryEngine:
 
         request = ticket.request
         try:
-            session = self._dynamic.get(request.graph_key())
+            session, _ = self._dynamic.get(request.graph_key(), (None, None))
             if session is None:
                 from repro.dynamic import DynamicGraph
 
-                graph = self._resolve_graph(request)
-                session = DynamicGraph(graph)
-                self._dynamic[request.graph_key()] = session
+                session = DynamicGraph(self._resolve_graph(request))
+                tag = f"session:{next(_SESSION_TAGS)}"
+                self._dynamic[request.graph_key()] = (session, tag)
             if request.op == "compact":
                 folded = session.compact()
                 payload = {
@@ -564,18 +533,10 @@ class QueryEngine:
             error=error,
         )
         if payload is not None:
-            result.triangles = payload.get("triangles")
-            result.counts = payload.get("counts")
-            result.version = payload.get("version")
-            result.applied = payload.get("applied")
-            result.rejected = payload.get("rejected")
-            result.triangle_delta = payload.get("triangle_delta")
-            claimed = (
-                "triangles", "counts", "version", "applied", "rejected",
-                "triangle_delta",
-            )
+            for name in _PAYLOAD_FIELDS:
+                setattr(result, name, payload.get(name))
             result.extra = {
-                k: v for k, v in payload.items() if k not in claimed
+                k: v for k, v in payload.items() if k not in _PAYLOAD_FIELDS
             }
         counter = {
             "ok": "serve.requests.completed",
@@ -612,6 +573,21 @@ class QueryEngine:
             pass
         ticket._finish(result)
 
+    def _triage(self, tickets: list[QueryTicket], stage: str) -> list[QueryTicket]:
+        """Finish every ticket a client cancelled or whose deadline passed
+        (``deadline expired <stage>``); return the others still pending."""
+        live = []
+        for t in tickets:
+            if t.done():
+                continue
+            if t.cancelled:
+                self._finish(t, "cancelled", error="cancelled by client")
+            elif t.expired():
+                self._finish(t, "timeout", error=f"deadline expired {stage}")
+            else:
+                live.append(t)
+        return live
+
     def _fail_tickets(self, tickets: list[QueryTicket], message: str) -> None:
         for t in tickets:
             if not t.done():
@@ -627,36 +603,26 @@ class QueryEngine:
                 self._finish(ticket, "stopped", error="engine stopped")
 
     # -- graph resolution --------------------------------------------------
-    def _edge_hash(self, request: QueryRequest, graph, snap=None) -> str:
-        """The ``edge_hash`` of ``graph``'s cache key, memoised per source
-        while the source resolves to the same graph object.
+    def _edge_hash(self, request: QueryRequest, graph) -> str:
+        """The :func:`~repro.serve.cache.csr_hash` of a session-less
+        source's graph, memoised per source while it resolves to the same
+        graph object.
 
-        A registry dataset, a loaded file and a dynamic session's
-        snapshot ``snap`` of one version are each one immutable object,
-        so each is keyed once.  A snapshot patched from the version the
-        memo holds is keyed by :func:`~repro.serve.cache.delta_hash` of
-        that version's digest and the edit delta; any other new object —
-        a first version after a compaction, a reloaded file, a
-        regenerated dataset — is hashed in full
-        (:func:`~repro.serve.cache.csr_hash`).  The memo holds a weak
-        reference: it never keeps a superseded graph alive.  A caller's
-        in-memory graph may be mutated in place between requests, so it
-        is hashed every time it is read without a session.
+        A registry dataset and a loaded file are each one immutable
+        object, so each is hashed once; a reloaded file or a regenerated
+        dataset is a new object and is hashed again.  The memo holds a
+        weak reference: it never keeps a superseded graph alive.  A
+        caller's in-memory graph may be mutated in place between
+        requests, so it is hashed every time it is read.
         """
-        if request.graph is not None and snap is None:
+        if request.graph is not None:
             return csr_hash(graph)
         source = request.graph_key()
         memo = self._csr_hashes.get(source)
-        if memo is not None and memo[0]() is graph:
-            return memo[1]
-        patched = snap is not None and snap.parent is not None
-        if patched and memo is not None and memo[2] == snap.parent:
-            digest = delta_hash(memo[1], snap.inserted, snap.deleted)
-        else:
-            digest = csr_hash(graph)
-        version = None if snap is None else snap.version
-        self._csr_hashes[source] = (weakref.ref(graph), digest, version)
-        return digest
+        if memo is None or memo[0]() is not graph:
+            memo = (weakref.ref(graph), csr_hash(graph))
+            self._csr_hashes[source] = memo
+        return memo[1]
 
     def _resolve_graph(self, request: QueryRequest):
         if request.graph is not None:

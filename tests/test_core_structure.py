@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from repro.core import LotusConfig, build_lotus_graph, lotus_count_from_structure
 from repro.core.structure import PAPER_HUB_COUNT, split_oriented
-from repro.dist.plan import degree_rank
 from repro.graph import (
     complete_graph,
+    degree_ordering_permutation,
     empty_graph,
     erdos_renyi,
     from_edges,
@@ -191,7 +191,9 @@ class TestSplitOriented:
     def test_matches_the_relabel_all_arcs_split(self, case, lotus_rank):
         graph, hub_count = case
         ra = (
-            lotus_relabeling_array(graph, 0.10) if lotus_rank else degree_rank(graph)
+            lotus_relabeling_array(graph, 0.10)
+            if lotus_rank
+            else degree_ordering_permutation(graph)
         )
         got = split_oriented(graph, ra, hub_count)
         want = _relabel_all_arcs_split(graph, ra, hub_count)

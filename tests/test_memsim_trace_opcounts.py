@@ -134,6 +134,21 @@ class TestTraces:
         )
         assert full.size == parts
 
+    def test_algorithm_traces_concatenate_the_phase_traces(self, setup):
+        from repro.memsim import algorithm_traces
+        from repro.memsim.trace import phase_traces
+
+        g, og, lotus = setup
+        _, (count,) = phase_traces(g, "forward")
+        _, phases = phase_traces(g, "lotus")
+        assert count[0] == "count"
+        assert [name for name, _ in phases] == ["hhh+hhn", "hnn", "nnn"]
+        (_, fwd, _), (_, full, _) = algorithm_traces(g)
+        np.testing.assert_array_equal(fwd, forward_trace(og))
+        np.testing.assert_array_equal(full, lotus_trace(lotus))
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            phase_traces(g, "nosuch")
+
     def test_h2h_access_lines_match_fig9_domain(self, setup):
         _, _, lotus = setup
         lines = h2h_access_lines(lotus)

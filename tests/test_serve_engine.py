@@ -2,7 +2,6 @@
 engine's batching / deadline / lifecycle behaviour, and the acceptance
 check that a warm-cache query never rebuilds the structure."""
 
-import gc
 import threading
 import weakref
 
@@ -23,7 +22,6 @@ from repro.serve import (
     structure_key,
 )
 from repro.serve import engine as engine_mod
-from repro.serve.cache import csr_hash, delta_hash
 from repro.tc import count_triangles_forward
 
 
@@ -436,7 +434,7 @@ class TestCsrHashMemo:
         assert [r.cache for r in results] == ["miss", "hit", "hit"]
         assert (other.cache, again.cache) == ("miss", "hit")
 
-    def test_snapshot_hashed_once_per_version(self, g1, hashed, dataset):
+    def test_session_versions_are_never_hashed(self, g1, hashed, dataset):
         fresh = [
             [u, v] for u in range(20) for v in range(u + 1, 20)
             if not g1.has_edge(u, v)
@@ -449,15 +447,11 @@ class TestCsrHashMemo:
                 engine.query(QueryRequest(dataset="LJGrp", op="insert", edges=[edge]), 60)
                 reads = [engine.query(QueryRequest(dataset="LJGrp"), 60) for _ in range(2)]
                 assert [r.cache for r in reads] == [outcome, "hit"]
-            # the base and version 1 (the first session version follows a
-            # session-less read); version 2 extends version 1's digest
-            assert len(hashed) == 2
-            # the memo holds no graph: version 1's snapshot, superseded and
-            # replaced, is freed
-            gc.collect()
-            assert hashed[0]() is g1 and hashed[1]() is None
+            assert engine.cache.stats()["patched"] == 1
+        # only the session-less read hashed its graph
+        assert len(hashed) == 1 and hashed[0]() is g1
 
-    def test_patched_versions_are_keyed_by_their_delta(self, g1, hashed, dataset):
+    def test_versions_are_keyed_by_session_tag_and_version(self, g1, hashed, dataset):
         fresh = [
             [u, v] for u in range(30) for v in range(u + 1, 30)
             if not g1.has_edge(u, v)
@@ -476,29 +470,14 @@ class TestCsrHashMemo:
                 assert [r.cache for r in reads] == ["miss", "hit"]
                 keys.append(engine.cache.keys()[-1])
                 versions.append(reads[0].version)
-            session = engine._dynamic[QueryRequest(dataset="LJGrp").graph_key()]
-            last = session.snapshot()
-        # one full hash, of the first session version; the rest extend it
-        assert len(hashed) == 1
-        assert len(set(keys)) == 3
-        assert all(key.endswith(f"@v{v}") for key, v in zip(keys, versions))
-        assert last.parent == versions[1]
-        digest = delta_hash(keys[1].split("/")[0], last.inserted, last.deleted)
-        assert keys[2].split("/")[0] == digest
+            _, tag = engine._dynamic[QueryRequest(dataset="LJGrp").graph_key()]
+        assert hashed == []
+        assert versions == [1, 3, 4]
+        assert keys == [f"{structure_key(g1, edge_hash=tag)}@v{v}" for v in versions]
         counters = reg.family("serve")["counters"]
         assert counters["serve.cache.patched"] == engine.cache.stats()["patched"] == 2
 
-    def test_delta_digest_ignores_edge_order(self):
-        ins = np.array([[1, 5], [0, 7], [0, 2]])
-        dels = np.array([[3, 4]])
-        digest = delta_hash("sha256:0123456789abcdef", ins, dels)
-        assert digest == delta_hash("sha256:0123456789abcdef", ins[::-1], dels)
-        assert len(digest) == len("sha256:0123456789abcdef")
-        # the same edges on the other side, or another parent, differ
-        assert digest != delta_hash("sha256:0123456789abcdef", dels, ins)
-        assert digest != delta_hash("sha256:fedcba9876543210", ins, dels)
-
-    def test_a_compaction_hashes_the_next_version_in_full(self, g1, hashed):
+    def test_a_compaction_hashes_nothing(self, g1, hashed):
         fresh = [
             [u, v] for u in range(30) for v in range(u + 1, 30)
             if not g1.has_edge(u, v)
@@ -507,13 +486,42 @@ class TestCsrHashMemo:
             for edge in fresh[:2]:
                 engine.query(QueryRequest(graph=g1, op="insert", edges=[edge]), 60)
                 engine.query(QueryRequest(graph=g1), 60)
-            assert len(hashed) == 1
             assert engine.query(QueryRequest(graph=g1, op="compact"), 60).ok
             engine.query(QueryRequest(graph=g1, op="insert", edges=fresh[2:]), 60)
             assert engine.query(QueryRequest(graph=g1), 60).cache == "miss"
             key = engine.cache.keys()[-1]
-        assert len(hashed) == 2
-        assert key.split("/")[0] == csr_hash(hashed[1]())
+            _, tag = engine._dynamic[QueryRequest(graph=g1).graph_key()]
+        assert hashed == []
+        assert key == f"{structure_key(g1, edge_hash=tag)}@v3"
+
+    def test_sessions_never_share_an_entry(self, g1):
+        # byte-identical bases in two engines over one cache, edited
+        # differently up to the same version number
+        twin = erdos_renyi(150, 0.08, seed=11)
+        assert np.array_equal(twin.indices, g1.indices)
+        fresh = [
+            (u, v) for u in range(30) for v in range(u + 1, 30)
+            if not g1.has_edge(u, v)
+        ]
+
+        def closed(edge):
+            return np.intersect1d(g1.neighbors(edge[0]), g1.neighbors(edge[1])).size
+
+        edits = [fresh[0], next(e for e in fresh if closed(e) != closed(fresh[0]))]
+        cache = StructureCache()
+        with QueryEngine(cache) as one, QueryEngine(cache) as two:
+            sessions = ((one, g1, edits[0]), (two, twin, edits[1]))
+            for engine, graph, edge in sessions:
+                update = engine.query(QueryRequest(graph=graph, op="insert", edges=[edge]), 60)
+                assert update.version == 1
+            for engine, graph, edge in sessions:
+                result = engine.query(QueryRequest(graph=graph), 60)
+                edited = from_edges(
+                    np.concatenate([g1.edges(), [edge]]), num_vertices=g1.num_vertices
+                )
+                assert (result.cache, result.version) == ("miss", 1)
+                assert result.triangles == count_triangles_forward(edited).triangles
+        assert len(cache) == 2 and cache.stats()["hits"] == 0
 
     def test_in_memory_graph_hashed_every_request(self, g1, hashed):
         with QueryEngine(StructureCache()) as engine:
